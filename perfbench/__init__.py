@@ -1,0 +1,5 @@
+"""Seeded benchmark for the wavelock library.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
