@@ -56,7 +56,8 @@ def _fmt_json(value, digits: int = 17) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{digits}g}"
+        # JSON has no inf or nan: an unavailable value (no certificate) is null.
+        return f"{float(value):.{digits}g}" if np.isfinite(value) else "null"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -191,6 +192,8 @@ def cmd_verify(args) -> int:
         "oracle_objective": report.oracle_objective,
         "oracle_rel_gap": report.oracle_rel_gap,
         "oracle_pointwise_err": report.oracle_pointwise_err,
+        "oracle_converged": report.oracle_converged,
+        "oracle_duality_gap": report.oracle_duality_gap,
         "isometry_defects": report.isometry_defects,
         "operator_norm": report.operator_norm,
         "operator_rel_gap": report.operator_rel_gap,

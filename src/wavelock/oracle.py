@@ -4,8 +4,9 @@ Maximizes sum_i G(v_i) dt_i over v >= 0 subject to the two discrete
 moment constraints p sum t^(p-1) v dt <= A^p and q sum t^(q-1) v dt <= B^q
 by projected gradient ascent on the concave objective.  The machinery is
 deliberately disjoint from the analytic solver: no multiplier equations,
-no support endpoint, no closed forms; only gradients and Euclidean-style
-projections in the grid's natural weighted metric.
+no support endpoint, no closed forms; only gradients, Euclidean-style
+projections in the grid's natural weighted metric, and the grid's own
+Lagrangian dual.
 
 The gradient step uses the diagonal metric induced by the quadrature
 weights, under which the curvature of the objective is bounded by the
@@ -14,6 +15,14 @@ monotone ascent.  The feasibility step is the exact metric projection
 onto the intersection of the nonnegative cone with the two half-spaces,
 computed by a safeguarded active-set Newton iteration on its
 two-dimensional dual (with a bisection fallback).
+
+Convergence is certified, not assumed.  The Lagrangian separates over the
+nodes and G - c s has a closed-form maximiser, so the dual function D(mu)
+of the discrete problem is explicit, convex and bounds every feasible
+objective from above.  The ascent stops once D at a numerically
+minimised mu is within a relative duality gap of the iterate's
+objective; the dual minimiser is seeded only from the ascent's own
+projection multipliers.
 """
 
 from __future__ import annotations
@@ -229,37 +238,151 @@ def isotonic_nonincreasing(y: np.ndarray, weights: np.ndarray | None = None) -> 
     return out
 
 
+def _dual(
+    mu: np.ndarray, a: np.ndarray, b: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Lagrangian dual D(mu), its gradient and Hessian, and the maximiser s(mu).
+
+    D(mu) = sum_i dt_i [G(s_i) - c_i s_i] + mu . caps with
+    c_i = (mu1 a_i + mu2 b_i)/dt_i, where s_i maximises G(s) - c_i s over
+    s >= 0.  With r_i = c_i/G'(0) and x_i = r_i^(-1/(2 beta+1)) that
+    maximiser is s_i = 4pi (x_i - 1) when r_i < 1 and 0 otherwise, and the
+    bracket collapses to 1 - (2 beta+1) r_i x_i + 2 beta r_i, which stays
+    finite as r_i -> 0.  Requires mu != 0.
+    """
+    den = mu[0] * a + mu[1] * b
+    r = den / (dt * g_prime(0.0, beta))
+    on = r < 1.0
+    x = r[on] ** (-1.0 / (2.0 * beta + 1.0))
+    s = np.zeros_like(r)
+    s[on] = FOUR_PI * (x - 1.0)
+    value = float(dt[on] @ (1.0 - (2.0 * beta + 1.0) * r[on] * x + 2.0 * beta * r[on]))
+    value += float(mu @ caps)
+    grad = caps - np.array([a @ s, b @ s])
+    rows = np.stack((a[on], b[on]))
+    hess = (FOUR_PI / (2.0 * beta + 1.0)) * (rows * (x / den[on])) @ rows.T
+    return value, grad, hess, s
+
+
+def _dual_direction(mu: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimiser of the model grad.d + d.hess.d/2 over mu + d >= 0, and its value.
+
+    The candidates are the free Newton step and the steps that pin one
+    multiplier at zero; the zero step is the fallback.
+    """
+    (h11, h12), (_, h22) = hess
+    candidates = []
+    if h11 * h22 > h12 * h12:
+        candidates.append(-np.linalg.solve(hess, grad))
+    if h22 > 0.0:
+        candidates.append(np.array([-mu[0], (h12 * mu[0] - grad[1]) / h22]))
+    if h11 > 0.0:
+        candidates.append(np.array([(h12 * mu[1] - grad[0]) / h11, -mu[1]]))
+    best, best_model = np.zeros(2), 0.0
+    for d in candidates:
+        model = float(grad @ d + 0.5 * d @ hess @ d)
+        if np.all(mu + d >= 0.0) and np.any(mu + d > 0.0) and model < best_model:
+            best, best_model = d, model
+    return best, best_model
+
+
+def _minimize_dual(mu: np.ndarray, dual, rtol: float = 1e-13, max_steps: int = 50):
+    """Projected damped Newton descent on the convex dual over mu >= 0.
+
+    Each step minimises the quadratic model on the feasible quadrant and
+    backtracks along it until the Armijo condition holds.  A full step
+    that is accepted at once is doubled while D keeps falling: near a zero
+    multiplier the curvature of D is steep, and the model then
+    underestimates how far that multiplier has to move.  Stops when a
+    step lowers D by at most ``rtol`` relative, and returns the final
+    multipliers, D there and the dual maximiser s(mu).
+    """
+    value, grad, hess, s = dual(mu)
+    for _ in range(max_steps):
+        d, model = _dual_direction(mu, grad, hess)
+        if model == 0.0:
+            break
+        step, best = 1.0, None
+        while step > 1e-12:
+            trial = np.maximum(mu + step * d, 0.0)
+            cand = (trial, *dual(trial))
+            if cand[1] <= value + 1e-4 * step * float(grad @ d):
+                best = cand
+                break
+            step *= 0.5
+        if best is None:
+            break
+        while 1.0 <= step < 1e60:
+            step *= 2.0
+            trial = np.maximum(mu + step * d, 0.0)
+            if not trial.any():
+                break
+            cand = (trial, *dual(trial))
+            if cand[1] >= best[1]:
+                break
+            best = cand
+        decrease = value - best[1]
+        mu, value, grad, hess, s = best
+        if decrease <= rtol * abs(value):
+            break
+    return mu, value, s
+
+
 def solve_discrete(
     prob: DiscreteProblem,
     max_iter: int = 40000,
-    obj_tol: float = 1e-11,
+    gap_tol: float = 1e-6,
     check_every: int = 200,
     monotone_projection: bool = False,
 ) -> DiscreteSolution:
-    """Accelerated projected gradient ascent from v = 0; deterministic.
+    """Accelerated projected gradient ascent from v = 0, certified by duality.
 
     Fixed step equal to the reciprocal curvature bound of the kernel, a
     momentum extrapolation in the feasible direction, and a restart
     whenever the objective dips: the momentum is what lifts the nodes
     deep in the kernel's saturation region (where the gradient decays
     like a high negative power) at a quadratic instead of linear rate.
-    Stops when the relative objective gain over a check window falls
-    below ``obj_tol`` or the iteration budget runs out (reported via
-    ``converged``).  With ``monotone_projection`` the final iterate is
+
+    Every ``check_every`` iterations the explicit Lagrangian dual D(mu) is
+    minimised by projected Newton steps, seeded from the projection
+    multipliers over the step and then warm-started.  D(mu) bounds every
+    feasible objective from above, so the run stops, with ``converged``
+    meaning certified, once (D - obj)/obj <= ``gap_tol`` at an ascent
+    iterate.  When the feasible projection of the dual maximiser s(mu)
+    beats the iterate by more than ``gap_tol`` relative, the ascent
+    restarts from it.  While no constraint has become active the dual
+    step is skipped and the gap is reported as infinite.  ``max_iter`` is
+    a safety cap.  With ``monotone_projection`` the final iterate is
     additionally pulled onto the nonincreasing cone by weighted PAVA and
     re-projected onto the constraint set.
     """
-    params = prob.params
-    beta = params.beta
+    beta = prob.params.beta
     a, b = prob.moment_vectors()
     dt = prob.dt
+    caps = np.array([prob.budget_p, prob.budget_q])
     step = 1.0 / g_curvature_bound(beta)
+
+    def dual(m):
+        return _dual(m, a, b, dt, caps, beta)
+
+    def project(w, m):
+        return _project_feasible(w, a, b, dt, prob.budget_p, prob.budget_q, m)
+
+    def duality_gap(value, m, v, obj):
+        # D(m) + m . (a.v - caps)^+ >= obj(v) for every v >= 0: the slack
+        # term absorbs the projection's 1e-12 feasibility tolerance.
+        excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
+        gap = (value - obj) / max(obj, 1e-300)
+        if gap + float(m @ excess) / max(obj, 1e-300) < -1e-12:
+            raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
+        return gap
 
     v = np.zeros_like(prob.t)
     v_prev = v
     t_acc = 1.0
     mu = (0.0, 0.0)
-    obj_prev = 0.0
+    mu_dual = None
+    dual_value = gap = np.inf
     obj_last = 0.0
     converged = False
     iterations = max_iter
@@ -268,30 +391,42 @@ def solve_discrete(
         y = np.maximum(v + ((t_acc - 1.0) / t_next) * (v - v_prev), 0.0)
         t_acc = t_next
         v_prev = v
-        v, mu = _project_feasible(
-            y + step * g_prime(y, beta), a, b, dt, prob.budget_p, prob.budget_q, mu
-        )
-        if (k + 1) % check_every == 0:
-            obj = float(g_eval(v, beta) @ dt)
-            if obj < obj_last:
-                t_acc = 1.0  # momentum overshoot: restart from the current point
-                v_prev = v
-            obj_last = obj
-            if abs(obj - obj_prev) <= obj_tol * max(obj, 1e-300):
-                converged = True
-                iterations = k + 1
-                break
-            obj_prev = obj
+        v, mu = project(y + step * g_prime(y, beta), mu)
+        if (k + 1) % check_every:
+            continue
+        obj = float(g_eval(v, beta) @ dt)
+        if obj < obj_last:
+            t_acc = 1.0  # momentum overshoot: restart from the current point
+            v_prev = v
+        obj_last = obj
+        if mu == (0.0, 0.0):
+            continue  # no constraint active yet: no finite dual seed
+        seed = np.array(mu) / step if mu_dual is None else mu_dual
+        mu_dual, dual_value, s = _minimize_dual(seed, dual)
+        gap = duality_gap(dual_value, mu_dual, v, obj)
+        if gap <= gap_tol:
+            converged = True
+            iterations = k + 1
+            break
+        z, _ = project(s, (0.0, 0.0))
+        obj_z = float(g_eval(z, beta) @ dt)
+        if obj_z > obj + gap_tol * obj:
+            v = v_prev = z  # dual restart; certified only after a further window
+            t_acc = 1.0
+            obj_last = obj_z
 
     if monotone_projection:
         v = isotonic_nonincreasing(v, dt)
-        v, mu = _project_feasible(v, a, b, dt, prob.budget_p, prob.budget_q, mu)
+        v, mu = project(v, mu)
 
     mom_p = float(a @ v)
     mom_q = float(b @ v)
     res_p = (mom_p - prob.budget_p) / prob.budget_p
     res_q = (mom_q - prob.budget_q) / prob.budget_q
     obj = float(g_eval(v, beta) @ dt)
+    if mu_dual is not None:
+        gap = duality_gap(dual_value, mu_dual, v, obj)
+        converged = converged and gap <= gap_tol
 
     tail = v[int(0.95 * v.size):]
     diagnostics = {
@@ -299,6 +434,9 @@ def solve_discrete(
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
         "multipliers": mu,
         "step": step,
+        "duality_gap": gap,
+        "dual_value": dual_value,
+        "dual_multipliers": None if mu_dual is None else (float(mu_dual[0]), float(mu_dual[1])),
     }
     return DiscreteSolution(
         v=v,

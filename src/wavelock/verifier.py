@@ -321,6 +321,7 @@ class VerificationReport:
     oracle_rel_gap: float | None = None
     oracle_pointwise_err: float | None = None
     oracle_converged: bool | None = None
+    oracle_duality_gap: float | None = None
     isometry_defects: list = field(default_factory=list)
     operator_norm: float | None = None
     operator_rel_gap: float | None = None
@@ -366,9 +367,9 @@ def run_verification(
 ) -> VerificationReport:
     """Check a computed bound against the two independent oracles.
 
-    Runs the discrete variational solver (objective within 1 percent,
-    profile pointwise within 2 percent away from the endpoints when the
-    instance is dual) and, unless skipped, the direct operator check
+    Runs the discrete variational solver (certified by its duality gap,
+    objective within 1 percent, profile pointwise within 2 percent away
+    from the endpoints when the instance is dual) and, unless skipped, the direct operator check
     (isometry defect of three test vectors below 1e-3, power-iteration
     norm of the extremal weight within [-10 percent, +2 percent] of the
     bound).  ``corrupt_weight`` is a test hook that inflates the weight
@@ -383,8 +384,10 @@ def run_verification(
     out.oracle_objective = sol.objective
     out.oracle_rel_gap = (report.bound - sol.objective) / report.bound
     out.oracle_converged = sol.converged
+    out.oracle_duality_gap = sol.diagnostics["duality_gap"]
     out.checks["oracle_gap"] = abs(out.oracle_rel_gap) <= ORACLE_GAP_TOL
     out.checks["oracle_feasible"] = max(sol.residual_p, sol.residual_q) <= 1e-9
+    out.checks["oracle_converged"] = sol.converged
     if report.regime == "Dual":
         m = report.multipliers()
         window = (prob.t > 0.05 * m.T) & (prob.t < 0.9 * m.T)

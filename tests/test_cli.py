@@ -165,6 +165,18 @@ class TestVerifyCommand:
         assert data["ok"] is True
         assert data["operator_norm"] is None
 
+    def test_json_reports_oracle_certificate(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
+             "--skip-operator", "--oracle-points", "800", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["oracle_converged"] is True
+        assert data["oracle_duality_gap"] <= 1e-6
+        assert data["checks"]["oracle_converged"] is True
+
     def test_corruption_exit_5(self, capsys):
         code, _, err = run_cli(
             ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",

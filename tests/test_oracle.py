@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import wavelock as wl
+from wavelock import oracle, solver
 from wavelock.oracle import (
     DiscreteProblem,
+    OracleError,
+    _dual,
+    _project_feasible,
     export_solution,
     is_feasible,
     objective_of,
@@ -12,6 +18,12 @@ from wavelock.oracle import (
     truncation_note,
 )
 from conftest import random_dual_params
+
+
+def criterion_5_instances():
+    rng = np.random.default_rng(5)
+    ref = wl.ProblemParams(beta=0.5, p=2.0, q=4.0, A=1.0, B=0.4)
+    return [ref] + [random_dual_params(rng) for _ in range(4)]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +92,94 @@ class TestSolveDiscrete:
         sol = solve_discrete(prob, max_iter=4000, monotone_projection=True)
         assert np.all(np.diff(sol.v) <= 1e-12 * max(sol.v.max(), 1.0))
         assert is_feasible(prob, sol.v)
+
+
+class TestCertificate:
+    def test_weak_duality_at_random_multipliers(self, ref_solution):
+        prob, sol = ref_solution
+        a, b = prob.moment_vectors()
+        caps = np.array([prob.budget_p, prob.budget_q])
+        scale = np.array(sol.diagnostics["dual_multipliers"])
+        rng = np.random.default_rng(11)
+        for k in range(20):
+            mu = scale * np.exp(rng.uniform(-4.0, 4.0, size=2))
+            if k < 4:
+                mu[k % 2] = 0.0  # one constraint priced at zero
+            value = _dual(mu, a, b, prob.dt, caps, prob.params.beta)[0]
+            assert value >= sol.objective
+        assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        criterion_5_instances() + [wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)],
+        ids=lambda p: f"b{p.beta:.3f}-p{p.p:.3f}-q{p.q:.3f}-B{p.B:.3f}",
+    )
+    def test_instances_certify(self, params):
+        report = wl.compute_bound(params)
+        t_max = 2.0 * report.T if report.T is not None else None
+        _, sol = run_oracle(params, t_max=t_max, n=2000)
+        assert sol.converged
+        assert sol.diagnostics["duality_gap"] <= 1e-6
+        assert sol.iterations < 2000
+        assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
+
+    def test_slack_constraints_report_no_certificate(self):
+        params = wl.ProblemParams(0.5, 2.0, 4.0, 1e6, 1e6)
+        prob = DiscreteProblem.log_spaced(params, t_max=1.0, n=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_discrete(prob, max_iter=2000)
+        assert not sol.converged
+        assert sol.diagnostics["duality_gap"] == np.inf
+        assert sol.diagnostics["dual_multipliers"] is None
+
+    def test_weak_duality_violation_raises(self, ref_params, ref_report, monkeypatch):
+        def low_dual(*args):
+            value, grad, hess, s = _dual(*args)
+            return 0.5 * value, grad, hess, s
+
+        monkeypatch.setattr(oracle, "_dual", low_dual)
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=300)
+        with pytest.raises(OracleError, match="weak duality"):
+            solve_discrete(prob)
+
+    def test_independent_of_analytic_solver(self, ref_params, ref_report, monkeypatch):
+        t_max = 2.0 * ref_report.T
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the analytic solver")
+
+        for name in ("compute_bound", "solve_multipliers", "u_eval"):
+            monkeypatch.setattr(solver, name, forbidden)
+            monkeypatch.setattr(wl, name, forbidden)
+        _, sol = run_oracle(ref_params, t_max=t_max, n=500)
+        assert sol.converged
+
+
+class TestProjection:
+    def test_degenerate_gram_falls_back_to_bisection(self, ref_params):
+        # b = 2a makes the two constraint rows parallel, so the 2x2 Gram
+        # matrix of the active-set Newton step is singular; with
+        # cap_b = 2 cap_a both caps bind at once.
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=1.0, n=200)
+        a = prob.moment_vectors()[0]
+        b = 2.0 * a
+        w = np.linspace(3.0, 1.0, prob.t.size)
+        cap_a = 0.5 * float(a @ w)
+        cap_b = 2.0 * cap_a
+        x, (mu1, mu2) = _project_feasible(w, a, b, prob.dt, cap_a, cap_b, (0.0, 0.0))
+        assert np.all(x >= 0.0)
+        assert mu1 >= 0.0 and mu2 >= 0.0 and mu1 + mu2 > 0.0
+        assert float(a @ x) <= cap_a * (1.0 + 1e-9)
+        assert float(b @ x) <= cap_b * (1.0 + 1e-9)
+        # Complementarity: a positive multiplier means its constraint is tight.
+        if mu1 > 0.0:
+            assert float(a @ x) == pytest.approx(cap_a, rel=1e-9)
+        if mu2 > 0.0:
+            assert float(b @ x) == pytest.approx(cap_b, rel=1e-9)
+        # Stationarity: x is the clipped shift of w by the priced rows.
+        shift = (mu1 * a + mu2 * b) / prob.dt
+        assert np.allclose(x, np.maximum(w - shift, 0.0), rtol=0, atol=1e-12)
 
 
 class TestMonotoneRestoration:

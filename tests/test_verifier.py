@@ -234,6 +234,12 @@ class TestRunVerification:
         assert "operator_window" not in report.checks
         assert report.ok
 
+    def test_oracle_certificate_is_gated(self, ref_params):
+        report = run_verification(ref_params, skip_operator=True, oracle_points=800)
+        assert report.checks["oracle_converged"] is True
+        assert report.oracle_converged
+        assert report.oracle_duality_gap <= 1e-6
+
     def test_corruption_hook_fails(self, ref_params):
         report = run_verification(
             ref_params,
