@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,12 +36,9 @@ SCHEMA = "wavelock/1"
 _EPILOG = """exit codes:
   0  success
   2  invalid parameters (p = q, nonpositive values, bad flags)
-  3  solver failure (bracketing or quadrature breakdown)
+  3  solver failure (no convergence or quadrature breakdown)
   4  I/O error writing an output file
   5  verification tolerance breach
-
-environment:
-  WAVELOCK_THREADS  caps scan parallelism (default: os.cpu_count())
 """
 
 
@@ -269,14 +264,7 @@ def cmd_scan(args) -> int:
             raise ParameterError("--q-sweep expects comma-separated numbers") from exc
         tasks = [(args.beta, args.p, qv, args.A, args.B) for qv in qs]
 
-    max_workers = int(os.environ.get("WAVELOCK_THREADS", os.cpu_count() or 1))
-    max_workers = max(1, max_workers)
-    if max_workers == 1 or len(tasks) == 1:
-        rows = [_scan_row(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_scan_row, tasks))  # map preserves input order
-
+    rows = [_scan_row(t) for t in tasks]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     columns = ("ratio", "q", "regime", "bound", "lambda1", "lambda2", "r1", "r2", "error")
     writer.writerow(columns)

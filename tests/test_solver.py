@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 import wavelock as wl
+from wavelock import solver
 from wavelock.core import FOUR_PI
 from wavelock.solver import QuadratureConfig
 from conftest import random_dual_params
@@ -224,3 +227,138 @@ class TestComputeBound:
             assert max(rep.residual_p, rep.residual_q) <= 1e-8
             m = rep.multipliers()
             assert abs(wl.u_eval(m.T, m, params)) <= 1e-10
+
+
+# Dual bounds from an independent solver (brentq in lambda2 around brentq
+# in lambda1 on the two moment equations), frozen as (beta, p, q, A, B) ->
+# bound.  Interior draws come from
+# random_dual_params(np.random.default_rng(2024)); the near-threshold
+# ratios are r1 (1 + delta) and r2 (1 - delta); the narrow windows
+# (|p - q| ~ 0.2-0.3) have an ill-conditioned Hessian; at the last one a
+# multiplier tends to 0.
+GOLDEN_BOUNDS = [
+    ((0.5, 2.0, 4.0, 1.0, 0.4), 0.14163045836641774),
+    ((1.4164964083663072, 2.3073190458198107, 2.754424545143951, 1.0, 0.8706886220718292), 0.3500227707669028),
+    ((1.9924437779578401, 1.9684895318162434, 1.6700100086813952, 1.0, 1.117975145338843), 0.3675920948237468),
+    ((0.8473644050408318, 2.0972104736231274, 4.067168783036732, 1.0, 0.5400531035851385), 0.23032291858719353),
+    ((0.38969422354707617, 3.958935939821404, 1.3217593236434133, 1.0, 5.68237588190901), 0.2904194007547922),
+    ((1.9561199557313678, 5.057313660722036, 4.105065123509357, 1.0, 1.0972144485727653), 0.6377129874225778),
+    ((0.5714190404939545, 3.3808101653363263, 2.606794578787472, 1.0, 1.3495450138810678), 0.32631497789137764),
+    ((0.5836832223211419, 2.5889515199998185, 5.093755336398934, 1.0, 0.4679201950719446), 0.21592226141161514),
+    ((0.6825131652217327, 1.633144385881737, 3.4958814249791024, 1.0, 0.36169297413782514), 0.1281254043011143),
+    ((1.8000956684566862, 2.6456960689502895, 4.936704578983126, 1.0, 0.6936643653979141), 0.42262999246584076),
+    ((1.0424342844822958, 5.835171978918247, 5.52166847126426, 1.0, 1.0281735993375978), 0.5889558268670123),
+    ((0.6413676871848784, 2.1684992697801566, 5.555732048992404, 1.0, 0.3644258688368589), 0.1791020738032693),
+    ((0.8689861654877453, 5.219316045366084, 2.939231118609782, 1.0, 1.6329544265645444), 0.5268936107889615),
+    # near thresholds, delta = 1e-7, 1e-4, 1e-2 (r1 side, then r2 side)
+    ((0.5, 2.0, 4.0, 1.0, 0.269882523715014), 0.09772051215263425),
+    ((0.5, 2.0, 4.0, 1.0, 0.26990948497643696), 0.09773027443082204),
+    ((0.5, 2.0, 4.0, 1.0, 0.27258132169403193), 0.09869770731437053),
+    ((0.5, 2.0, 4.0, 1.0, 0.5655664098594456), 0.16286750396763827),
+    ((0.5, 2.0, 4.0, 1.0, 0.5655099097694506), 0.16286750228769514),
+    ((0.5, 2.0, 4.0, 1.0, 0.5599108017519313), 0.1628503367554053),
+    ((1.3, 4.5, 2.2, 1.0, 1.4422626137026004), 0.4637397103157523),
+    ((1.3, 4.5, 2.2, 1.0, 1.442406695723301), 0.4637860315579342),
+    ((1.3, 4.5, 2.2, 1.0, 1.4566850941711171), 0.4683125279627772),
+    ((1.3, 4.5, 2.2, 1.0, 2.156192588101575), 0.5436939728166381),
+    ((1.3, 4.5, 2.2, 1.0, 2.155977184440483), 0.5436939728131689),
+    ((1.3, 4.5, 2.2, 1.0, 2.1346308756836465), 0.5436919552518759),
+    # narrow windows
+    ((1.6608573249441514, 4.170528692383574, 4.392722583575112, 1.0269679689246165, 1.0), 0.5747137514468136),
+    ((0.7646986496040391, 5.04649649037681, 5.355203404118053, 1.0373463391011692, 1.0), 0.5191668530042421),
+    ((1.2170607685153583, 4.662624485252961, 5.972640648016378, 1.0, 0.8846591280936776), 0.5434805530188466),
+    # near threshold, lambda1 -> 0
+    ((1.1321479297942438, 2.100152817624698, 5.549536323640131, 1.0, 0.28097006413250775), 0.16464232904888632),
+]
+
+# Inside the dual window, but lambda1 would fall below the smallest double
+# (its moment integrand goes like t^s with s + 1 ~ 3e-3).
+UNREPRESENTABLE = (0.4344753046388565, 5.48591166754509, 2.402783507962045, 1.0, 21.291906208301892)
+
+
+class TestNewtonDual:
+    def _dual_near_solution(self, params):
+        m = wl.solve_multipliers(params)
+        dual = solver._Dual(params, QuadratureConfig())
+        return dual, np.array([1.3 * m.lambda1, 0.7 * m.lambda2])
+
+    @pytest.mark.parametrize("params", [params_ref(), wl.ProblemParams(*GOLDEN_BOUNDS[-2][0])])
+    def test_fused_pass_matches_finite_differences(self, params):
+        dual, lam = self._dual_near_solution(params)
+        point = dual(lam)
+        m = wl.multipliers(lam[0], lam[1], params)
+        moments = np.array([wl.moment(m, params, "P"), wl.moment(m, params, "Q")])
+        assert point.moments == pytest.approx(moments, rel=1e-12)
+        assert point.grad == pytest.approx((dual.budget - moments) / dual.e, rel=1e-12)
+
+        fd_grad = np.empty(2)
+        fd_hess = np.empty((2, 2))
+        for i in range(2):
+            h = np.zeros(2)
+            h[i] = 1e-5 * lam[i]
+            up, down = dual(lam + h), dual(lam - h)
+            fd_grad[i] = (up.value - down.value) / (2 * h[i])
+            fd_hess[:, i] = (up.grad - down.grad) / (2 * h[i])
+        scale = np.abs(point.grad).max()
+        assert np.abs(fd_grad - point.grad).max() <= 1e-6 * scale
+        assert point.hess[0, 1] == pytest.approx(point.hess[1, 0], rel=1e-14)
+        assert point.hess == pytest.approx(fd_hess, rel=1e-6)
+        assert np.linalg.eigvalsh(point.hess).min() > 0
+
+    @pytest.mark.parametrize("instance, bound", GOLDEN_BOUNDS)
+    def test_golden_bounds(self, instance, bound):
+        report = wl.compute_bound(wl.ProblemParams(*instance))
+        assert report.regime == "Dual"
+        assert abs(report.bound - bound) <= 1e-12 * bound
+        assert max(report.residual_p, report.residual_q) <= 1e-8
+
+    def test_step_stays_positive_with_velocity_d(self):
+        lam = np.array([1e-3, 2.0])
+        kappa = np.array([0.2, 1.0])
+        for d in (np.array([-0.02, 3.0]), np.array([-1e-3, -1.5]), np.array([2.0, -40.0])):
+            for t in (1.0, 0.5, 1e-3):
+                assert np.all(solver._advance(lam, d, t, kappa) > 0)
+            velocity = (solver._advance(lam, d, 1e-9, kappa) - lam) / 1e-9
+            assert velocity == pytest.approx(d, rel=1e-5)
+        start = np.array([0.5, 0.0])  # a zero multiplier moves linearly
+        assert solver._advance(start, np.array([0.1, 0.3]), 0.5, kappa)[1] == 0.15
+
+    def test_one_debug_record_per_dual_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wavelock"):
+            wl.compute_bound(params_ref())
+            wl.compute_bound(wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0))  # single regime
+        records = [r for r in caplog.records if r.name.startswith("wavelock")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "Newton iterations" in records[0].getMessage()
+        assert "line-search evaluations" in records[0].getMessage()
+
+    def test_silent_by_default(self, capfd):
+        wl.compute_bound(params_ref())
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_unrepresentable_multiplier_is_a_typed_error(self):
+        try:
+            report = wl.compute_bound(wl.ProblemParams(*UNREPRESENTABLE))
+        except (wl.SolverError, wl.QuadratureError):
+            return
+        assert max(report.residual_p, report.residual_q) <= 1e-8
+
+    def test_root_finder_failure_is_a_solver_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Failed to converge after 100 iterations.")
+
+        monkeypatch.setattr(solver, "brentq", fail)
+        with pytest.raises(wl.SolverError, match="did not converge"):
+            wl.compute_bound(params_ref())
+
+    def test_non_finite_iterate_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "find_T", lambda l1, l2, params: float("nan"))
+        with pytest.raises(wl.SolverError, match="non-finite"):
+            wl.solve_multipliers(params_ref())
+
+    def test_iteration_cap_is_a_solver_error(self, monkeypatch):
+        monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
+        with pytest.raises(wl.SolverError, match="did not converge in 2 iterations"):
+            wl.solve_multipliers(params_ref())
