@@ -71,10 +71,8 @@ from .verifier import (
     PowerIterationResult,
     VerificationReport,
     cauchy_wavelet_hat,
-    localization_apply,
     operator_norm,
     run_verification,
-    wavelet_transform,
 )
 
 __version__ = "0.1.0"

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .core import (
+    DEFAULT_QUADRATURE,
     FOUR_PI,
     BOUNDARY_RTOL,
     DerivedConstants,
     ProblemParams,
     RegimeError,
+    _checked_integral,
 )
 
 _SIDES = ("P", "Q")
@@ -206,17 +207,19 @@ def _moment_of_single_profile(e: float, alpha: float, lam: float) -> float:
     """e * int t^(e-1) v(t) dt for v(t) = 4pi ((t/lam)^(-alpha) - 1) on (0, lam].
 
     After s = t/lam the integrand is s^(e-1-alpha) - s^(e-1) on (0, 1];
-    the first exponent stays above -1 exactly when e > alpha.
+    the first exponent stays above -1 exactly when e > alpha.  It tends
+    to -1 as the cross moment nears divergence, so the graded Gauss rule
+    runs in y = s^(e-alpha), where the integrand becomes
+    (1 - y^(alpha/(e-alpha)))/(e - alpha), bounded on (0, 1].
     """
     if e <= alpha:
         return math.inf
-    val, _ = integrate.quad(
-        lambda s: s ** (e - 1.0 - alpha) - s ** (e - 1.0),
-        0.0,
+    m = 1.0 / (e - alpha)
+    val = _checked_integral(
+        lambda y: -m * np.expm1(alpha * m * np.log(y)),
         1.0,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=200,
+        DEFAULT_QUADRATURE,
+        f"moment {e:g} of a single profile",
     )
     return FOUR_PI * e * lam**e * val
 

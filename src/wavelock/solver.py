@@ -22,21 +22,28 @@ quadrature pass per iterate giving D, both moments and H.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import closed_form
+
+# The quadrature config, its error and the graded rule live in core; they
+# stay importable from here, where callers have always found them.
 from .core import (
+    DEFAULT_QUADRATURE,
     FOUR_PI,
     DerivedConstants,
     ProblemParams,
+    QuadratureConfig,
+    QuadratureError,
+    _checked_integral,
+    _graded_gauss,
+    _graded_rule,
     canonical_order,
     classify_regime,
     derive_constants,
@@ -45,31 +52,11 @@ from .core import (
 
 _log = logging.getLogger(__name__)
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 class SolverError(RuntimeError):
     """The dual multiplier solve did not converge or could not verify a solution."""
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature failed to reach its configured tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy knobs shared by every integral in this module."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -81,44 +68,80 @@ class Multipliers:
     T: float
 
 
+class _Ops(NamedTuple):
+    """The elementwise operations of the inversion, for one kind of operand."""
+
+    exp: Callable
+    log1p: Callable
+    maximum: Callable
+    minimum: Callable
+    all: Callable
+
+
+_FLOAT_OPS = _Ops(math.exp, math.log1p, max, min, bool)
+_ARRAY_OPS = _Ops(np.exp, np.log1p, np.maximum, np.minimum, np.all)
+_INVERT_MAX = 100
+
+
+def _log_phi_inverse(log_c, lambda1: float, lambda2: float, p: float, q: float):
+    """log t solving phi(t) = c, phi(t) = l1 t^(p-1) + l2 t^(q-1), given log c.
+
+    Newton in x = log t on g(x) = log phi(e^x) - log c.  g is a
+    log-sum-exp of affine functions of x, so it is convex and increasing:
+    started at the smaller single-term root, where g >= 0, the iterates
+    fall monotonically onto the root, with no bracket.  Newton stops at
+    the first step that no longer lowers x, the rounding floor.  A float
+    ``log_c`` runs on plain floats, an array elementwise.  The multipliers
+    are nonnegative and not both zero.  Raises :class:`SolverError` on a
+    non-finite start (log c) or after _INVERT_MAX steps.
+    """
+    ops = _FLOAT_OPS if isinstance(log_c, float) else _ARRAY_OPS
+    k1, k2 = p - 1.0, q - 1.0
+    if lambda2 == 0.0:
+        return (log_c - math.log(lambda1)) / k1
+    if lambda1 == 0.0:
+        return (log_c - math.log(lambda2)) / k2
+    l1, l2 = math.log(lambda1), math.log(lambda2)
+    x = ops.minimum((log_c - l1) / k1, (log_c - l2) / k2)
+    if not ops.all(abs(x) < math.inf):
+        raise SolverError(
+            f"non-finite start inverting phi for lambda = ({lambda1!r}, {lambda2!r}) "
+            f"at log c = {log_c!r}"
+        )
+    for _ in range(_INVERT_MAX):
+        a1, a2 = l1 + k1 * x, l2 + k2 * x  # the logs of the two terms
+        top = ops.maximum(a1, a2)
+        soft = ops.log1p(ops.exp(-abs(a1 - a2)))  # log phi - top
+        g = top + soft - log_c
+        nxt = x - g / (k1 + (k2 - k1) * ops.exp(a2 - top - soft))
+        if ops.all(nxt >= x):
+            return x
+        x = ops.minimum(x, nxt)
+    raise SolverError(
+        f"inverting phi did not converge in {_INVERT_MAX} Newton steps "
+        f"for lambda = ({lambda1!r}, {lambda2!r})"
+    )
+
+
 def find_T(lambda1: float, lambda2: float, params: ProblemParams) -> float:
     """Unique positive root of l1 T^(p-1) + l2 T^(q-1) = 1.
 
     The left side is strictly increasing from 0 to infinity, so a root
     always exists for nonnegative multipliers that are not both zero.
+    T is the log-space Newton inversion of phi at c = 1
+    (:func:`_log_phi_inverse`), on plain floats.  Raises
+    :class:`SolverError` when T lies outside the float range or the
+    inversion fails.
     """
-    p, q = params.p, params.q
     if lambda1 < 0 or lambda2 < 0 or (lambda1 == 0 and lambda2 == 0):
         raise ValueError("multipliers must be nonnegative and not both zero")
-    if lambda2 == 0:
-        return lambda1 ** (-1.0 / (p - 1.0))
-    if lambda1 == 0:
-        return lambda2 ** (-1.0 / (q - 1.0))
-
-    def phi(t: float) -> float:
-        return lambda1 * t ** (p - 1.0) + lambda2 * t ** (q - 1.0)
-
-    # Whichever single-term root is smaller makes phi >= 1 there, up to
-    # rounding when the other term is negligible; expand until certain.
-    # A root beyond the float range is inf, and loses the min.
-    with np.errstate(over="ignore"):
-        hi = float(min(np.float64(lambda1) ** (-1.0 / (p - 1.0)),
-                       np.float64(lambda2) ** (-1.0 / (q - 1.0))))
-    if not 0.0 < hi < math.inf:
+    log_T = _log_phi_inverse(0.0, lambda1, lambda2, params.p, params.q)
+    T = math.exp(log_T) if log_T < _LOG_FLOAT_MAX else math.inf
+    if not 0.0 < T < math.inf:
         raise SolverError(
             f"support endpoint T is out of the float range for lambda = ({lambda1!r}, {lambda2!r})"
         )
-    while phi(hi) < 1.0:
-        hi *= 2.0
-    lo = 0.5 * hi
-    while phi(lo) >= 1.0:
-        lo *= 0.5
-    try:
-        return brentq(lambda t: phi(t) - 1.0, lo, hi, xtol=1e-300, rtol=1e-15)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"support endpoint T did not converge for lambda = ({lambda1!r}, {lambda2!r}): {exc}"
-        ) from exc
+    return T
 
 
 def multipliers(lambda1: float, lambda2: float, params: ProblemParams) -> Multipliers:
@@ -138,50 +161,6 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
         phi = m.lambda1 * t_arr ** (p - 1.0) + m.lambda2 * t_arr ** (q - 1.0)
         out = FOUR_PI * np.maximum(phi ** (-1.0 / (2.0 * beta + 1.0)) - 1.0, 0.0)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-@functools.lru_cache(maxsize=8)
-def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the graded Gauss rule on (0, 1].
-
-    Gauss-Legendre within each panel, with panel widths shrinking
-    geometrically into 0 and into 1.  The grading at 0 absorbs algebraic
-    behaviour with any exponent above -1; the grading at the far end
-    resolves the boundary layer of width 1/max(p, q) that a large
-    exponent carves there.  The arrays are shared, so they are read-only.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    down = 0.5 * 2.0 ** (-np.arange(panels + 1, dtype=float))
-    los = np.concatenate([down[1:], [0.0], 1.0 - down])
-    his = np.concatenate([down, 1.0 - down[1:], [1.0]])
-    mids = 0.5 * (los + his)
-    halfs = 0.5 * (his - los)
-    pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
-    pts.flags.writeable = False
-    wts.flags.writeable = False
-    return pts, wts
-
-
-def _graded_gauss(f, upper: float, panels: int, nodes: int) -> float:
-    """Integral of f over (0, upper] by the graded rule scaled to ``upper``.
-
-    All panels go through one vectorized evaluation of f.
-    """
-    x, w = _graded_rule(panels, nodes)
-    return upper * float(w @ np.asarray(f(upper * x), dtype=float))
-
-
-def _checked_integral(f, upper: float, cfg: QuadratureConfig, what: str) -> float:
-    value = _graded_gauss(f, upper, cfg.max_subdivisions, 16)
-    coarse = _graded_gauss(f, upper, cfg.max_subdivisions, 8)
-    err = abs(value - coarse)
-    if err > 100.0 * (cfg.abs_tol + cfg.rel_tol * abs(value)):
-        raise QuadratureError(
-            f"{what}: error estimate {err:.3e} exceeds tolerance "
-            f"(rel_tol={cfg.rel_tol:g}, abs_tol={cfg.abs_tol:g})"
-        )
-    return value
 
 
 def moment(
@@ -383,33 +362,27 @@ def _newton(dual: _Dual, lam: np.ndarray) -> tuple[_DualPoint, int, int]:
     )
 
 
-def _start(work: ProblemParams, cw: DerivedConstants) -> np.ndarray:
+def _start(work: ProblemParams, sigma_p: float) -> np.ndarray:
     """The p-constraint solution (lambda2 = 0), where Newton starts.
 
-    lambda1 matches A^p in closed form, and in canonical order (p < q)
-    the q-moment is finite there, so D is smooth at this start; the first
-    Newton step opens lambda2.  The lambda1 = 0 end is no start: when
+    lambda1 matches A^p in closed form (``sigma_p`` belongs to work's p),
+    and in canonical order (p < q) the q-moment is finite there, so D is
+    smooth at this start; the first Newton step opens lambda2.  The lambda1 = 0 end is no start: when
     kappa < 1 the curvature of D in lambda1 is infinite there.
     """
-    T_p = work.A * (FOUR_PI * cw.sigma_p) ** (-1.0 / work.p)
+    T_p = work.A * (FOUR_PI * sigma_p) ** (-1.0 / work.p)
     return np.array([T_p ** (-(work.p - 1.0)), 0.0])
 
 
 def _solve(
-    params: ProblemParams, cfg: QuadratureConfig
+    params: ProblemParams, consts: DerivedConstants, cfg: QuadratureConfig
 ) -> tuple[Multipliers, float, float]:
-    """The dual solve: multipliers and the relative residuals (P, Q) of params."""
+    """The dual solve of an instance classified Dual, with its constants:
+    multipliers and the relative residuals (P, Q) of params."""
     work, swapped = canonical_order(params)
-    cw = derive_constants(work)
-    regime = classify_regime(work, cw)
-    if regime.tag != "Dual":
-        raise SolverError(
-            f"solve_multipliers requires the dual regime, got {regime.tag} "
-            f"at B/A = {work.ratio:.6g}"
-        )
-
     dual = _Dual(work, cfg)
-    point, iterations, evaluations = _newton(dual, _start(work, cw))
+    sigma_p = consts.sigma_q if swapped else consts.sigma_p
+    point, iterations, evaluations = _newton(dual, _start(work, sigma_p))
     _log.debug(
         "dual solve: %d Newton iterations, %d line-search evaluations, "
         "relative residuals %.2e %.2e",
@@ -444,9 +417,17 @@ def solve_multipliers(
     8-node quadrature check, else :class:`QuadratureError`.  Raises
     :class:`SolverError` if Newton does not converge, meets a non-finite
     iterate, or ends with relative moment residuals above 1e-8.
-    ``consts`` is accepted for symmetry with the closed form and not used.
+    ``consts``, the derived constants of ``params``, saves recomputing them.
     """
-    return _solve(params, cfg)[0]
+    if consts is None:
+        consts = derive_constants(params)
+    regime = classify_regime(params, consts)
+    if regime.tag != "Dual":
+        raise SolverError(
+            f"solve_multipliers requires the dual regime, got {regime.tag} "
+            f"at B/A = {params.ratio:.6g}"
+        )
+    return _solve(params, consts, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -496,7 +477,7 @@ def compute_bound(
     regime = classify_regime(params, consts)
 
     if regime.tag == "Dual":
-        m, residual_p, residual_q = _solve(params, cfg)
+        m, residual_p, residual_q = _solve(params, consts, cfg)
         bound = bound_integral(m, params, cfg)
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:

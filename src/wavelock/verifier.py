@@ -30,10 +30,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 
-from .core import FOUR_PI, ProblemParams
+from .core import DEFAULT_QUADRATURE, FOUR_PI, ProblemParams, _checked_integral
 from .oracle import run_oracle
 from .solver import BoundReport, compute_bound, u_eval
 from .weight import ExtremalWeight, eval_weight, weight_from_report
@@ -50,7 +48,7 @@ def wavelet_normalization(beta: float) -> float:
     profile equals one, the condition equivalent to the transform being
     an isometry.
     """
-    return 2.0**beta / math.sqrt(2.0 * math.pi * gamma_fn(2.0 * beta))
+    return 2.0**beta / math.sqrt(2.0 * math.pi * math.gamma(2.0 * beta))
 
 
 def cauchy_wavelet_hat(omega, beta: float):
@@ -61,16 +59,20 @@ def cauchy_wavelet_hat(omega, beta: float):
 
 
 def wavelet_norm_check(beta: float) -> float:
-    """Quadrature value of 2 pi int |psi_hat|^2 dw/w; equals 1 by design."""
-    val, _ = integrate.quad(
-        lambda w: cauchy_wavelet_hat(w, beta) ** 2 / w,
-        0.0,
-        np.inf,
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=300,
+    """Quadrature value of 2 pi int |psi_hat|^2 dw/w; equals 1 by design.
+
+    The graded Gauss rule takes w in (0, 1] and, through w = 1/x, the
+    tail w >= 1.
+    """
+
+    def f(w):
+        return cauchy_wavelet_hat(w, beta) ** 2 / w
+
+    head = _checked_integral(f, 1.0, DEFAULT_QUADRATURE, "wavelet norm on (0, 1]")
+    tail = _checked_integral(
+        lambda x: f(1.0 / x) / x**2, 1.0, DEFAULT_QUADRATURE, "wavelet norm beyond 1"
     )
-    return 2.0 * math.pi * val
+    return 2.0 * math.pi * (head + tail)
 
 
 @dataclass(frozen=True)
@@ -207,24 +209,6 @@ class CauchyTransform:
         plane = float(np.sum(np.abs(wf) ** 2 * self._wnu))
         freq = float(np.real(self.fgrid.inner(fhat, fhat)))
         return abs(plane / freq - 1.0)
-
-
-def wavelet_transform(
-    fhat: np.ndarray, fgrid: FrequencyGrid, pgrid: PlaneGrid, beta: float
-) -> np.ndarray:
-    """One-shot transform; build a :class:`CauchyTransform` for repeated use."""
-    return CauchyTransform(fgrid, pgrid, beta).transform(fhat)
-
-
-def localization_apply(
-    F: np.ndarray,
-    fhat: np.ndarray,
-    fgrid: FrequencyGrid,
-    pgrid: PlaneGrid,
-    beta: float,
-) -> np.ndarray:
-    """One-shot operator application (self-adjoint for real F)."""
-    return CauchyTransform(fgrid, pgrid, beta).localize(F, fhat)
 
 
 @dataclass

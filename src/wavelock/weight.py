@@ -18,11 +18,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .core import FOUR_PI, ProblemParams, derive_constants
-from .closed_form import RadialProfile, single_bound
-from .solver import BoundReport, Multipliers, QuadratureConfig, DEFAULT_QUADRATURE, u_eval
+from .core import (
+    DEFAULT_QUADRATURE,
+    FOUR_PI,
+    ProblemParams,
+    QuadratureConfig,
+    _checked_integral,
+    derive_constants,
+)
+from .closed_form import RadialProfile, distribution_of_profile, single_bound
+from .solver import BoundReport, Multipliers, _log_phi_inverse, u_eval
 
 # Beyond this d the double-precision map d/(1-d) saturates; the profile
 # value there is below any representable scale, so we return 0.
@@ -62,25 +68,18 @@ def pseudo_hyperbolic(z, z0) -> float | np.ndarray:
 def psi_inverse(s, m: Multipliers, params: ProblemParams):
     """Invert the dual profile map on (0, T]: psi(0) = T, psi -> 0 at infinity.
 
-    Solves (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta+1)) - 1 = s by bisection
-    on the equivalent monotone form phi(t) = (1 + s)^(-(2 beta + 1)).
-    Vectorized; 200 halvings put the iterate at the rounding floor of the
-    answer, comfortably below the 1e-12 relative target.
+    Solves (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta+1)) - 1 = s, the
+    monotone form phi(t) = (1 + s)^(-(2 beta + 1)), by the solver's
+    vectorized log-space Newton inversion.  It takes log c =
+    -(2 beta + 1) log1p(s), since c itself underflows to 0 for large s.
+    The result is capped at T, the value at s = 0.
     """
-    p, q, beta = params.p, params.q, params.beta
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise ValueError("psi_inverse requires s >= 0")
-    target = (1.0 + s_arr) ** (-(2.0 * beta + 1.0))
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, m.T)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore"):
-            high = m.lambda1 * mid ** (p - 1.0) + m.lambda2 * mid ** (q - 1.0) > target
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    out = 0.5 * (lo + hi)
+    log_c = -(2.0 * params.beta + 1.0) * np.log1p(s_arr)
+    log_t = _log_phi_inverse(log_c, m.lambda1, m.lambda2, params.p, params.q)
+    out = np.minimum(np.exp(log_t), m.T)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
@@ -174,54 +173,63 @@ def weight_norms(
 ) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
-    The norm integrals reduce to one dimension: int_0^1 profile(d)^e
-    4 pi/(1-d)^2 dd, computed after the substitution s = d/(1-d) which
-    flattens the boundary into int_0^inf profile-at-s^e ds.
+    Through the disc measure each norm is 4 pi int_0^inf |F|^e ds in
+    s = d/(1 - d).  Every extremal magnitude is |F| = psi(s), the inverse
+    of the level map S(t) = phi(t)^(-1/(2 beta + 1)) - 1 on (0, peak],
+    phi = l1 t^(p-1) + l2 t^(q-1); a single weight lam (1 - d)^(1/alpha_e)
+    has the one term lam^(1-e) t^(e-1).  The nodes are placed through
+    s = S(t), t = peak y^(1/(e - alpha)), with alpha = (e0 - 1)/(2 beta + 1)
+    for the smallest exponent e0 with a positive multiplier: the integrand
+    in y then tends to a constant at 0 however slowly |F|^e decays in s,
+    and the checked graded Gauss rule on (0, 1] evaluates it, in log
+    space.  |F| at a node is the log-space inversion of phi at its level.
+    A norm with e <= alpha diverges and is returned as inf.
     """
-    prof = w.profile()
+    params = w.params
+    if w.peak == 0.0:
+        return 0.0, 0.0
+    if w.mode == "Dual":
+        lams = (w.mults.lambda1, w.mults.lambda2)
+    elif w.mode == "SingleP":
+        lams = (w.lam ** (1.0 - params.p), 0.0)
+    else:
+        lams = (0.0, w.lam ** (1.0 - params.q))
+    c = 1.0 / (2.0 * params.beta + 1.0)
+    terms = [(math.log(lam), e - 1.0) for lam, e in zip(lams, (params.p, params.q)) if lam > 0.0]
+    alpha = c * min(k for _, k in terms)
+    log_peak = math.log(w.peak)
 
     def norm_e(e: float) -> float:
-        def f(s):
-            d = s / (1.0 + s)
-            return prof(d) ** e
+        if e <= alpha:
+            return math.inf
+        m = 1.0 / (e - alpha)
 
-        val, err = integrate.quad(
-            f, 0.0, np.inf, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=300
-        )
-        return (FOUR_PI * val) ** (1.0 / e)
+        def f(y):
+            log_y = np.log(y)
+            log_t = log_peak + m * log_y
+            logs = [log_lam + k * log_t for log_lam, k in terms]
+            log_phi = np.logaddexp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
+            slope = sum(k * np.exp(a - log_phi) for (_, k), a in zip(terms, logs))  # t phi'/phi
+            log_psi = _log_phi_inverse(log_phi, *lams, params.p, params.q)
+            # psi^e (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
+            return c * m * slope * np.exp(e * log_psi - c * log_phi - log_y)
 
-    return norm_e(w.params.p), norm_e(w.params.q)
+        return (FOUR_PI * _checked_integral(f, 1.0, cfg, f"{e:g}-norm of the weight")) ** (1.0 / e)
+
+    return norm_e(params.p), norm_e(params.q)
 
 
 def measured_distribution(w: ExtremalWeight, t, *, bisect_steps: int = 120):
     """Distribution function of |w| measured geometrically from its profile.
 
-    For each level t the super-level set {|w| > t} is a disc {d < r};
-    r is found by a bisection on the monotone profile, run simultaneously
-    for all requested levels, and converted through the disc measure
+    For each level t the super-level set {|w| > t} is a disc {d < r}, and
+    :func:`~wavelock.closed_form.distribution_of_profile` finds r by a
+    bisection on the monotone profile, run simultaneously for all
+    requested levels, and converts it through the disc measure
     4 pi r/(1 - r).  This is the measurement route: it never touches the
     analytic distribution formula it is checked against.
     """
-    prof = w.profile()
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
-        raise ValueError("levels must be nonnegative")
-
-    lo = np.zeros_like(t_arr)
-    hi = np.full_like(t_arr, _D_CUTOFF)
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        above = prof(mid) > t_arr
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    r = 0.5 * (lo + hi)
-    out = FOUR_PI * r / (1.0 - r)
-    out = np.where(prof(0.0) > t_arr, out, 0.0)
-    saturated = prof(np.full_like(t_arr, _D_CUTOFF)) > t_arr
-    out = np.where(saturated, FOUR_PI * _D_CUTOFF / (1.0 - _D_CUTOFF), out)
-    if np.asarray(t, dtype=float).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.asarray(t).shape)
+    return distribution_of_profile(w.profile(), bisect_steps=bisect_steps)(t)
 
 
 def distribution_matches_solver(

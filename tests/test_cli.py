@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -282,6 +283,20 @@ class TestEntryPoint:
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["regime"] == "SingleP"
+
+    def test_import_pulls_in_no_scipy(self):
+        # scipy is a test dependency only; a cold start must not import it.
+        src = os.path.dirname(os.path.dirname(wl.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, wavelock.cli; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -346,11 +347,9 @@ class TestNewtonDual:
         assert max(report.residual_p, report.residual_q) <= 1e-8
 
     def test_root_finder_failure_is_a_solver_error(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("Failed to converge after 100 iterations.")
-
-        monkeypatch.setattr(solver, "brentq", fail)
-        with pytest.raises(wl.SolverError, match="did not converge"):
+        # One Newton step cannot also confirm that it reached the root.
+        monkeypatch.setattr(solver, "_INVERT_MAX", 1)
+        with pytest.raises(wl.SolverError, match="did not converge in 1 Newton steps"):
             wl.compute_bound(params_ref())
 
     def test_non_finite_iterate_is_a_solver_error(self, monkeypatch):
@@ -362,3 +361,110 @@ class TestNewtonDual:
         monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
         with pytest.raises(wl.SolverError, match="did not converge in 2 iterations"):
             wl.solve_multipliers(params_ref())
+
+
+# (beta, p, q), lambda1, lambda2 -> T, frozen from the bracketed brentq
+# root finder that the log-space Newton inversion replaced.  The
+# multipliers are the dual solutions of the reference, three interior
+# draws, a narrow window and two near-threshold instances.
+GOLDEN_T = [
+    ((0.5, 2.0, 4.0), 0.40244846820140256, 53.802045387209674, 0.2554821282527535),
+    ((1.4164964083663072, 2.3073190458198107, 2.754424545143951), 1.0262810535218407, 0.7707179241193793, 0.6746980084645572),
+    ((0.38969422354707617, 3.958935939821404, 1.3217593236434133), 3.3196416522181185, 0.13713760404095482, 0.638767927743057),
+    ((0.6825131652217327, 1.633144385881737, 3.4958814249791024), 0.26604773708213547, 31.965722055434995, 0.23843803134004696),
+    ((1.2170607685153583, 4.662624485252961, 5.972640648016378), 1.6761638224614823, 2.34862661866014, 0.7265702228975747),
+    ((0.5, 2.0, 4.0), 6.033365966272786e-27, 231.47097864799733, 0.1628675202543904),
+    ((1.1321479297942438, 2.100152817624698, 5.549536323640131), 1.253475099386763e-28, 1048.33302784237, 0.2168135146153363),
+]
+
+# Steps of +-4.2e-16 alternate at the root here, so a stopping rule on the
+# step size never fires; the inversion stops on the first step that does
+# not lower log t.
+CYCLING = (0.5944411433337476, 1.533785031098198, 5.266700769447286, 1.0, 0.517899690174237)
+
+
+def _phi(lam1, lam2, params, t):
+    return lam1 * t ** (params.p - 1.0) + lam2 * t ** (params.q - 1.0)
+
+
+class TestLogInversion:
+    @pytest.mark.parametrize("exponents, lam1, lam2, T", GOLDEN_T)
+    def test_find_T_matches_frozen_values(self, exponents, lam1, lam2, T):
+        params = wl.ProblemParams(*exponents, 1.0, 1.0)
+        assert abs(wl.find_T(lam1, lam2, params) - T) <= 1e-14 * T
+
+    def test_iterates_never_cross_the_root(self, monkeypatch):
+        iterates = []
+
+        def recording_min(*args):
+            iterates.append(min(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(solver, "_FLOAT_OPS", solver._FLOAT_OPS._replace(minimum=recording_min))
+        rng = np.random.default_rng(23)
+        cases = [(wl.ProblemParams(*exponents, 1.0, 1.0), l1, l2) for exponents, l1, l2, _ in GOLDEN_T]
+        for _ in range(40):
+            params = wl.ProblemParams(
+                rng.uniform(0.1, 3.0), rng.uniform(1.05, 8.0), rng.uniform(1.05, 8.0) + 0.1, 1.0, 1.0
+            )
+            cases.append((params, *(10.0 ** rng.uniform(-30.0, 5.0, size=2))))
+        for params, l1, l2 in cases:
+            iterates.clear()
+            T = wl.find_T(l1, l2, params)
+            assert all(b < a for a, b in zip(iterates, iterates[1:]))
+            assert math.exp(iterates[-1]) == T
+            # Every iterate stays on the far side of the root: phi >= 1 there.
+            for x in iterates:
+                assert _phi(l1, l2, params, math.exp(x)) >= 1.0 - 1e-13
+
+    def test_array_iterates_never_cross_the_root(self, monkeypatch):
+        iterates = []
+
+        def recording_minimum(*args):
+            iterates.append(np.minimum(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(solver, "_ARRAY_OPS", solver._ARRAY_OPS._replace(minimum=recording_minimum))
+        params = params_ref()
+        lam1, lam2 = GOLDEN_T[0][1], GOLDEN_T[0][2]
+        log_c = -2.0 * np.log1p(np.geomspace(1e-8, 1e8, 50))
+        x = solver._log_phi_inverse(log_c, lam1, lam2, params.p, params.q)
+        assert np.array_equal(x, iterates[-1])
+        for before, after in zip(iterates, iterates[1:]):
+            assert np.all(after <= before)
+        for it in iterates:
+            assert np.all(_phi(lam1, lam2, params, np.exp(it)) >= np.exp(log_c) * (1.0 - 1e-13))
+
+    def test_cycling_instance_finishes(self):
+        params = wl.ProblemParams(*CYCLING)
+        report = wl.compute_bound(params)
+        assert report.regime == "Dual"
+        assert max(report.residual_p, report.residual_q) <= 1e-8
+        T = wl.find_T(report.lambda1, report.lambda2, params)
+        assert T == report.T
+        assert abs(_phi(report.lambda1, report.lambda2, params, T) - 1.0) <= 1e-14
+
+    def test_non_finite_target_is_a_solver_error(self):
+        with pytest.raises(wl.SolverError, match="non-finite"):
+            solver._log_phi_inverse(math.nan, 0.4, 53.8, 2.0, 4.0)
+        with pytest.raises(wl.SolverError, match="non-finite"):
+            solver._log_phi_inverse(np.array([-1.0, -math.inf]), 0.4, 53.8, 2.0, 4.0)
+
+    def test_single_term_out_of_range_is_a_solver_error(self):
+        # T = 1e-5^(-1000) overflows; the float power raised OverflowError here.
+        params = wl.ProblemParams(0.5, 1.001, 4.0, 1.0, 1.0)
+        with pytest.raises(wl.SolverError, match="out of the float range"):
+            wl.find_T(1e-5, 0.0, params)
+
+    def test_derived_constants_once_per_dual_bound(self, monkeypatch):
+        calls = []
+        real = solver.derive_constants
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(solver, "derive_constants", counting)
+        wl.compute_bound(params_ref())
+        wl.compute_bound(params_ref().swapped())
+        assert len(calls) == 2

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import wavelock as wl
+from wavelock.core import FOUR_PI
 from wavelock.weight import (
     HalfPlanePoint,
     distribution_matches_solver,
@@ -12,6 +14,7 @@ from wavelock.weight import (
     export_weight_grid,
     hyperbolic_circle,
 )
+from conftest import random_dual_params, random_single_params
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +194,123 @@ class TestValidation:
             wl.ExtremalWeight(
                 params=ref_params, mode="Elliptic", center=HalfPlanePoint(0, 1), lam=1.0
             )
+
+
+# psi at PSI_S for (beta, p, q), lambda1, lambda2, T, frozen from the
+# 200-step bisection that the log-space Newton inversion replaced: the
+# reference, an interior draw, a narrow window and the r1 side of the
+# reference at delta = 1e-7 (lambda1 ~ 6e-27).
+PSI_S = [0.0, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e4, 1e6, 1e8]
+GOLDEN_PSI = [
+    ((0.5, 2.0, 4.0), 0.40244846820140256, 53.802045387209674, 0.2554821282527535,
+     [0.2554821282527535, 0.2554821264242001, 0.25546384420013846, 0.25366826711427826,
+      0.238558561159534, 0.1898314610227318, 0.1519722528483678, 0.1079437830655299,
+      0.05114088781028603, 0.019538328427201053, 0.00024358106722811146, 2.4842932921677194e-08,
+      2.4847852060963942e-12, 2.484790125973488e-16]),
+    ((1.4164964083663072, 2.3073190458198107, 2.754424545143951), 1.0262810535218407, 0.7707179241193793, 0.6746980084645572,
+     [0.6746980084645571, 0.6746979909919808, 0.6745233133273301, 0.6575273150759078,
+      0.526613559666401, 0.23201025882394244, 0.10661107143133686, 0.03476266821526555,
+      0.004870503413988722, 0.0008466089466568501, 1.3008636506077633e-06, 1.8342445700938346e-12,
+      2.5100746066663476e-18, 3.433917216905166e-24]),
+    ((1.2170607685153583, 4.662624485252961, 5.972640648016378), 1.6761638224614823, 2.34862661866014, 0.7265702228975747,
+     [0.7265702228975746, 0.7265702170828827, 0.7265120809770345, 0.7208051047529613,
+      0.673014558965261, 0.5224277362373682, 0.410711645806885, 0.29001499796895247,
+      0.1567915042888493, 0.0902452850299578, 0.011455229967377866, 0.00015426376016497293,
+      2.056276113324325e-06, 2.7406739099319174e-08]),
+    ((0.5, 2.0, 4.0), 6.033365966272786e-27, 231.47097864799733, 0.1628675202543904,
+     [0.16286752025439039, 0.16286751916860692, 0.16285666332444593, 0.1617907052836361,
+      0.15284082055663123, 0.12429118005636264, 0.10260010855634302, 0.07829853703464257,
+      0.04932498749295973, 0.03292855658601446, 0.007509659310268613, 0.00035086404496902947,
+      1.6286741167613407e-05, 7.559640583312211e-07]),
+]
+
+# Far beyond the bisection's absolute floor T 2^-200: values of a 50-digit
+# evaluation of phi(t) = (1 + s)^(-(2 beta + 1)) for (beta, p, q),
+# lambda1, lambda2 = DEEP_TAIL at s = 1, 1e3, 1e6, 1e12, 1e100.
+DEEP_TAIL = ((1.8657649116706672, 5.306149908164084, 5.961862900608292), 0.0006044307345032094, 2.8756665001040407)
+DEEP_TAIL_S = [1.0, 1e3, 1e6, 1e12, 1e100]
+DEEP_TAIL_PSI = [0.41730973739757493, 0.0011087038250899386, 1.2716514992545008e-06, 3.6478782764493006e-13, 7.396514506624349e-110]
+
+
+class TestPsiInverseValues:
+    @pytest.mark.parametrize("exponents, lam1, lam2, T, values", GOLDEN_PSI)
+    def test_matches_frozen_values(self, exponents, lam1, lam2, T, values):
+        params = wl.ProblemParams(*exponents, 1.0, 1.0)
+        got = wl.psi_inverse(np.array(PSI_S), wl.Multipliers(lam1, lam2, T), params)
+        values = np.array(values)
+        # The bisection resolved T 2^-200 absolutely, so compare where that is small.
+        kept = values > 1e-40
+        assert np.all(np.abs(got[kept] - values[kept]) <= 1e-12 * values[kept])
+
+    def test_deep_tail(self):
+        exponents, lam1, lam2 = DEEP_TAIL
+        params = wl.ProblemParams(*exponents, 1.0, 1.0)
+        m = wl.multipliers(lam1, lam2, params)
+        got = wl.psi_inverse(np.array(DEEP_TAIL_S), m, params)
+        assert got == pytest.approx(DEEP_TAIL_PSI, rel=2e-13)
+
+    def test_huge_argument_is_finite(self, ref_params, ref_report):
+        m = ref_report.multipliers()
+        for s in (1e300, np.array([0.0, 1e300])):
+            vals = np.atleast_1d(wl.psi_inverse(s, m, ref_params))
+            assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert wl.psi_inverse(0.0, m, ref_params) <= m.T
+
+
+def _quad_norms(w):
+    """(p-norm, q-norm) by scipy's adaptive quadrature of |F|^e over s = d/(1 - d)."""
+    params = w.params
+    if w.mode == "Dual":
+        def magnitude(s):
+            return wl.psi_inverse(s, w.mults, params)
+    else:
+        consts = wl.derive_constants(params)
+        alpha = consts.alpha_p if w.mode == "SingleP" else consts.alpha_q
+
+        def magnitude(s):
+            return w.lam * (1.0 + s) ** (-1.0 / alpha)
+
+    norms = []
+    for e in (params.p, params.q):
+        val, _ = integrate.quad(lambda s: magnitude(s) ** e, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)
+        norms.append((FOUR_PI * val) ** (1.0 / e))
+    return norms
+
+
+class TestWeightNormsAgainstQuad:
+    def test_dual_and_single_weights(self, ref_params, ref_report):
+        rng = np.random.default_rng(41)
+        instances = [ref_params] + [random_dual_params(rng) for _ in range(20)]
+        instances += [random_single_params(rng)[0] for _ in range(10)]
+        modes = set()
+        for params in instances:
+            w = wl.weight_from_report(params, wl.compute_bound(params))
+            modes.add(w.mode)
+            assert wl.weight_norms(w) == pytest.approx(_quad_norms(w), rel=1e-9)
+        assert modes == {"Dual", "SingleP", "SingleQ"}
+
+
+def _bisected_distribution(w, t, steps=120):
+    """The bisection measured_distribution ran on the weight profile before
+    it became a call to distribution_of_profile."""
+    cutoff = 1.0 - 1e-14
+    prof = w.profile()
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, cutoff)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        above = prof(mid) > t
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    r = 0.5 * (lo + hi)
+    return np.where(prof(0.0) > t, FOUR_PI * r / (1.0 - r), 0.0)
+
+
+class TestMeasuredDistribution:
+    def test_matches_the_former_bisection(self, ref_params, ref_report):
+        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
+        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
+            w = wl.weight_from_report(params, report)
+            levels = np.linspace(0.01, 0.99, 60) * w.peak
+            got = wl.measured_distribution(w, levels)
+            assert got == pytest.approx(_bisected_distribution(w, levels), rel=1e-12)
