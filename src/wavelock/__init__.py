@@ -13,6 +13,7 @@ from .core import (
     DerivedConstants,
     ParameterError,
     ProblemParams,
+    QuadratureError,
     Regime,
     RegimeError,
     canonical_order,
@@ -34,8 +35,6 @@ from .closed_form import (
 from .solver import (
     BoundReport,
     Multipliers,
-    QuadratureConfig,
-    QuadratureError,
     SolverError,
     bound_integral,
     compute_bound,
@@ -60,7 +59,6 @@ from .oracle import (
     DiscreteSolution,
     OracleError,
     check_monotone_restoration,
-    isotonic_nonincreasing,
     run_oracle,
     solve_discrete,
 )

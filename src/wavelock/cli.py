@@ -14,14 +14,8 @@ import sys
 
 import numpy as np
 
-from .core import ParameterError, ProblemParams
-from .solver import (
-    BoundReport,
-    QuadratureError,
-    SolverError,
-    compute_bound,
-    u_eval,
-)
+from .core import ParameterError, ProblemParams, QuadratureError
+from .solver import BoundReport, SolverError, compute_bound, u_eval
 from .verifier import FrequencyGrid, PlaneGrid, run_verification
 from .weight import weight_from_report
 
@@ -67,11 +61,11 @@ def _fmt_json(value, digits: int = 17) -> str:
 def _report_dict(report: BoundReport) -> dict:
     return {
         "schema": SCHEMA,
-        "beta": report.beta,
-        "p": report.p,
-        "q": report.q,
-        "A": report.A,
-        "B": report.B,
+        "beta": report.params.beta,
+        "p": report.params.p,
+        "q": report.params.q,
+        "A": report.params.A,
+        "B": report.params.B,
         "regime": report.regime,
         "boundary": report.boundary,
         "bound": report.bound,

@@ -24,16 +24,16 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DEFAULT_QUADRATURE,
     FOUR_PI,
-    BOUNDARY_RTOL,
     DerivedConstants,
     ProblemParams,
     RegimeError,
     _checked_integral,
+    classify_regime,
 )
 
 _SIDES = ("P", "Q")
+_BISECT_STEPS = 120
 
 
 def _side_fields(params: ProblemParams, consts: DerivedConstants, side: str):
@@ -92,22 +92,17 @@ def single_bound(
     norm of the extremal weight equals r2 * A on side P (r1-analogue on
     side Q) and is infinite when the other exponent is <= alpha_e.
 
-    With ``enforce_regime`` a mismatch between the requested side and the
-    budget ratio raises :class:`RegimeError`; disable it to evaluate the
-    formulas outside their regime.
+    With ``enforce_regime`` a side other than the one
+    :func:`~wavelock.core.classify_regime` assigns to the budget ratio
+    raises :class:`RegimeError`; disable it to evaluate the formulas
+    outside their regime.
     """
     e, budget, alpha, sigma, kappa, other = _side_fields(params, consts, side)
-    if enforce_regime:
-        ratio = params.ratio
-        if side == "P":
-            ok = consts.r2 is not None and ratio >= consts.r2 * (1.0 - BOUNDARY_RTOL)
-        else:
-            ok = consts.r1 is not None and ratio <= consts.r1 * (1.0 + BOUNDARY_RTOL)
-        if not ok:
-            raise RegimeError(
-                f"single-constraint side {side} does not apply at "
-                f"B/A = {ratio:.6g} (r1={consts.r1!r}, r2={consts.r2!r})"
-            )
+    if enforce_regime and classify_regime(params, consts).tag != "Single" + side:
+        raise RegimeError(
+            f"single-constraint side {side} does not apply at "
+            f"B/A = {params.ratio:.6g} (r1={consts.r1!r}, r2={consts.r2!r})"
+        )
 
     bound = 2.0 * params.beta * FOUR_PI ** (-1.0 / e) * sigma**kappa * budget
     lam = budget * (FOUR_PI * sigma) ** (-1.0 / e)
@@ -148,9 +143,7 @@ def disc_measure(d: float) -> float:
     return FOUR_PI * d / (1.0 - d)
 
 
-def distribution_of_profile(
-    profile: RadialProfile, *, bisect_steps: int = 120
-) -> RadialProfile:
+def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
     """Distribution function t -> measure({profile > t}) of a radial profile.
 
     The super-level set of a nonincreasing radial profile is the disc
@@ -168,7 +161,7 @@ def distribution_of_profile(
             raise ValueError("distribution argument t must be nonnegative")
         lo = np.zeros_like(t_arr)
         hi = np.full_like(t_arr, top)
-        for _ in range(bisect_steps):
+        for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             above = profile(mid) > t_arr
             lo = np.where(above, mid, lo)
@@ -218,7 +211,6 @@ def _moment_of_single_profile(e: float, alpha: float, lam: float) -> float:
     val = _checked_integral(
         lambda y: -m * np.expm1(alpha * m * np.log(y)),
         1.0,
-        DEFAULT_QUADRATURE,
         f"moment {e:g} of a single profile",
     )
     return FOUR_PI * e * lam**e * val

@@ -202,25 +202,14 @@ def g_curvature_bound(beta: float) -> float:
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature failed to reach its configured tolerance."""
+    """A quadrature failed to reach the tolerance of the graded rule."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy knobs shared by every integral of the package."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# _graded_rule halves its panels _PANELS times into each end of (0, 1]
+# (122 panels in all); the tolerances are those of _checked_integral.
+_PANELS = 60
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,18 +244,18 @@ def _graded_gauss(f, upper: float, panels: int, nodes: int) -> float:
     return upper * float(w @ np.asarray(f(upper * x), dtype=float))
 
 
-def _checked_integral(f, upper: float, cfg: QuadratureConfig, what: str) -> float:
+def _checked_integral(f, upper: float, what: str) -> float:
     """Integral of f over (0, upper], 16 Gauss nodes per panel checked against 8.
 
     Raises :class:`QuadratureError` when the two differ by more than 100
-    times the tolerance of ``cfg``.
+    times (_ABS_TOL + _REL_TOL |value|).
     """
-    value = _graded_gauss(f, upper, cfg.max_subdivisions, 16)
-    coarse = _graded_gauss(f, upper, cfg.max_subdivisions, 8)
+    value = _graded_gauss(f, upper, _PANELS, 16)
+    coarse = _graded_gauss(f, upper, _PANELS, 8)
     err = abs(value - coarse)
-    if err > 100.0 * (cfg.abs_tol + cfg.rel_tol * abs(value)):
+    if err > 100.0 * (_ABS_TOL + _REL_TOL * abs(value)):
         raise QuadratureError(
             f"{what}: error estimate {err:.3e} exceeds tolerance "
-            f"(rel_tol={cfg.rel_tol:g}, abs_tol={cfg.abs_tol:g})"
+            f"(rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g})"
         )
     return value

@@ -39,6 +39,13 @@ class OracleError(RuntimeError):
     """The discrete solve failed to produce a usable feasible point."""
 
 
+_T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max
+_GAP_TOL = 1e-6  # relative duality gap that certifies convergence
+_CHECK_EVERY = 200  # ascent iterations between dual certifications
+_MAX_EXPANSIONS = 3  # doublings of t_max while the support looks truncated
+_MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
+
+
 @dataclass(frozen=True)
 class DiscreteProblem:
     """A log-spaced grid, its quadrature weights and the two budgets."""
@@ -63,23 +70,22 @@ class DiscreteProblem:
         params: ProblemParams,
         t_max: float | None = None,
         n: int = 2000,
-        t_min_factor: float = 1e-6,
     ) -> "DiscreteProblem":
         """Build a geometric grid on (0, t_max].
 
         Without an explicit t_max the single-constraint support endpoints
         seed it (doubled); callers who know the analytic endpoint should
-        pass 2x that value.  The mass omitted below t_min is bounded by
-        t_min for the objective (G < 1) and by the vanishing integrands
-        t^(e-1) u for the constraints, both negligible at the default
-        factor.
+        pass 2x that value.  The grid starts at t_min = 1e-6 t_max.  The
+        mass omitted below t_min is bounded by t_min for the objective
+        (G < 1) and by the vanishing integrands t^(e-1) u for the
+        constraints, both negligible.
         """
         if t_max is None:
             c = derive_constants(params)
             T_p = params.A * (FOUR_PI * c.sigma_p) ** (-1.0 / params.p)
             T_q = params.B * (FOUR_PI * c.sigma_q) ** (-1.0 / params.q)
             t_max = 2.0 * max(T_p, T_q)
-        t = np.geomspace(t_min_factor * t_max, t_max, n)
+        t = np.geomspace(_T_MIN_FACTOR * t_max, t_max, n)
         edges = np.empty(n + 1)
         edges[1:-1] = 0.5 * (t[1:] + t[:-1])
         edges[0] = 0.0
@@ -216,28 +222,6 @@ def _project_bisect(w, a, b, dt, cap_a, cap_b, tol):
     return np.maximum(w - m1 * atil - m2 * btil, 0.0), (m1, m2)
 
 
-def isotonic_nonincreasing(y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Weighted least-squares projection onto nonincreasing sequences (PAVA)."""
-    y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    # Pool adjacent violators on the reversed sequence (nondecreasing form).
-    yr, wr = y[::-1], w[::-1]
-    means = [yr[0]]
-    wsum = [wr[0]]
-    counts = [1]
-    for yi, wi in zip(yr[1:], wr[1:]):
-        means.append(yi)
-        wsum.append(wi)
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, w2, c2 = means.pop(), wsum.pop(), counts.pop()
-            means[-1] = (means[-1] * wsum[-1] + m2 * w2) / (wsum[-1] + w2)
-            wsum[-1] += w2
-            counts[-1] += c2
-    out = np.repeat(means, counts)[::-1]
-    return out
-
-
 def _dual(
     mu: np.ndarray, a: np.ndarray, b: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -328,13 +312,7 @@ def _minimize_dual(mu: np.ndarray, dual, rtol: float = 1e-13, max_steps: int = 5
     return mu, value, s
 
 
-def solve_discrete(
-    prob: DiscreteProblem,
-    max_iter: int = 40000,
-    gap_tol: float = 1e-6,
-    check_every: int = 200,
-    monotone_projection: bool = False,
-) -> DiscreteSolution:
+def solve_discrete(prob: DiscreteProblem, max_iter: int = 40000) -> DiscreteSolution:
     """Accelerated projected gradient ascent from v = 0, certified by duality.
 
     Fixed step equal to the reciprocal curvature bound of the kernel, a
@@ -343,18 +321,15 @@ def solve_discrete(
     deep in the kernel's saturation region (where the gradient decays
     like a high negative power) at a quadratic instead of linear rate.
 
-    Every ``check_every`` iterations the explicit Lagrangian dual D(mu) is
+    Every 200 iterations the explicit Lagrangian dual D(mu) is
     minimised by projected Newton steps, seeded from the projection
     multipliers over the step and then warm-started.  D(mu) bounds every
     feasible objective from above, so the run stops, with ``converged``
-    meaning certified, once (D - obj)/obj <= ``gap_tol`` at an ascent
-    iterate.  When the feasible projection of the dual maximiser s(mu)
-    beats the iterate by more than ``gap_tol`` relative, the ascent
-    restarts from it.  While no constraint has become active the dual
-    step is skipped and the gap is reported as infinite.  ``max_iter`` is
-    a safety cap.  With ``monotone_projection`` the final iterate is
-    additionally pulled onto the nonincreasing cone by weighted PAVA and
-    re-projected onto the constraint set.
+    meaning certified, once (D - obj)/obj <= 1e-6 at an ascent iterate.
+    When the feasible projection of the dual maximiser s(mu) beats the
+    iterate by more than that gap relative, the ascent restarts from it.
+    While no constraint has become active the dual step is skipped and
+    the gap is reported as infinite.  ``max_iter`` is a safety cap.
     """
     beta = prob.params.beta
     a, b = prob.moment_vectors()
@@ -392,7 +367,7 @@ def solve_discrete(
         t_acc = t_next
         v_prev = v
         v, mu = project(y + step * g_prime(y, beta), mu)
-        if (k + 1) % check_every:
+        if (k + 1) % _CHECK_EVERY:
             continue
         obj = float(g_eval(v, beta) @ dt)
         if obj < obj_last:
@@ -404,20 +379,16 @@ def solve_discrete(
         seed = np.array(mu) / step if mu_dual is None else mu_dual
         mu_dual, dual_value, s = _minimize_dual(seed, dual)
         gap = duality_gap(dual_value, mu_dual, v, obj)
-        if gap <= gap_tol:
+        if gap <= _GAP_TOL:
             converged = True
             iterations = k + 1
             break
         z, _ = project(s, (0.0, 0.0))
         obj_z = float(g_eval(z, beta) @ dt)
-        if obj_z > obj + gap_tol * obj:
+        if obj_z > obj + _GAP_TOL * obj:
             v = v_prev = z  # dual restart; certified only after a further window
             t_acc = 1.0
             obj_last = obj_z
-
-    if monotone_projection:
-        v = isotonic_nonincreasing(v, dt)
-        v, mu = project(v, mu)
 
     mom_p = float(a @ v)
     mom_q = float(b @ v)
@@ -426,7 +397,7 @@ def solve_discrete(
     obj = float(g_eval(v, beta) @ dt)
     if mu_dual is not None:
         gap = duality_gap(dual_value, mu_dual, v, obj)
-        converged = converged and gap <= gap_tol
+        converged = converged and gap <= _GAP_TOL
 
     tail = v[int(0.95 * v.size):]
     diagnostics = {
@@ -454,10 +425,10 @@ def run_oracle(
     t_max: float | None = None,
     n: int = 2000,
     max_iter: int = 40000,
-    max_expansions: int = 3,
 ) -> tuple[DiscreteProblem, DiscreteSolution]:
-    """Solve on a log grid, doubling t_max while the support looks truncated."""
-    for _ in range(max_expansions + 1):
+    """Solve on a log grid, doubling t_max (at most 3 times) while the
+    support looks truncated."""
+    for _ in range(_MAX_EXPANSIONS + 1):
         prob = DiscreteProblem.log_spaced(params, t_max=t_max, n=n)
         sol = solve_discrete(prob, max_iter=max_iter)
         if not sol.diagnostics["support_truncated"]:
@@ -475,11 +446,9 @@ class MonotoneReport:
     tolerance: float
 
 
-def check_monotone_restoration(
-    sol: DiscreteSolution, tolerance: float = 1e-6
-) -> MonotoneReport:
-    """Verify a solution computed without the monotone projection is already
-    nonincreasing up to adjacent-node noise.
+def check_monotone_restoration(sol: DiscreteSolution) -> MonotoneReport:
+    """Verify a solution of the unordered problem is already nonincreasing
+    up to adjacent-node noise (1e-6 relative).
 
     The continuous problem's maximizer over the enlarged (unordered) class
     is nonincreasing; this measures how closely the discrete iterate
@@ -489,7 +458,7 @@ def check_monotone_restoration(
     scale = max(float(np.max(v)), 1e-300)
     viol = float(np.max(np.maximum(v[1:] - v[:-1], 0.0))) / scale
     return MonotoneReport(
-        max_relative_violation=viol, within=viol <= tolerance, tolerance=tolerance
+        max_relative_violation=viol, within=viol <= _MONOTONE_TOL, tolerance=_MONOTONE_TOL
     )
 
 

@@ -32,17 +32,12 @@ import numpy as np
 
 from . import closed_form
 
-# The quadrature config, its error and the graded rule live in core; they
-# stay importable from here, where callers have always found them.
 from .core import (
-    DEFAULT_QUADRATURE,
+    _PANELS,
     FOUR_PI,
     DerivedConstants,
     ProblemParams,
-    QuadratureConfig,
-    QuadratureError,
     _checked_integral,
-    _graded_gauss,
     _graded_rule,
     canonical_order,
     classify_regime,
@@ -163,12 +158,7 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def moment(
-    m: Multipliers,
-    params: ProblemParams,
-    which: str,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     """e * int_0^T t^(e-1) u(t) dt for e = p ("P") or q ("Q").
 
     The integrand vanishes at the origin like t to the power
@@ -183,14 +173,10 @@ def moment(
     def f(t):
         return e * t ** (e - 1.0) * u_eval(t, m, params)
 
-    return _checked_integral(f, m.T, cfg, f"moment {which}")
+    return _checked_integral(f, m.T, f"moment {which}")
 
 
-def bound_integral(
-    m: Multipliers,
-    params: ProblemParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def bound_integral(m: Multipliers, params: ProblemParams) -> float:
     """int_0^T G(u(t)) dt, the sharp bound in the dual regime.
 
     On (0, T) the integrand collapses to 1 - phi(t)^(2 beta/(2 beta + 1))
@@ -204,7 +190,7 @@ def bound_integral(
         phi = m.lambda1 * t ** (p - 1.0) + m.lambda2 * t ** (q - 1.0)
         return 1.0 - phi**gamma
 
-    return _checked_integral(f, m.T, cfg, "bound integral")
+    return _checked_integral(f, m.T, "bound integral")
 
 
 _DUAL_ROUNDOFF = 64.0 * np.finfo(float).eps
@@ -236,7 +222,7 @@ class _Dual:
     power per node serves u, D and the Hessian.
     """
 
-    def __init__(self, params: ProblemParams, cfg: QuadratureConfig):
+    def __init__(self, params: ProblemParams):
         self.params = params
         self.e = np.array([params.p, params.q])
         self.budget = np.array([params.A**params.p, params.B**params.q])
@@ -249,7 +235,7 @@ class _Dual:
         lead = params.p - (params.q - 1.0) * self.c
         kappa = lead / (params.q - params.p) if lead > 0.0 else 1.0
         self.kappa = np.array([min(kappa, 1.0), 1.0])
-        x, self.w = _graded_rule(cfg.max_subdivisions, 16)
+        x, self.w = _graded_rule(_PANELS, 16)
         self.powers = x[None, :] ** (self.e[:, None] - 1.0)
 
     def __call__(self, lam: np.ndarray) -> _DualPoint:
@@ -374,13 +360,11 @@ def _start(work: ProblemParams, sigma_p: float) -> np.ndarray:
     return np.array([T_p ** (-(work.p - 1.0)), 0.0])
 
 
-def _solve(
-    params: ProblemParams, consts: DerivedConstants, cfg: QuadratureConfig
-) -> tuple[Multipliers, float, float]:
+def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float]:
     """The dual solve of an instance classified Dual, with its constants:
     multipliers and the relative residuals (P, Q) of params."""
     work, swapped = canonical_order(params)
-    dual = _Dual(work, cfg)
+    dual = _Dual(work)
     sigma_p = consts.sigma_q if swapped else consts.sigma_p
     point, iterations, evaluations = _newton(dual, _start(work, sigma_p))
     _log.debug(
@@ -390,8 +374,8 @@ def _solve(
     )
     m = Multipliers(*(float(v) for v in point.lam), T=point.T)
     # The quadrature-checked moments (16 against 8 nodes) certify the result.
-    res_p = abs(moment(m, work, "P", cfg) - work.A**work.p) / work.A**work.p
-    res_q = abs(moment(m, work, "Q", cfg) - work.B**work.q) / work.B**work.q
+    res_p = abs(moment(m, work, "P") - work.A**work.p) / work.A**work.p
+    res_q = abs(moment(m, work, "Q") - work.B**work.q) / work.B**work.q
     if not max(res_p, res_q) <= _RESIDUAL_GATE:
         raise SolverError(
             f"moment residuals {res_p:.3e}, {res_q:.3e} exceed {_RESIDUAL_GATE:g} "
@@ -403,9 +387,7 @@ def _solve(
 
 
 def solve_multipliers(
-    params: ProblemParams,
-    consts: DerivedConstants | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    params: ProblemParams, consts: DerivedConstants | None = None
 ) -> Multipliers:
     """Solve the two moment equations for (lambda1, lambda2) in the dual regime.
 
@@ -427,23 +409,20 @@ def solve_multipliers(
             f"solve_multipliers requires the dual regime, got {regime.tag} "
             f"at B/A = {params.ratio:.6g}"
         )
-    return _solve(params, consts, cfg)[0]
+    return _solve(params, consts)[0]
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """Everything a bound computation produced, ready for serialization.
 
-    Fields that do not exist in a regime (T and the inactive residual in
-    the single-constraint cases, thresholds whose cross-norm diverges)
-    are ``None``, never a placeholder number.
+    ``params`` is the instance the bound was computed for.  Fields that
+    do not exist in a regime (T and the inactive residual in the
+    single-constraint cases, thresholds whose cross-norm diverges) are
+    ``None``, never a placeholder number.
     """
 
-    beta: float
-    p: float
-    q: float
-    A: float
-    B: float
+    params: ProblemParams
     regime: str
     boundary: bool
     bound: float
@@ -457,14 +436,11 @@ class BoundReport:
     wall_time_s: float
 
     def multipliers(self) -> Multipliers:
-        params = ProblemParams(self.beta, self.p, self.q, self.A, self.B)
-        T = self.T if self.T is not None else find_T(self.lambda1, self.lambda2, params)
+        T = self.T if self.T is not None else find_T(self.lambda1, self.lambda2, self.params)
         return Multipliers(self.lambda1, self.lambda2, T)
 
 
-def compute_bound(
-    params: ProblemParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> BoundReport:
+def compute_bound(params: ProblemParams) -> BoundReport:
     """Classify the instance and evaluate the sharp bound for its regime.
 
     Single regimes use the closed form with the inactive multiplier
@@ -477,8 +453,8 @@ def compute_bound(
     regime = classify_regime(params, consts)
 
     if regime.tag == "Dual":
-        m, residual_p, residual_q = _solve(params, consts, cfg)
-        bound = bound_integral(m, params, cfg)
+        m, residual_p, residual_q = _solve(params, consts)
+        bound = bound_integral(m, params)
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:
         side = "P" if regime.tag == "SingleP" else "Q"
@@ -495,11 +471,7 @@ def compute_bound(
         T = None
 
     return BoundReport(
-        beta=params.beta,
-        p=params.p,
-        q=params.q,
-        A=params.A,
-        B=params.B,
+        params=params,
         regime=regime.tag,
         boundary=regime.boundary,
         bound=bound,

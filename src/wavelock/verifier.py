@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_QUADRATURE, FOUR_PI, ProblemParams, _checked_integral
+from .core import FOUR_PI, ProblemParams, _checked_integral
 from .oracle import run_oracle
 from .solver import BoundReport, compute_bound, u_eval
 from .weight import ExtremalWeight, eval_weight, weight_from_report
@@ -68,10 +68,8 @@ def wavelet_norm_check(beta: float) -> float:
     def f(w):
         return cauchy_wavelet_hat(w, beta) ** 2 / w
 
-    head = _checked_integral(f, 1.0, DEFAULT_QUADRATURE, "wavelet norm on (0, 1]")
-    tail = _checked_integral(
-        lambda x: f(1.0 / x) / x**2, 1.0, DEFAULT_QUADRATURE, "wavelet norm beyond 1"
-    )
+    head = _checked_integral(f, 1.0, "wavelet norm on (0, 1]")
+    tail = _checked_integral(lambda x: f(1.0 / x) / x**2, 1.0, "wavelet norm beyond 1")
     return 2.0 * math.pi * (head + tail)
 
 
@@ -219,27 +217,25 @@ class PowerIterationResult:
     history: list = field(default_factory=list)
 
 
-def operator_norm(
-    F: np.ndarray,
-    machine: CauchyTransform,
-    seed_vector: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 600,
-) -> PowerIterationResult:
+_POWER_TOL = 1e-8
+_POWER_MAX_ITER = 600
+
+
+def operator_norm(F: np.ndarray, machine: CauchyTransform) -> PowerIterationResult:
     """Largest eigenvalue of the discretized operator by power iteration.
 
-    For real nonnegative F the operator is self-adjoint and positive in
-    the weighted frequency inner product, so the Rayleigh quotients
-    increase toward the top eigenvalue; iteration stops when their
-    relative change drops below ``tol``.
+    Starts from the analyzing wavelet.  For real nonnegative F the
+    operator is self-adjoint and positive in the weighted frequency inner
+    product, so the Rayleigh quotients increase toward the top
+    eigenvalue; iteration stops when their relative change drops below
+    1e-8, or after 600 iterations unconverged.
     """
     fg = machine.fgrid
-    if seed_vector is None:
-        seed_vector = cauchy_wavelet_hat(fg.omega, machine.beta).astype(complex)
+    seed_vector = cauchy_wavelet_hat(fg.omega, machine.beta).astype(complex)
     v = seed_vector / fg.norm(seed_vector)
     history: list[float] = []
     lam_prev = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         lv = machine.localize(F, v)
         lam = float(np.real(fg.inner(lv, v)))
         history.append(lam)
@@ -247,10 +243,10 @@ def operator_norm(
         if nrm == 0.0:
             return PowerIterationResult(0.0, it, True, history)
         v = lv / nrm
-        if it > 2 and abs(lam - lam_prev) <= tol * abs(lam):
+        if it > 2 and abs(lam - lam_prev) <= _POWER_TOL * abs(lam):
             return PowerIterationResult(lam, it, True, history)
         lam_prev = lam
-    return PowerIterationResult(lam_prev, max_iter, False, history)
+    return PowerIterationResult(lam_prev, _POWER_MAX_ITER, False, history)
 
 
 def sample_weight(w: ExtremalWeight, pgrid: PlaneGrid) -> np.ndarray:
@@ -347,7 +343,6 @@ def run_verification(
     oracle_points: int = 2000,
     skip_operator: bool = False,
     corrupt_weight: bool = False,
-    seed: int = 7,
 ) -> VerificationReport:
     """Check a computed bound against the two independent oracles.
 
@@ -410,27 +405,22 @@ def run_verification(
 
 
 def refinement_ladder(
-    params: ProblemParams,
-    report: BoundReport,
-    levels: int = 3,
-    base_nx: int = 81,
-    base_ny: int = 72,
-    base_nodes: int = 8,
-    seed_defect_vector: int = 0,
+    params: ProblemParams, report: BoundReport, levels: int = 3
 ) -> list[dict]:
     """Isometry defect and bound gap on successively refined grids.
 
-    Each level multiplies the panel node count and both plane resolutions
-    by 1.5x; used to demonstrate that both discretization measures shrink
-    together.
+    Level 0 has 12 frequency nodes per panel and an 81 x 72 plane grid;
+    each level multiplies the panel node count and both plane resolutions
+    by 1.5x.  Used to demonstrate that both discretization measures
+    shrink together.
     """
     rows = []
     for lvl in range(levels):
         f = 1.5**lvl
-        fgrid = FrequencyGrid.default(nodes_per_panel=int(base_nodes * f) + 4)
-        pgrid = PlaneGrid.default(nx=int(base_nx * f) | 1, ny=int(base_ny * f))
+        fgrid = FrequencyGrid.default(nodes_per_panel=int(8 * f) + 4)
+        pgrid = PlaneGrid.default(nx=int(81 * f) | 1, ny=int(72 * f))
         machine = CauchyTransform(fgrid, pgrid, params.beta)
-        defect = machine.isometry_defect(default_test_vectors(fgrid)[seed_defect_vector])
+        defect = machine.isometry_defect(default_test_vectors(fgrid)[0])
         w = weight_from_report(params, report)
         F = sample_weight(w, pgrid)
         power = operator_norm(F, machine)

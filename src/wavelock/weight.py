@@ -19,20 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_QUADRATURE,
-    FOUR_PI,
-    ProblemParams,
-    QuadratureConfig,
-    _checked_integral,
-    derive_constants,
-)
+from .core import FOUR_PI, ProblemParams, _checked_integral, derive_constants
 from .closed_form import RadialProfile, distribution_of_profile, single_bound
 from .solver import BoundReport, Multipliers, _log_phi_inverse, u_eval
 
 # Beyond this d the double-precision map d/(1-d) saturates; the profile
 # value there is below any representable scale, so we return 0.
 _D_CUTOFF = 1.0 - 1e-14
+
+_DISTRIBUTION_SAMPLES = 200
+_DISTRIBUTION_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,7 @@ def eval_weight(w: ExtremalWeight, z):
     return np.exp(1j * w.phase) * mag
 
 
-def weight_norms(
-    w: ExtremalWeight, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
+def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
     Through the disc measure each norm is 4 pi int_0^inf |F|^e ds in
@@ -214,12 +208,12 @@ def weight_norms(
             # psi^e (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
             return c * m * slope * np.exp(e * log_psi - c * log_phi - log_y)
 
-        return (FOUR_PI * _checked_integral(f, 1.0, cfg, f"{e:g}-norm of the weight")) ** (1.0 / e)
+        return (FOUR_PI * _checked_integral(f, 1.0, f"{e:g}-norm of the weight")) ** (1.0 / e)
 
     return norm_e(params.p), norm_e(params.q)
 
 
-def measured_distribution(w: ExtremalWeight, t, *, bisect_steps: int = 120):
+def measured_distribution(w: ExtremalWeight, t):
     """Distribution function of |w| measured geometrically from its profile.
 
     For each level t the super-level set {|w| > t} is a disc {d < r}, and
@@ -229,26 +223,24 @@ def measured_distribution(w: ExtremalWeight, t, *, bisect_steps: int = 120):
     4 pi r/(1 - r).  This is the measurement route: it never touches the
     analytic distribution formula it is checked against.
     """
-    return distribution_of_profile(w.profile(), bisect_steps=bisect_steps)(t)
+    return distribution_of_profile(w.profile())(t)
 
 
-def distribution_matches_solver(
-    w: ExtremalWeight, n_samples: int = 200, rtol: float = 1e-4
-) -> tuple[bool, float]:
+def distribution_matches_solver(w: ExtremalWeight) -> tuple[bool, float]:
     """Compare the measured distribution of a dual weight against u(t).
 
-    Samples t over the interior of (0, T) and returns (all within rtol,
-    worst relative deviation).
+    Samples 200 levels t over the interior of (0, T) and returns (all
+    within 1e-4 relative, worst relative deviation).
     """
     if w.mode != "Dual":
         raise ValueError("distribution comparison applies to dual weights")
     T = w.mults.T
-    ts = np.linspace(0.01 * T, 0.99 * T, n_samples)
+    ts = np.linspace(0.01 * T, 0.99 * T, _DISTRIBUTION_SAMPLES)
     measured = measured_distribution(w, ts)
     expected = u_eval(ts, w.mults, w.params)
     rel = np.abs(measured - expected) / expected
     worst = float(np.max(rel))
-    return worst <= rtol, worst
+    return worst <= _DISTRIBUTION_RTOL, worst
 
 
 def export_weight_grid(w: ExtremalWeight, xs, ys, path: str) -> None:

@@ -10,9 +10,8 @@ import time
 import numpy as np
 
 import wavelock as wl
-from wavelock.core import FOUR_PI
+from wavelock.core import FOUR_PI, _graded_gauss
 from wavelock.oracle import run_oracle
-from wavelock.solver import _graded_gauss
 from wavelock.verifier import (
     CauchyTransform,
     FrequencyGrid,
@@ -125,7 +124,7 @@ def test_criterion_4_boundary_continuity(ref_params):
         # Continuity: walk the merged sweep; every jump must stay below ten
         # times the local secant slope scale.
         merged = sorted(
-            [(r.B, r.bound) for r in reports_d] + [(r.B, r.bound) for r in reports_s]
+            [(r.params.B, r.bound) for r in reports_d] + [(r.params.B, r.bound) for r in reports_s]
         )
         ratios = np.array([m[0] for m in merged])
         bounds = np.array([m[1] for m in merged])

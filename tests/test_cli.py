@@ -12,6 +12,10 @@ import wavelock as wl
 from wavelock.cli import main
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
+BOUND_KEYS = [
+    "schema", "beta", "p", "q", "A", "B", "regime", "boundary", "bound", "r1", "r2",
+    "lambda1", "lambda2", "T", "residual_p", "residual_q", "wall_time_s",
+]
 
 
 def run_cli(argv, capsys):
@@ -47,6 +51,21 @@ class TestBoundCommand:
         assert data["lambda2"] == report.lambda2
         assert data["regime"] == "Dual"
         assert data["residual_p"] <= 1e-8
+
+    @pytest.mark.parametrize("B", ["0.4", "1.0"])  # Dual, SingleP
+    def test_schema_keys_order_and_values(self, B, capsys):
+        argv = ["bound", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", B]
+        _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        data = json.loads(out)
+        assert list(data) == BOUND_KEYS
+        report = wl.compute_bound(wl.ProblemParams(0.5, 2.0, 4.0, 1.0, float(B)))
+        for key in BOUND_KEYS[1:-1]:
+            source = report.params if key in ("beta", "p", "q", "A", "B") else report
+            assert data[key] == getattr(source, key), key
+        _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert next(csv.reader(io.StringIO(out))) == BOUND_KEYS[1:]
+        _, out, _ = run_cli(argv + ["--format", "text"], capsys)
+        assert [line.split(" = ")[0] for line in out.splitlines()] == BOUND_KEYS[1:]
 
     def test_deterministic_output(self, capsys):
         argv = ["bound", "--beta", "0.5", "--p", "3", "--q", "2", "--A", "1.2", "--B", "1.0",

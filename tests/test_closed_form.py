@@ -43,6 +43,21 @@ class TestSingleBound:
         res = wl.single_bound(params, consts, "P", enforce_regime=False)
         assert res.bound == pytest.approx(BOUND_P_REF, rel=1e-14)
 
+    @pytest.mark.parametrize("threshold", ["r1", "r2"])
+    @pytest.mark.parametrize("offset", [-2e-12, -0.5e-12, 0.5e-12, 2e-12])
+    def test_regime_rule_is_classify_regime(self, threshold, offset):
+        # Within BOUNDARY_RTOL of a threshold the ratio belongs to the single
+        # regime; just beyond it, to the dual one.
+        _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
+        params, consts = make(0.5, 2.0, 4.0, 1.0, getattr(consts, threshold) * (1.0 + offset))
+        tag = wl.classify_regime(params, consts).tag
+        for side in ("P", "Q"):
+            if tag == "Single" + side:
+                wl.single_bound(params, consts, side)
+            else:
+                with pytest.raises(wl.RegimeError):
+                    wl.single_bound(params, consts, side)
+
     def test_swap_symmetry(self):
         params, consts = make(0.7, 2.5, 5.0, 1.3, 4.0)
         sw = params.swapped()

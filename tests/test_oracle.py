@@ -11,7 +11,6 @@ from wavelock.oracle import (
     _dual,
     _project_feasible,
     export_solution,
-    is_feasible,
     objective_of,
     run_oracle,
     solve_discrete,
@@ -86,12 +85,6 @@ class TestSolveDiscrete:
         sol = solve_discrete(prob, max_iter=2000)
         assert sol.diagnostics["constraints_active"] == (False, False)
         assert sol.residual_p < -0.9 and sol.residual_q < -0.9
-
-    def test_monotone_projection_option(self, ref_params, ref_report):
-        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=300)
-        sol = solve_discrete(prob, max_iter=4000, monotone_projection=True)
-        assert np.all(np.diff(sol.v) <= 1e-12 * max(sol.v.max(), 1.0))
-        assert is_feasible(prob, sol.v)
 
 
 class TestCertificate:
@@ -241,24 +234,6 @@ class TestInvariants:
         _, sol = run_oracle(params, t_max=2 * report.T, n=1500)
         gap = abs(report.bound - sol.objective) / report.bound
         assert gap <= 0.01
-
-
-class TestIsotonic:
-    def test_projects_to_nonincreasing(self):
-        rng = np.random.default_rng(1)
-        y = rng.normal(size=50)
-        out = wl.isotonic_nonincreasing(y)
-        assert np.all(np.diff(out) <= 1e-14)
-
-    def test_identity_on_monotone_input(self):
-        y = np.linspace(5.0, 0.0, 30)
-        assert np.allclose(wl.isotonic_nonincreasing(y), y)
-
-    def test_weighted_two_block_mean(self):
-        y = np.array([1.0, 3.0])
-        w = np.array([1.0, 3.0])
-        out = wl.isotonic_nonincreasing(y, w)
-        assert np.allclose(out, [2.5, 2.5])
 
 
 class TestExport:

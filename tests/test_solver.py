@@ -8,7 +8,6 @@ from scipy import integrate
 import wavelock as wl
 from wavelock import solver
 from wavelock.core import FOUR_PI
-from wavelock.solver import QuadratureConfig
 from conftest import random_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
@@ -95,12 +94,6 @@ class TestMoment:
                 0.0, m.T, epsabs=1e-14, epsrel=1e-12, limit=400,
             )
             assert mine == pytest.approx(ref, rel=1e-9)
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=5)
 
 
 class TestSolveMultipliers:
@@ -280,7 +273,7 @@ UNREPRESENTABLE = (0.4344753046388565, 5.48591166754509, 2.402783507962045, 1.0,
 class TestNewtonDual:
     def _dual_near_solution(self, params):
         m = wl.solve_multipliers(params)
-        dual = solver._Dual(params, QuadratureConfig())
+        dual = solver._Dual(params)
         return dual, np.array([1.3 * m.lambda1, 0.7 * m.lambda2])
 
     @pytest.mark.parametrize("params", [params_ref(), wl.ProblemParams(*GOLDEN_BOUNDS[-2][0])])
