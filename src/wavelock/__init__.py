@@ -4,8 +4,9 @@ The library computes the optimal operator-norm bound for localization
 operators whose weight is constrained in two Lebesgue norms on the
 hyperbolic upper half-plane, classifies which constraint binds,
 reconstructs the extremal weights, and checks everything against two
-independent numerical oracles (a discrete variational solver and a
-direct operator-norm computation).
+independent numerical oracles: a discrete variational solver, and the
+operator norm of the extremal weight, computed exactly from its radial
+profile (or, on request, by power iteration on a transform grid).
 """
 
 from .core import (
@@ -51,6 +52,7 @@ from .weight import (
     measured_distribution,
     pseudo_hyperbolic,
     psi_inverse,
+    radial_operator_norm,
     weight_from_report,
     weight_norms,
 )

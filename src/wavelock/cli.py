@@ -296,10 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--skip-operator", action="store_true", help="run only the discrete oracle")
     v.add_argument("--oracle-points", type=int, default=2000)
-    v.add_argument("--omega-max", type=float, default=None, help="frequency grid cutoff")
-    v.add_argument("--nodes-per-panel", type=int, default=None, help="frequency nodes per unit panel")
-    v.add_argument("--nx", type=int, default=None, help="plane grid x resolution")
-    v.add_argument("--ny", type=int, default=None, help="plane grid y resolution")
+    g = v.add_argument_group(
+        "grid operator check",
+        "any of these selects the grid operator check (transform grids and power "
+        "iteration) in place of the exact operator norm",
+    )
+    g.add_argument("--omega-max", type=float, default=None, help="frequency grid cutoff")
+    g.add_argument("--nodes-per-panel", type=int, default=None, help="frequency nodes per unit panel")
+    g.add_argument("--nx", type=int, default=None, help="plane grid x resolution")
+    g.add_argument("--ny", type=int, default=None, help="plane grid y resolution")
     v.add_argument(
         "--inject-corruption",
         action="store_true",

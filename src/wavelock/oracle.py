@@ -467,16 +467,6 @@ def objective_of(prob: DiscreteProblem, v: np.ndarray) -> float:
     return float(g_eval(np.asarray(v, dtype=float), prob.params.beta) @ prob.dt)
 
 
-def is_feasible(prob: DiscreteProblem, v: np.ndarray, rtol: float = 1e-9) -> bool:
-    a, b = prob.moment_vectors()
-    v = np.asarray(v, dtype=float)
-    return bool(
-        np.all(v >= 0)
-        and float(a @ v) <= prob.budget_p * (1.0 + rtol)
-        and float(b @ v) <= prob.budget_q * (1.0 + rtol)
-    )
-
-
 def export_solution(
     prob: DiscreteProblem,
     sol: DiscreteSolution,

@@ -1,4 +1,8 @@
-"""First-principles operator check: transform, localization, power iteration.
+"""Operator checks: the exact radial norm, and a grid transform with power iteration.
+
+:func:`run_verification` checks the extremal weight's operator norm by
+default through its exact value, :func:`~wavelock.weight.radial_operator_norm`.
+The first-principles grid check below runs when a caller passes a grid.
 
 The Hardy space is represented on the frequency side, where the analyzing
 wavelet is elementary and the positive-frequency constraint is exact.
@@ -34,7 +38,7 @@ import numpy as np
 from .core import FOUR_PI, ProblemParams, _checked_integral
 from .oracle import run_oracle
 from .solver import BoundReport, compute_bound, u_eval
-from .weight import ExtremalWeight, eval_weight, weight_from_report
+from .weight import ExtremalWeight, eval_weight, radial_operator_norm, weight_from_report
 
 
 class VerificationError(RuntimeError):
@@ -323,6 +327,9 @@ ORACLE_GAP_TOL = 0.01
 OPERATOR_LOW = -0.10
 OPERATOR_HIGH = 0.02
 ISOMETRY_TOL = 1e-3
+# The exact radial norm must meet the bound to the acceptance of the graded
+# rule that evaluates both.
+RADIAL_NORM_RTOL = 1e-8
 
 
 def default_test_vectors(fgrid: FrequencyGrid) -> list[np.ndarray]:
@@ -348,11 +355,15 @@ def run_verification(
 
     Runs the discrete variational solver (certified by its duality gap,
     objective within 1 percent, profile pointwise within 2 percent away
-    from the endpoints when the instance is dual) and, unless skipped, the direct operator check
-    (isometry defect of three test vectors below 1e-3, power-iteration
-    norm of the extremal weight within [-10 percent, +2 percent] of the
-    bound).  ``corrupt_weight`` is a test hook that inflates the weight
-    past its budgets so the operator check must fail.
+    from the endpoints when the instance is dual) and, unless skipped, an
+    operator check.  By default that is the exact norm of the extremal
+    weight's operator, :func:`~wavelock.weight.radial_operator_norm`, which
+    must match the bound to 1e-8 relative.  Passing either grid runs the
+    grid check instead: isometry defect of three test vectors below 1e-3,
+    and the power-iteration norm of the sampled weight within
+    [-10 percent, +2 percent] of the bound.  ``corrupt_weight`` is a test
+    hook that inflates the weight by 1.5, past its budgets, so the
+    operator check must fail.
     """
     t0 = time.perf_counter()
     report = report or compute_bound(params)
@@ -376,7 +387,17 @@ def run_verification(
         )
         out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
 
-    if not skip_operator:
+    if skip_operator:
+        pass
+    elif fgrid is None and pgrid is None:
+        norm = radial_operator_norm(weight_from_report(params, report))
+        if corrupt_weight:
+            # Test hook: the norm of the weight scaled by 1.5, past both budgets.
+            norm *= 1.5
+        out.operator_norm = norm
+        out.operator_rel_gap = (norm - report.bound) / report.bound
+        out.checks["operator_window"] = abs(out.operator_rel_gap) <= RADIAL_NORM_RTOL
+    else:
         fgrid = fgrid or FrequencyGrid.default()
         pgrid = pgrid or PlaneGrid.default()
         out.grid = {"n_omega": fgrid.size, **pgrid.describe()}

@@ -164,24 +164,25 @@ def eval_weight(w: ExtremalWeight, z):
     return np.exp(1j * w.phase) * mag
 
 
-def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
-    """(p-norm, q-norm) of the weight under the hyperbolic measure.
+def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
+    """int_0^inf |F|^e (1 + s)^(-a (2 beta + 1)) ds in s = d/(1 - d).
 
-    Through the disc measure each norm is 4 pi int_0^inf |F|^e ds in
-    s = d/(1 - d).  Every extremal magnitude is |F| = psi(s), the inverse
-    of the level map S(t) = phi(t)^(-1/(2 beta + 1)) - 1 on (0, peak],
-    phi = l1 t^(p-1) + l2 t^(q-1); a single weight lam (1 - d)^(1/alpha_e)
-    has the one term lam^(1-e) t^(e-1).  The nodes are placed through
-    s = S(t), t = peak y^(1/(e - alpha)), with alpha = (e0 - 1)/(2 beta + 1)
-    for the smallest exponent e0 with a positive multiplier: the integrand
-    in y then tends to a constant at 0 however slowly |F|^e decays in s,
-    and the checked graded Gauss rule on (0, 1] evaluates it, in log
-    space.  |F| at a node is the log-space inversion of phi at its level.
-    A norm with e <= alpha diverges and is returned as inf.
+    Every extremal magnitude is |F| = psi(s), the inverse of the level map
+    S(t) = phi(t)^(-c) - 1 on (0, peak], c = 1/(2 beta + 1),
+    phi = l1 t^(p-1) + l2 t^(q-1); a single weight lam (1 - d)^(1/alpha_p)
+    has the one term lam^(1-p) t^(p-1), and likewise for q.  Through
+    s = S(t) the factor (1 + s)^(-(2 beta + 1)) is phi(t).  The nodes are
+    placed through t = peak y^m, m = 1/(e - alpha + a k0), with k0 = e0 - 1
+    for the smallest exponent e0 with a positive multiplier and
+    alpha = c k0: the integrand in t behaves like t^(1/m - 1) at 0, so in
+    y it tends to a constant however slowly |F|^e decays in s, and the
+    checked graded Gauss rule on (0, 1] evaluates it, in log space.  |F|
+    at a node is the log-space inversion of phi at its level.  The
+    integral diverges when 1/m <= 0 and is returned as inf.
     """
     params = w.params
     if w.peak == 0.0:
-        return 0.0, 0.0
+        return 0.0
     if w.mode == "Dual":
         lams = (w.mults.lambda1, w.mults.lambda2)
     elif w.mode == "SingleP":
@@ -189,28 +190,54 @@ def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     else:
         lams = (0.0, w.lam ** (1.0 - params.q))
     c = 1.0 / (2.0 * params.beta + 1.0)
-    terms = [(math.log(lam), e - 1.0) for lam, e in zip(lams, (params.p, params.q)) if lam > 0.0]
-    alpha = c * min(k for _, k in terms)
+    terms = [(math.log(lam), e0 - 1.0) for lam, e0 in zip(lams, (params.p, params.q)) if lam > 0.0]
+    k0 = min(k for _, k in terms)
+    grade = e - c * k0 + a * k0
+    if grade <= 0.0:
+        return math.inf
+    m = 1.0 / grade
     log_peak = math.log(w.peak)
 
-    def norm_e(e: float) -> float:
-        if e <= alpha:
-            return math.inf
-        m = 1.0 / (e - alpha)
+    def f(y):
+        log_y = np.log(y)
+        log_t = log_peak + m * log_y
+        logs = [log_lam + k * log_t for log_lam, k in terms]
+        log_phi = np.logaddexp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
+        slope = sum(k * np.exp(b - log_phi) for (_, k), b in zip(terms, logs))  # t phi'/phi
+        log_psi = _log_phi_inverse(log_phi, *lams, params.p, params.q)
+        # psi^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
+        return c * m * slope * np.exp(e * log_psi + (a - c) * log_phi - log_y)
 
-        def f(y):
-            log_y = np.log(y)
-            log_t = log_peak + m * log_y
-            logs = [log_lam + k * log_t for log_lam, k in terms]
-            log_phi = np.logaddexp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
-            slope = sum(k * np.exp(a - log_phi) for (_, k), a in zip(terms, logs))  # t phi'/phi
-            log_psi = _log_phi_inverse(log_phi, *lams, params.p, params.q)
-            # psi^e (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
-            return c * m * slope * np.exp(e * log_psi - c * log_phi - log_y)
+    return _checked_integral(f, 1.0, what)
 
-        return (FOUR_PI * _checked_integral(f, 1.0, f"{e:g}-norm of the weight")) ** (1.0 / e)
 
-    return norm_e(params.p), norm_e(params.q)
+def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
+    """(p-norm, q-norm) of the weight under the hyperbolic measure.
+
+    Through the disc measure each norm is (4 pi int_0^inf |F|^e ds)^(1/e)
+    in s = d/(1 - d), one level-map integral (:func:`_level_integral`).
+    A norm with e <= alpha diverges and is returned as inf.
+    """
+    return tuple(
+        (FOUR_PI * _level_integral(w, e, 0.0, f"{e:g}-norm of the weight")) ** (1.0 / e)
+        for e in (w.params.p, w.params.q)
+    )
+
+
+def radial_operator_norm(w: ExtremalWeight) -> float:
+    """Norm of the Cauchy-wavelet localization operator with weight w.
+
+    A weight radial in d about its centre makes the operator diagonal in
+    the Laguerre basis (Daubechies & Paul, Inverse Problems 4, 1988),
+    with eigenvalues Gamma(n + 2 beta + 1)/(n! Gamma(2 beta))
+    int_0^1 |F|(d) d^n (1 - d)^(2 beta - 1) dd.  They fall with n for a
+    nonincreasing profile, so the norm is the top one,
+    2 beta int_0^inf |F|(s) (1 + s)^(-(2 beta + 1)) ds in s = d/(1 - d),
+    one level-map integral (:func:`_level_integral`).  The constant
+    phase does not change the norm.
+    """
+    integral = _level_integral(w, 1.0, 1.0, "top eigenvalue of the localization operator")
+    return 2.0 * w.params.beta * integral
 
 
 def measured_distribution(w: ExtremalWeight, t):

@@ -213,6 +213,26 @@ class TestVerifyCommand:
         assert data["oracle_duality_gap"] <= 1e-6
         assert data["checks"]["oracle_converged"] is True
 
+    def test_default_runs_the_exact_operator_check(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
+             "--oracle-points", "800", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert list(data) == [
+            "schema", "regime", "bound", "oracle_objective", "oracle_rel_gap",
+            "oracle_pointwise_err", "oracle_converged", "oracle_duality_gap",
+            "isometry_defects", "operator_norm", "operator_rel_gap",
+            "operator_iterations", "grid", "checks", "ok", "wall_time_s",
+        ]
+        assert data["isometry_defects"] == []
+        assert data["operator_iterations"] is None
+        assert data["grid"] == {}
+        assert data["checks"]["operator_window"] is True
+        assert abs(data["operator_rel_gap"]) <= 1e-8
+
     def test_corruption_exit_5(self, capsys):
         code, _, err = run_cli(
             ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wavelock as wl
+from conftest import random_dual_params, random_single_params
 from wavelock.verifier import (
     CauchyTransform,
     FrequencyGrid,
@@ -219,14 +220,61 @@ class TestOperatorNorm:
         assert gaps[2] < gaps[0]
 
 
+def _rayleigh_at_wavelet(machine, F) -> float:
+    """<L_F psi_hat, psi_hat>/||psi_hat||^2 on the machine's grids."""
+    fg = machine.fgrid
+    psi = wl.cauchy_wavelet_hat(fg.omega, machine.beta).astype(complex)
+    return float(np.real(fg.inner(machine.localize(F, psi), psi))) / fg.norm(psi) ** 2
+
+
+class TestRadialOperatorNorm:
+    # The analyzing wavelet is the top eigenvector of a radial weight's
+    # operator, so the grid's Rayleigh quotient there is the exact norm up
+    # to grid error, which is largest at small beta.
+    @pytest.mark.parametrize("B", [0.4, 0.2])
+    def test_rayleigh_quotient_at_beta_half(self, default_machine, B):
+        params = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, B)
+        w = weight_from_report(params, wl.compute_bound(params))
+        exact = wl.radial_operator_norm(w)
+        rq = _rayleigh_at_wavelet(default_machine, sample_weight(w, default_machine.pgrid))
+        assert rq == pytest.approx(exact, rel=1e-3)
+
+    def test_rayleigh_quotient_at_larger_beta(self):
+        params = wl.ProblemParams(1.3, 2.0, 4.0, 1.0, 0.5)
+        machine = CauchyTransform(FrequencyGrid.default(), PlaneGrid.default(), params.beta)
+        w = weight_from_report(params, wl.compute_bound(params))
+        exact = wl.radial_operator_norm(w)
+        rq = _rayleigh_at_wavelet(machine, sample_weight(w, machine.pgrid))
+        assert rq == pytest.approx(exact, rel=1e-6)
+
+
 class TestRunVerification:
     def test_reference_instance_passes(self, ref_params):
-        report = run_verification(ref_params)
+        report = run_verification(
+            ref_params, fgrid=FrequencyGrid.default(), pgrid=PlaneGrid.default()
+        )
         assert report.ok, report.failures()
         assert max(report.isometry_defects) <= 1e-3
         assert abs(report.oracle_rel_gap) <= 0.01
         assert -0.10 <= report.operator_rel_gap <= 0.02
         assert report.wall_time_s > 0
+
+        exact = run_verification(ref_params)
+        assert exact.ok, exact.failures()
+        assert abs(exact.oracle_rel_gap) <= 0.01
+        assert abs(exact.operator_rel_gap) <= 1e-8
+        assert exact.isometry_defects == []
+        assert exact.operator_iterations is None
+        assert exact.grid == {}
+        assert "isometry" not in exact.checks
+
+    def test_default_passes_on_test_suite_draws(self):
+        rng = np.random.default_rng(2024)
+        for i in range(24):
+            params = random_single_params(rng)[0] if i % 3 == 2 else random_dual_params(rng)
+            report = run_verification(params)
+            assert report.ok, (params, report.failures())
+            assert abs(report.operator_rel_gap) <= 1e-8
 
     def test_skip_operator(self, ref_params):
         report = run_verification(ref_params, skip_operator=True)
@@ -249,3 +297,8 @@ class TestRunVerification:
         )
         assert not report.ok
         assert "operator_window" in report.failures()
+
+    def test_corruption_hook_fails_exact_path(self, ref_params):
+        report = run_verification(ref_params, oracle_points=800, corrupt_weight=True)
+        assert report.failures() == ["operator_window"]
+        assert report.operator_rel_gap == pytest.approx(0.5, rel=1e-8)

@@ -144,6 +144,26 @@ class TestWeightNorms:
         assert wl.weight_norms(w) == (0.0, 0.0)
 
 
+class TestRadialOperatorNorm:
+    def test_equals_the_bound(self, ref_params, ref_report):
+        rng = np.random.default_rng(43)
+        instances = [ref_params] + [random_dual_params(rng) for _ in range(20)]
+        instances += [random_single_params(rng)[0] for _ in range(10)]
+        modes = set()
+        for params in instances:
+            report = wl.compute_bound(params)
+            w = wl.weight_from_report(params, report)
+            modes.add(w.mode)
+            assert wl.radial_operator_norm(w) == pytest.approx(report.bound, rel=1e-12)
+        assert modes == {"Dual", "SingleP", "SingleQ"}
+
+    def test_zero_weight(self, ref_params):
+        w = wl.ExtremalWeight(
+            params=ref_params, mode="SingleQ", center=HalfPlanePoint(0.0, 1.0), lam=0.0
+        )
+        assert wl.radial_operator_norm(w) == 0.0
+
+
 class TestDistribution:
     def test_matches_solver_u(self, dual_weight):
         ok, worst = distribution_matches_solver(dual_weight)
