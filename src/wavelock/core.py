@@ -196,11 +196,6 @@ def g_prime(s, beta: float):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def g_curvature_bound(beta: float) -> float:
-    """Upper bound on |G''| over s >= 0, attained at s = 0."""
-    return 2.0 * beta * (2.0 * beta + 1.0) / FOUR_PI**2
-
-
 class QuadratureError(RuntimeError):
     """A quadrature failed to reach the tolerance of the graded rule."""
 

@@ -2,27 +2,19 @@
 
 Maximizes sum_i G(v_i) dt_i over v >= 0 subject to the two discrete
 moment constraints p sum t^(p-1) v dt <= A^p and q sum t^(q-1) v dt <= B^q
-by projected gradient ascent on the concave objective.  The machinery is
-deliberately disjoint from the analytic solver: no multiplier equations,
-no support endpoint, no closed forms; only gradients, Euclidean-style
-projections in the grid's natural weighted metric, and the grid's own
-Lagrangian dual.
+through the grid's own Lagrangian dual.  The machinery is deliberately
+disjoint from the analytic solver: no multiplier equations, no support
+endpoint, no closed forms of the continuum problem, and constant seeds.
 
-The gradient step uses the diagonal metric induced by the quadrature
-weights, under which the curvature of the objective is bounded by the
-curvature bound of G alone, so a fixed step of its reciprocal guarantees
-monotone ascent.  The feasibility step is the exact metric projection
-onto the intersection of the nonnegative cone with the two half-spaces,
-computed by a safeguarded active-set Newton iteration on its
-two-dimensional dual (with a bisection fallback).
-
-Convergence is certified, not assumed.  The Lagrangian separates over the
-nodes and G - c s has a closed-form maximiser, so the dual function D(mu)
-of the discrete problem is explicit, convex and bounds every feasible
-objective from above.  The ascent stops once D at a numerically
-minimised mu is within a relative duality gap of the iterate's
-objective; the dual minimiser is seeded only from the ascent's own
-projection multipliers.
+The Lagrangian separates over the nodes and G - c s has a closed-form
+maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
+and bounds every feasible objective from above.  Damped Newton minimises
+it, and the maximisers s(mu) it reaches are made feasible by the exact
+projection in the grid's dt-weighted metric (a safeguarded active-set
+Newton iteration on its own two-dimensional dual, with a bisection
+fallback); the best of them is the discrete answer.  Convergence is
+certified, not assumed: by the relative gap between the lowest D and
+that point's objective.
 """
 
 from __future__ import annotations
@@ -32,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, derive_constants, g_curvature_bound, g_eval, g_prime
+from .core import FOUR_PI, ProblemParams, derive_constants, g_eval, g_prime
 
 
 class OracleError(RuntimeError):
@@ -41,7 +33,11 @@ class OracleError(RuntimeError):
 
 _T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max
 _GAP_TOL = 1e-6  # relative duality gap that certifies convergence
-_CHECK_EVERY = 200  # ascent iterations between dual certifications
+_ARMIJO = 1e-4  # sufficient-decrease fraction of a dual Newton step
+_HALVINGS = 60  # backtracking halvings before a dual descent gives up
+_MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
+_COLLAPSE = 1e-30  # share of mu . caps below which a multiplier has collapsed to 0
+_ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
 _MAX_EXPANSIONS = 3  # doublings of t_max while the support looks truncated
 _MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
 
@@ -127,7 +123,6 @@ def _project_feasible(
     dt: np.ndarray,
     cap_a: float,
     cap_b: float,
-    mu: tuple[float, float],
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """Exact dt-metric projection of w onto {v >= 0, a.v <= cap_a, b.v <= cap_b}.
@@ -135,12 +130,12 @@ def _project_feasible(
     The projection has the closed parametric form
     v(mu) = max(w - mu1 a/dt - mu2 b/dt, 0) with multipliers mu >= 0 fixed
     by complementarity.  An active-set Newton iteration on the 2x2 dual
-    usually lands in one or two steps when warm-started; a monotone
-    bisection fallback guards the rare step where it stalls.
+    from mu = 0 usually lands in a few steps; a monotone bisection fallback
+    guards the rare step where it stalls.
     """
     atil = a / dt
     btil = b / dt
-    mu1, mu2 = mu
+    mu1 = mu2 = 0.0
 
     def point(m1: float, m2: float) -> np.ndarray:
         return np.maximum(w - m1 * atil - m2 * btil, 0.0)
@@ -248,166 +243,128 @@ def _dual(
     return value, grad, hess, s
 
 
-def _dual_direction(mu: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimiser of the model grad.d + d.hess.d/2 over mu + d >= 0, and its value.
+def _advance(mu: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
+    """The multipliers a step t along d: mu exp(t d/mu) where mu > 0, mu + t d where mu = 0.
 
-    The candidates are the free Newton step and the steps that pin one
-    multiplier at zero; the zero step is the fallback.
+    A positive multiplier moves multiplicatively, with velocity d at t = 0,
+    so it never crosses zero however far the line search reaches; a zero
+    multiplier opens linearly.
     """
-    (h11, h12), (_, h22) = hess
-    candidates = []
-    if h11 * h22 > h12 * h12:
-        candidates.append(-np.linalg.solve(hess, grad))
-    if h22 > 0.0:
-        candidates.append(np.array([-mu[0], (h12 * mu[0] - grad[1]) / h22]))
-    if h11 > 0.0:
-        candidates.append(np.array([(h12 * mu[1] - grad[0]) / h11, -mu[1]]))
-    best, best_model = np.zeros(2), 0.0
-    for d in candidates:
-        model = float(grad @ d + 0.5 * d @ hess @ d)
-        if np.all(mu + d >= 0.0) and np.any(mu + d > 0.0) and model < best_model:
-            best, best_model = d, model
-    return best, best_model
+    out = mu + t * d
+    pos = mu > 0.0
+    out[pos] = mu[pos] * np.exp(t * d[pos] / mu[pos])
+    return out
 
 
-def _minimize_dual(mu: np.ndarray, dual, rtol: float = 1e-13, max_steps: int = 50):
-    """Projected damped Newton descent on the convex dual over mu >= 0.
+def _descend(mu: np.ndarray, free: np.ndarray, dual, caps: np.ndarray, max_steps: int):
+    """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
 
-    Each step minimises the quadratic model on the feasible quadrant and
-    backtracks along it until the Armijo condition holds.  A full step
-    that is accepted at once is doubled while D keeps falling: near a zero
-    multiplier the curvature of D is steep, and the model then
-    underestimates how far that multiplier has to move.  Stops when a
-    step lowers D by at most ``rtol`` relative, and returns the final
-    multipliers, D there and the dual maximiser s(mu).
+    The others stay at zero.  Each Newton direction is followed along
+    ``_advance`` with the first trial capped so that no multiplier moves
+    by more than e^40, then backtracked by Armijo over a fixed number of
+    halvings rather than down to a floor on the step: far from the
+    optimum the quadratic model of D overshoots by many orders of
+    magnitude, and the capped first trial can already be below 1e-12.
+    Once the predicted decrease is below the rounding of D, full steps are
+    taken while the relative moment residual keeps falling.  The descent
+    stops when a multiplier's share of mu . caps collapses below 1e-30:
+    the optimum then lies within rounding of the face that the other seed
+    descends, and further steps would only shrink that multiplier toward
+    underflow.  Returns the final multipliers, the dual there (value,
+    gradient, Hessian, maximiser) and the number of steps taken.
     """
-    value, grad, hess, s = dual(mu)
-    for _ in range(max_steps):
-        d, model = _dual_direction(mu, grad, hess)
-        if model == 0.0:
-            break
-        step, best = 1.0, None
-        while step > 1e-12:
-            trial = np.maximum(mu + step * d, 0.0)
-            cand = (trial, *dual(trial))
-            if cand[1] <= value + 1e-4 * step * float(grad @ d):
-                best = cand
-                break
-            step *= 0.5
-        if best is None:
-            break
-        while 1.0 <= step < 1e60:
-            step *= 2.0
-            trial = np.maximum(mu + step * d, 0.0)
-            if not trial.any():
-                break
-            cand = (trial, *dual(trial))
-            if cand[1] >= best[1]:
-                break
-            best = cand
-        decrease = value - best[1]
-        mu, value, grad, hess, s = best
-        if decrease <= rtol * abs(value):
-            break
-    return mu, value, s
+    point = dual(mu)
+    f = np.flatnonzero(free)
+    for step in range(max_steps):
+        value, grad, hess, _ = point
+        h = hess[np.ix_(f, f)]
+        d = np.zeros(2)
+        if np.linalg.det(h) > 0.0:
+            d[f] = -np.linalg.solve(h, grad[f])
+        elif not hess.any():
+            d[f] = -_MAX_LOG_STEP * mu[f]  # every node priced out: D = mu . caps
+        else:
+            return mu, point, step
+        if np.any(d[mu == 0.0] < 0.0):
+            return mu, point, step
+        moving = (mu > 0.0) & (d != 0.0)
+        t = min(1.0, float(np.min(_MAX_LOG_STEP * mu[moving] / np.abs(d[moving]), initial=np.inf)))
+        slope = float(grad @ d)
+        if -slope <= _ROUNDOFF * (abs(value) + float(mu @ caps)):
+            trial_mu = _advance(mu, d, t)
+            trial = dual(trial_mu)
+            residual = np.max(np.abs(grad[f]) / caps[f])
+            if not np.max(np.abs(trial[1][f]) / caps[f]) < residual:
+                return mu, point, step
+        else:
+            for _ in range(_HALVINGS):
+                trial_mu = _advance(mu, d, t)
+                trial = dual(trial_mu)
+                if trial[0] <= value + _ARMIJO * t * slope:
+                    break
+                t *= 0.5
+            else:
+                return mu, point, step
+        mu, point = trial_mu, trial
+        if np.any(mu[f] * caps[f] <= _COLLAPSE * float(mu @ caps)):
+            return mu, point, step + 1
+    return mu, point, max_steps
 
 
-def solve_discrete(prob: DiscreteProblem, max_iter: int = 40000) -> DiscreteSolution:
-    """Accelerated projected gradient ascent from v = 0, certified by duality.
+def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSolution:
+    """Maximise the discrete problem through its explicit dual, certified by the gap.
 
-    Fixed step equal to the reciprocal curvature bound of the kernel, a
-    momentum extrapolation in the feasible direction, and a restart
-    whenever the objective dips: the momentum is what lifts the nodes
-    deep in the kernel's saturation region (where the gradient decays
-    like a high negative power) at a quadratic instead of linear rate.
-
-    Every 200 iterations the explicit Lagrangian dual D(mu) is
-    minimised by projected Newton steps, seeded from the projection
-    multipliers over the step and then warm-started.  D(mu) bounds every
-    feasible objective from above, so the run stops, with ``converged``
-    meaning certified, once (D - obj)/obj <= 1e-6 at an ascent iterate.
-    When the feasible projection of the dual maximiser s(mu) beats the
-    iterate by more than that gap relative, the ascent restarts from it.
-    While no constraint has become active the dual step is skipped and
-    the gap is reported as infinite.  ``max_iter`` is a safety cap.
+    D(mu) is minimised by damped Newton from constant seeds only: a unit
+    multiplier on each face, first (1, 0) and then (0, 1), each descended
+    with the other multiplier held at zero.  A face minimiser at which the
+    other constraint holds (its dual gradient is >= 0) satisfies the KKT
+    conditions and so minimises D over the whole quadrant.  When the other
+    constraint is violated at both, the optimum prices both constraints and
+    both descents continue over the two multipliers.  The lowest D reached
+    bounds every feasible objective from above; the primal answer is the
+    best of the feasible projections of the descents' maximisers s(mu).
+    Taking the two separately matters where D is flat in a multiplier near
+    zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
+    ``max_iter`` caps the Newton steps of each descent, and ``iterations``
+    counts the steps of all of them.
     """
     beta = prob.params.beta
     a, b = prob.moment_vectors()
     dt = prob.dt
     caps = np.array([prob.budget_p, prob.budget_q])
-    step = 1.0 / g_curvature_bound(beta)
 
     def dual(m):
         return _dual(m, a, b, dt, caps, beta)
 
-    def project(w, m):
-        return _project_feasible(w, a, b, dt, prob.budget_p, prob.budget_q, m)
-
-    def duality_gap(value, m, v, obj):
-        # D(m) + m . (a.v - caps)^+ >= obj(v) for every v >= 0: the slack
-        # term absorbs the projection's 1e-12 feasibility tolerance.
-        excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
-        gap = (value - obj) / max(obj, 1e-300)
-        if gap + float(m @ excess) / max(obj, 1e-300) < -1e-12:
-            raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
-        return gap
-
-    v = np.zeros_like(prob.t)
-    v_prev = v
-    t_acc = 1.0
-    mu = (0.0, 0.0)
-    mu_dual = None
-    dual_value = gap = np.inf
-    obj_last = 0.0
-    converged = False
-    iterations = max_iter
-    for k in range(max_iter):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = np.maximum(v + ((t_acc - 1.0) / t_next) * (v - v_prev), 0.0)
-        t_acc = t_next
-        v_prev = v
-        v, mu = project(y + step * g_prime(y, beta), mu)
-        if (k + 1) % _CHECK_EVERY:
-            continue
-        obj = float(g_eval(v, beta) @ dt)
-        if obj < obj_last:
-            t_acc = 1.0  # momentum overshoot: restart from the current point
-            v_prev = v
-        obj_last = obj
-        if mu == (0.0, 0.0):
-            continue  # no constraint active yet: no finite dual seed
-        seed = np.array(mu) / step if mu_dual is None else mu_dual
-        mu_dual, dual_value, s = _minimize_dual(seed, dual)
-        gap = duality_gap(dual_value, mu_dual, v, obj)
-        if gap <= _GAP_TOL:
-            converged = True
-            iterations = k + 1
-            break
-        z, _ = project(s, (0.0, 0.0))
+    descents = [_descend(seed, seed > 0.0, dual, caps, max_iter) for seed in np.eye(2)]
+    if all(point[1][1 - face] < 0.0 for face, (_, point, _) in enumerate(descents)):
+        descents += [_descend(mu, np.ones(2, bool), dual, caps, max_iter) for mu, _, _ in descents]
+    iterations = sum(steps for *_, steps in descents)
+    mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
+    obj = -np.inf
+    for _, (*_, s), _ in descents:
+        z, m = _project_feasible(s, a, b, dt, prob.budget_p, prob.budget_q)
         obj_z = float(g_eval(z, beta) @ dt)
-        if obj_z > obj + _GAP_TOL * obj:
-            v = v_prev = z  # dual restart; certified only after a further window
-            t_acc = 1.0
-            obj_last = obj_z
+        if obj_z > obj:
+            v, mu, obj = z, m, obj_z
 
-    mom_p = float(a @ v)
-    mom_q = float(b @ v)
-    res_p = (mom_p - prob.budget_p) / prob.budget_p
-    res_q = (mom_q - prob.budget_q) / prob.budget_q
-    obj = float(g_eval(v, beta) @ dt)
-    if mu_dual is not None:
-        gap = duality_gap(dual_value, mu_dual, v, obj)
-        converged = converged and gap <= _GAP_TOL
+    # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the slack term
+    # absorbs the projection's 1e-12 feasibility tolerance.
+    excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
+    gap = (dual_value - obj) / max(obj, 1e-300)
+    if gap + float(mu_dual @ excess) / max(obj, 1e-300) < -1e-12:
+        raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
 
+    res_p = (float(a @ v) - prob.budget_p) / prob.budget_p
+    res_q = (float(b @ v) - prob.budget_q) / prob.budget_q
     tail = v[int(0.95 * v.size):]
     diagnostics = {
         "constraints_active": (res_p > -1e-6, res_q > -1e-6),
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
         "multipliers": mu,
-        "step": step,
         "duality_gap": gap,
         "dual_value": dual_value,
-        "dual_multipliers": None if mu_dual is None else (float(mu_dual[0]), float(mu_dual[1])),
+        "dual_multipliers": (float(mu_dual[0]), float(mu_dual[1])),
     }
     return DiscreteSolution(
         v=v,
@@ -415,7 +372,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 40000) -> DiscreteSolu
         residual_p=res_p,
         residual_q=res_q,
         iterations=iterations,
-        converged=converged,
+        converged=gap <= _GAP_TOL,
         diagnostics=diagnostics,
     )
 
@@ -424,7 +381,7 @@ def run_oracle(
     params: ProblemParams,
     t_max: float | None = None,
     n: int = 2000,
-    max_iter: int = 40000,
+    max_iter: int = 100,
 ) -> tuple[DiscreteProblem, DiscreteSolution]:
     """Solve on a log grid, doubling t_max (at most 3 times) while the
     support looks truncated."""

@@ -41,10 +41,6 @@ from .solver import BoundReport, compute_bound, u_eval
 from .weight import ExtremalWeight, eval_weight, radial_operator_norm, weight_from_report
 
 
-class VerificationError(RuntimeError):
-    """A verification run breached one of its tolerances."""
-
-
 def wavelet_normalization(beta: float) -> float:
     """c_beta = 2^beta / sqrt(2 pi Gamma(2 beta)).
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavelock as wl
-from wavelock.core import FOUR_PI, g_curvature_bound
+from wavelock.core import FOUR_PI
 
 # Frozen from a 50-digit mpmath evaluation of the defining formulas at
 # (beta, p, q) = (0.5, 2, 4).
@@ -186,15 +186,6 @@ class TestKernel:
             assert wl.g_prime(s1, beta) > wl.g_prime(s2, beta)
             cap = min(1.0, beta / (2 * math.pi) * s2)
             assert wl.g_eval(s2, beta) <= cap + 1e-15
-
-    def test_curvature_bound(self):
-        rng = np.random.default_rng(13)
-        for beta in (0.3, 0.5, 2.0):
-            L = g_curvature_bound(beta)
-            s = rng.uniform(0.0, 30.0, size=100)
-            h = 1e-4
-            second = (wl.g_prime(s + h, beta) - wl.g_prime(s, beta)) / h
-            assert np.all(np.abs(second) <= L * (1 + 1e-6))
 
     def test_vector_and_scalar_forms(self):
         s = np.linspace(0.0, 5.0, 11)

@@ -16,7 +16,24 @@ from wavelock.oracle import (
     solve_discrete,
     truncation_note,
 )
-from conftest import random_dual_params
+from conftest import random_dual_params, random_single_params
+
+
+def near_threshold_params(rng: np.random.Generator) -> wl.ProblemParams:
+    """Sample an instance just inside the dual window, at r1 (1 + delta) or
+    r2 (1 - delta) with delta log-uniform in [1e-7, 1e-2]."""
+    while True:
+        beta = rng.uniform(0.2, 2.0)
+        p = rng.uniform(1.3, 6.0)
+        q = rng.uniform(1.3, 6.0)
+        if abs(p - q) < 0.2:
+            continue
+        c = wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0))
+        delta = 10.0 ** rng.uniform(-7.0, -2.0)
+        if c.r1 is not None and (c.r2 is None or rng.random() < 0.5):
+            return wl.ProblemParams(beta, p, q, 1.0, c.r1 * (1.0 + delta))
+        if c.r2 is not None:
+            return wl.ProblemParams(beta, p, q, 1.0, c.r2 * (1.0 - delta))
 
 
 def criterion_5_instances():
@@ -79,12 +96,37 @@ class TestSolveDiscrete:
         assert np.array_equal(s1.v, s2.v)
         assert s1.objective == s2.objective
 
-    def test_huge_budgets_leave_constraints_slack(self):
+    def test_huge_budgets_saturate_the_kernel(self):
+        # The optimum spends the p-budget on nodes so deep in G's saturation
+        # that the objective comes within 1.2e-11 of sum(dt), the supremum
+        # of sum G(v) dt, since G < 1.
         params = wl.ProblemParams(0.5, 2.0, 4.0, 1e6, 1e6)
         prob = DiscreteProblem.log_spaced(params, t_max=1.0, n=200)
-        sol = solve_discrete(prob, max_iter=2000)
-        assert sol.diagnostics["constraints_active"] == (False, False)
-        assert sol.residual_p < -0.9 and sol.residual_q < -0.9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_discrete(prob, max_iter=2000)
+        assert sol.residual_p == 0.0
+        assert sol.residual_q <= 1e-9
+        assert sol.objective < float(np.sum(prob.dt))
+        assert sol.objective == pytest.approx(float(np.sum(prob.dt)), rel=1e-10)
+
+    def test_step_cap_reports_no_certificate(self, ref_params, ref_report):
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob, max_iter=1)
+        assert not sol.converged
+        assert 1e-6 < sol.diagnostics["duality_gap"] < np.inf
+
+    def test_whole_profile_match(self, ref_params):
+        # v tracks u(t) on all of (t_min, 0.9 T], saturated deep nodes included.
+        rng = np.random.default_rng(2024)
+        for params in [ref_params] + [random_dual_params(rng) for _ in range(15)]:
+            report = wl.compute_bound(params)
+            m = report.multipliers()
+            prob, sol = run_oracle(params, t_max=2.0 * report.T)
+            window = prob.t <= 0.9 * m.T
+            u_ref = wl.u_eval(prob.t[window], m, params)
+            rel = np.abs(sol.v[window] - u_ref) / u_ref
+            assert np.max(rel) <= 1e-3, params
 
 
 class TestCertificate:
@@ -116,15 +158,44 @@ class TestCertificate:
         assert sol.iterations < 2000
         assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
 
-    def test_slack_constraints_report_no_certificate(self):
+    def test_huge_budgets_certify(self):
         params = wl.ProblemParams(0.5, 2.0, 4.0, 1e6, 1e6)
         prob = DiscreteProblem.log_spaced(params, t_max=1.0, n=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol = solve_discrete(prob, max_iter=2000)
-        assert not sol.converged
-        assert sol.diagnostics["duality_gap"] == np.inf
-        assert sol.diagnostics["dual_multipliers"] is None
+        assert sol.converged
+        assert abs(sol.diagnostics["duality_gap"]) <= 1e-6
+        mu1, mu2 = sol.diagnostics["dual_multipliers"]
+        assert mu1 > 0.0 and mu2 >= 0.0
+
+    def test_sweep_certifies_without_analytic_input(self):
+        # With this seed one near-threshold draw certifies only because the
+        # best D and the best feasible point are taken from different descents.
+        rng = np.random.default_rng(811)
+        instances = (
+            [random_dual_params(rng) for _ in range(8)]
+            + [random_single_params(rng)[0] for _ in range(8)]
+            + [near_threshold_params(rng) for _ in range(8)]
+        )
+        for params in instances:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _, sol = run_oracle(params)
+            assert sol.converged, params
+            assert sol.diagnostics["duality_gap"] <= 1e-6, params
+            assert max(sol.residual_p, sol.residual_q) <= 1e-9, params
+
+    def test_seed_that_prices_out_every_node_certifies(self):
+        # SingleP far above r2: at the seed mu = (1, 0) every node's price
+        # a_i/dt_i exceeds G'(0), so s(mu) = 0 and D is linear there.
+        params = wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0)
+        prob, sol = run_oracle(params)
+        a, _ = prob.moment_vectors()
+        assert np.min(a / prob.dt) > wl.g_prime(0.0, params.beta)
+        assert sol.converged
+        assert sol.diagnostics["duality_gap"] <= 1e-6
+        assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
     def test_weak_duality_violation_raises(self, ref_params, ref_report, monkeypatch):
         def low_dual(*args):
@@ -160,7 +231,7 @@ class TestProjection:
         w = np.linspace(3.0, 1.0, prob.t.size)
         cap_a = 0.5 * float(a @ w)
         cap_b = 2.0 * cap_a
-        x, (mu1, mu2) = _project_feasible(w, a, b, prob.dt, cap_a, cap_b, (0.0, 0.0))
+        x, (mu1, mu2) = _project_feasible(w, a, b, prob.dt, cap_a, cap_b)
         assert np.all(x >= 0.0)
         assert mu1 >= 0.0 and mu2 >= 0.0 and mu1 + mu2 > 0.0
         assert float(a @ x) <= cap_a * (1.0 + 1e-9)
