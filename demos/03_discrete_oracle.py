@@ -37,7 +37,7 @@ print(f"pointwise profile match on [0.05 T, 0.9 T]: worst {np.max(err):.2e}")
 # Monotonicity is not a constraint of the discrete problem, yet the
 # maximizer comes out nonincreasing, as the continuum argument predicts.
 mono = check_monotone_restoration(sol)
-print(f"monotonicity violation without projection: {mono.max_relative_violation:.2e}")
+print(f"monotonicity violation (no ordering constraint imposed): {mono.max_relative_violation:.2e}")
 print()
 
 # Grid refinement: the gap shrinks as the grid grows.

@@ -96,6 +96,11 @@ def _params_from(args) -> ProblemParams:
     return ProblemParams(beta=args.beta, p=args.p, q=args.q, A=args.A, B=args.B)
 
 
+def _given(**flags) -> dict:
+    """The flags that were passed, as keyword arguments; the rest keep their defaults."""
+    return {k: v for k, v in flags.items() if v is not None}
+
+
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, required=True, help="Cauchy wavelet exponent (> 0)")
     sub.add_argument("--p", type=float, required=True, help="first Lebesgue exponent (> 1)")
@@ -122,6 +127,8 @@ def cmd_bound(args) -> int:
 
 def cmd_profile(args) -> int:
     params = _params_from(args)
+    if args.samples < 1:
+        raise ParameterError("--samples must be at least 1")
     report = compute_bound(params)
     center = None
     if args.center:
@@ -157,15 +164,21 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _params_from(args)
-    fgrid = None
-    pgrid = None
-    if args.omega_max or args.nodes_per_panel:
-        fgrid = FrequencyGrid.default(
-            omega_max=args.omega_max or 44.0,
-            nodes_per_panel=args.nodes_per_panel or 20,
-        )
-    if args.nx or args.ny:
-        pgrid = PlaneGrid.default(nx=args.nx or 301, ny=args.ny or 280)
+    # The oracle grid needs 100 nodes, a plane axis 2 and a Gauss panel 1.
+    for flag, value, least in (
+        ("--oracle-points", args.oracle_points, 100),
+        ("--nodes-per-panel", args.nodes_per_panel, 1),
+        ("--nx", args.nx, 2),
+        ("--ny", args.ny, 2),
+    ):
+        if value is not None and value < least:
+            raise ParameterError(f"{flag} must be at least {least}, got {value}")
+    if args.omega_max is not None and not 0.0 < args.omega_max < np.inf:
+        raise ParameterError(f"--omega-max must be positive and finite, got {args.omega_max}")
+    fkw = _given(omega_max=args.omega_max, nodes_per_panel=args.nodes_per_panel)
+    pkw = _given(nx=args.nx, ny=args.ny)
+    fgrid = FrequencyGrid.default(**fkw) if fkw else None
+    pgrid = PlaneGrid.default(**pkw) if pkw else None
     report = run_verification(
         params,
         fgrid=fgrid,

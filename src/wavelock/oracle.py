@@ -9,12 +9,12 @@ endpoint, no closed forms of the continuum problem, and constant seeds.
 The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
 and bounds every feasible objective from above.  Damped Newton minimises
-it, and the maximisers s(mu) it reaches are made feasible by the exact
-projection in the grid's dt-weighted metric (a safeguarded active-set
-Newton iteration on its own two-dimensional dual, with a bisection
-fallback); the best of them is the discrete answer.  Convergence is
-certified, not assumed: by the relative gap between the lowest D and
-that point's objective.
+it, and each maximiser s(mu) it reaches meets both budgets to within the
+descent's residual.  Dividing s by its budget load, when that exceeds 1,
+makes it feasible; since G is concave with G(0) = 0, G(s/L) >= G(s)/L,
+so this costs at most that residual.  The best of these points is the
+discrete answer.  Convergence is certified, not assumed: by the relative
+gap between the lowest D and that point's objective.
 """
 
 from __future__ import annotations
@@ -114,107 +114,6 @@ class DiscreteSolution:
     iterations: int
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-
-
-def _project_feasible(
-    w: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    dt: np.ndarray,
-    cap_a: float,
-    cap_b: float,
-    tol: float = 1e-12,
-) -> tuple[np.ndarray, tuple[float, float]]:
-    """Exact dt-metric projection of w onto {v >= 0, a.v <= cap_a, b.v <= cap_b}.
-
-    The projection has the closed parametric form
-    v(mu) = max(w - mu1 a/dt - mu2 b/dt, 0) with multipliers mu >= 0 fixed
-    by complementarity.  An active-set Newton iteration on the 2x2 dual
-    from mu = 0 usually lands in a few steps; a monotone bisection fallback
-    guards the rare step where it stalls.
-    """
-    atil = a / dt
-    btil = b / dt
-    mu1 = mu2 = 0.0
-
-    def point(m1: float, m2: float) -> np.ndarray:
-        return np.maximum(w - m1 * atil - m2 * btil, 0.0)
-
-    for _ in range(60):
-        x = point(mu1, mu2)
-        ra = float(a @ x) - cap_a
-        rb = float(b @ x) - cap_b
-        ok_a = ra <= tol * cap_a and (mu1 == 0.0 or ra >= -tol * cap_a)
-        ok_b = rb <= tol * cap_b and (mu2 == 0.0 or rb >= -tol * cap_b)
-        if ok_a and ok_b:
-            return x, (mu1, mu2)
-        act_a = mu1 > 0.0 or ra > 0.0
-        act_b = mu2 > 0.0 or rb > 0.0
-        s = x > 0.0
-        Maa = float(np.sum(a[s] * atil[s]))
-        Mab = float(np.sum(a[s] * btil[s]))
-        Mbb = float(np.sum(b[s] * btil[s]))
-        if act_a and act_b:
-            det = Maa * Mbb - Mab * Mab
-            if det > 0.0:
-                mu1 = max(mu1 + (Mbb * ra - Mab * rb) / det, 0.0)
-                mu2 = max(mu2 + (Maa * rb - Mab * ra) / det, 0.0)
-                continue
-            # Degenerate Gram matrix on the active set: hand the step to the
-            # monotone fallback rather than guessing an active row.
-            return _project_bisect(w, a, b, dt, cap_a, cap_b, tol)
-        if act_a and not act_b:
-            mu2 = 0.0
-            mu1 = max(mu1 + ra / Maa, 0.0) if Maa > 0.0 else 0.0
-        elif act_b and not act_a:
-            mu1 = 0.0
-            mu2 = max(mu2 + rb / Mbb, 0.0) if Mbb > 0.0 else 0.0
-        else:
-            return np.maximum(w, 0.0), (0.0, 0.0)
-
-    return _project_bisect(w, a, b, dt, cap_a, cap_b, tol)
-
-
-def _project_bisect(w, a, b, dt, cap_a, cap_b, tol):
-    """Nested-bisection fallback for the same projection."""
-    atil, btil = a / dt, b / dt
-
-    def mu1_for(m2: float) -> float:
-        x = np.maximum(w - m2 * btil, 0.0)
-        if float(a @ x) <= cap_a:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while float(a @ np.maximum(w - hi * atil - m2 * btil, 0.0)) > cap_a:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(a @ np.maximum(w - mid * atil - m2 * btil, 0.0)) > cap_a:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def b_gap(m2: float) -> float:
-        m1 = mu1_for(m2)
-        return float(b @ np.maximum(w - m1 * atil - m2 * btil, 0.0)) - cap_b
-
-    if b_gap(0.0) <= tol * cap_b:
-        m1 = mu1_for(0.0)
-        return np.maximum(w - m1 * atil, 0.0), (m1, 0.0)
-    lo, hi = 0.0, 1.0
-    while b_gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e200:
-            raise OracleError("projection fallback failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if b_gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    m2 = 0.5 * (lo + hi)
-    m1 = mu1_for(m2)
-    return np.maximum(w - m1 * atil - m2 * btil, 0.0), (m1, m2)
 
 
 def _dual(
@@ -322,11 +221,11 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     constraint is violated at both, the optimum prices both constraints and
     both descents continue over the two multipliers.  The lowest D reached
     bounds every feasible objective from above; the primal answer is the
-    best of the feasible projections of the descents' maximisers s(mu).
-    Taking the two separately matters where D is flat in a multiplier near
-    zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
-    ``max_iter`` caps the Newton steps of each descent, and ``iterations``
-    counts the steps of all of them.
+    best of the descents' maximisers s(mu), each divided by its budget load
+    max(a.s/A^p, b.s/B^q) when that exceeds 1.  Taking the two separately
+    matters where D is flat in a multiplier near zero.  ``converged`` means
+    certified: (D - obj)/obj <= 1e-6.  ``max_iter`` caps the Newton steps
+    of each descent, and ``iterations`` counts the steps of all of them.
     """
     beta = prob.params.beta
     a, b = prob.moment_vectors()
@@ -343,13 +242,15 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
     obj = -np.inf
     for _, (*_, s), _ in descents:
-        z, m = _project_feasible(s, a, b, dt, prob.budget_p, prob.budget_q)
+        load = max(float(a @ s) / prob.budget_p, float(b @ s) / prob.budget_q)
+        z = s / load if load > 1.0 else s
         obj_z = float(g_eval(z, beta) @ dt)
         if obj_z > obj:
-            v, mu, obj = z, m, obj_z
+            v, obj = z, obj_z
 
-    # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the slack term
-    # absorbs the projection's 1e-12 feasibility tolerance.
+    # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the excess
+    # term absorbs the rounding that can leave the scaled point an ulp over
+    # a budget.
     excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
     if gap + float(mu_dual @ excess) / max(obj, 1e-300) < -1e-12:
@@ -361,7 +262,6 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     diagnostics = {
         "constraints_active": (res_p > -1e-6, res_q > -1e-6),
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
-        "multipliers": mu,
         "duality_gap": gap,
         "dual_value": dual_value,
         "dual_multipliers": (float(mu_dual[0]), float(mu_dual[1])),

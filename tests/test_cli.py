@@ -243,6 +243,34 @@ class TestVerifyCommand:
         assert code == 5
         assert "operator_window" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--oracle-points", "50"],
+            ["profile", "--samples", "0"],
+            ["profile", "--samples", "-3"],
+            ["verify", "--nx", "1"],
+            ["verify", "--ny", "1"],
+            ["verify", "--nodes-per-panel", "-2"],
+            ["verify", "--nx", "0"],
+            ["verify", "--ny", "0"],
+            ["verify", "--nodes-per-panel", "0"],
+            ["verify", "--omega-max", "0"],
+            ["verify", "--omega-max", "-5"],
+            ["verify", "--omega-max", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_values_exit_2(self, argv, capsys, tmp_path):
+        params = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+        if argv[0] == "profile":
+            params += ["--out", str(tmp_path / "x.csv")]
+        code, out, err = run_cli(argv + params, capsys)
+        assert code == 2
+        assert err.startswith("parameter error: ") and argv[1] in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestScanCommand:
     def test_regime_transitions(self, capsys):

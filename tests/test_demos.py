@@ -7,7 +7,8 @@ import pytest
 
 import wavelock as wl
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_demo(path: Path, cwd: Path) -> subprocess.CompletedProcess:
@@ -31,3 +32,14 @@ def test_demo_runs(path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if path.stem == "03_discrete_oracle":
         assert "certified: True" in proc.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(code)
+    proc = run_demo(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "Dual 0.14163045836641777"

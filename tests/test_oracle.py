@@ -9,7 +9,6 @@ from wavelock.oracle import (
     DiscreteProblem,
     OracleError,
     _dual,
-    _project_feasible,
     export_solution,
     objective_of,
     run_oracle,
@@ -40,6 +39,19 @@ def criterion_5_instances():
     rng = np.random.default_rng(5)
     ref = wl.ProblemParams(beta=0.5, p=2.0, q=4.0, A=1.0, B=0.4)
     return [ref] + [random_dual_params(rng) for _ in range(4)]
+
+
+# The oracle objectives of test_instances_certify, frozen while the primal
+# point was still the exact dt-metric projection of the dual maximiser; the
+# maximiser scaled into the budgets must agree to rounding.
+CERTIFY_OBJECTIVES = [
+    0.14163124245023956,
+    0.6116850722082288,
+    0.06570053361988792,
+    0.3318648794764898,
+    0.47978483832512187,
+    0.0724175046066051,
+]
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +157,16 @@ class TestCertificate:
         assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
 
     @pytest.mark.parametrize(
-        "params",
-        criterion_5_instances() + [wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)],
-        ids=lambda p: f"b{p.beta:.3f}-p{p.p:.3f}-q{p.q:.3f}-B{p.B:.3f}",
+        "params, objective",
+        [
+            pytest.param(p, obj, id=f"b{p.beta:.3f}-p{p.p:.3f}-q{p.q:.3f}-B{p.B:.3f}")
+            for p, obj in zip(
+                criterion_5_instances() + [wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)],
+                CERTIFY_OBJECTIVES,
+            )
+        ],
     )
-    def test_instances_certify(self, params):
+    def test_instances_certify(self, params, objective):
         report = wl.compute_bound(params)
         t_max = 2.0 * report.T if report.T is not None else None
         _, sol = run_oracle(params, t_max=t_max, n=2000)
@@ -157,6 +174,7 @@ class TestCertificate:
         assert sol.diagnostics["duality_gap"] <= 1e-6
         assert sol.iterations < 2000
         assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
+        assert abs(sol.objective - objective) <= 1e-14 * objective
 
     def test_huge_budgets_certify(self):
         params = wl.ProblemParams(0.5, 2.0, 4.0, 1e6, 1e6)
@@ -218,32 +236,6 @@ class TestCertificate:
             monkeypatch.setattr(wl, name, forbidden)
         _, sol = run_oracle(ref_params, t_max=t_max, n=500)
         assert sol.converged
-
-
-class TestProjection:
-    def test_degenerate_gram_falls_back_to_bisection(self, ref_params):
-        # b = 2a makes the two constraint rows parallel, so the 2x2 Gram
-        # matrix of the active-set Newton step is singular; with
-        # cap_b = 2 cap_a both caps bind at once.
-        prob = DiscreteProblem.log_spaced(ref_params, t_max=1.0, n=200)
-        a = prob.moment_vectors()[0]
-        b = 2.0 * a
-        w = np.linspace(3.0, 1.0, prob.t.size)
-        cap_a = 0.5 * float(a @ w)
-        cap_b = 2.0 * cap_a
-        x, (mu1, mu2) = _project_feasible(w, a, b, prob.dt, cap_a, cap_b)
-        assert np.all(x >= 0.0)
-        assert mu1 >= 0.0 and mu2 >= 0.0 and mu1 + mu2 > 0.0
-        assert float(a @ x) <= cap_a * (1.0 + 1e-9)
-        assert float(b @ x) <= cap_b * (1.0 + 1e-9)
-        # Complementarity: a positive multiplier means its constraint is tight.
-        if mu1 > 0.0:
-            assert float(a @ x) == pytest.approx(cap_a, rel=1e-9)
-        if mu2 > 0.0:
-            assert float(b @ x) == pytest.approx(cap_b, rel=1e-9)
-        # Stationarity: x is the clipped shift of w by the priced rows.
-        shift = (mu1 * a + mu2 * b) / prob.dt
-        assert np.allclose(x, np.maximum(w - shift, 0.0), rtol=0, atol=1e-12)
 
 
 class TestMonotoneRestoration:
