@@ -24,7 +24,6 @@ from .core import (
     g_prime,
 )
 from .closed_form import (
-    MomentCheck,
     RadialProfile,
     SingleConstraintResult,
     disc_measure,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
+import math
 import sys
 
 import numpy as np
@@ -26,6 +28,15 @@ EXIT_IO = 4
 EXIT_VERIFY = 5
 
 SCHEMA = "wavelock/1"
+
+# Entries in the largest array verify may build: the grid check's
+# oscillation matrix holds nx x n_omega complex numbers (32 MB here).
+_MAX_ARRAY = 2_000_000
+_GRID_DEFAULTS = {
+    name: param.default
+    for fn in (FrequencyGrid.default, PlaneGrid.default)
+    for name, param in inspect.signature(fn).parameters.items()
+}
 
 _EPILOG = """exit codes:
   0  success
@@ -171,12 +182,29 @@ def cmd_verify(args) -> int:
         ("--nx", args.nx, 2),
         ("--ny", args.ny, 2),
     ):
-        if value is not None and value < least:
-            raise ParameterError(f"{flag} must be at least {least}, got {value}")
-    if args.omega_max is not None and not 0.0 < args.omega_max < np.inf:
-        raise ParameterError(f"--omega-max must be positive and finite, got {args.omega_max}")
+        if value is not None and not least <= value <= _MAX_ARRAY:
+            raise ParameterError(f"{flag} must be between {least} and {_MAX_ARRAY}, got {value}")
+    if args.omega_max is not None and not 0.0 < args.omega_max <= _MAX_ARRAY:
+        raise ParameterError(
+            f"--omega-max must be positive and at most {_MAX_ARRAY}, got {args.omega_max}"
+        )
     fkw = _given(omega_max=args.omega_max, nodes_per_panel=args.nodes_per_panel)
     pkw = _given(nx=args.nx, ny=args.ny)
+    grid = {**_GRID_DEFAULTS, **fkw, **pkw}
+    npp, nx, ny = grid["nodes_per_panel"], grid["nx"], grid["ny"]
+    # FrequencyGrid.default: three head panels, then unit panels up to omega_max.
+    n_omega = npp * (3 + max(0, math.ceil(grid["omega_max"] - 1.5)))
+    for what, size in (
+        ("nodes-per-panel squared", npp * npp),
+        ("nx x n_omega", nx * n_omega),
+        ("ny x n_omega", ny * n_omega),
+        ("nx x ny", nx * ny),
+    ):
+        if size > _MAX_ARRAY:
+            raise ParameterError(
+                f"{what} must be at most {_MAX_ARRAY}, got {size} "
+                f"(nx = {nx}, ny = {ny}, n_omega = {n_omega})"
+            )
     fgrid = FrequencyGrid.default(**fkw) if fkw else None
     pgrid = PlaneGrid.default(**pkw) if pkw else None
     report = run_verification(
@@ -308,11 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(v)
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--skip-operator", action="store_true", help="run only the discrete oracle")
-    v.add_argument("--oracle-points", type=int, default=2000)
+    v.add_argument(
+        "--oracle-points", type=int, default=2000,
+        help=f"discrete oracle grid size, 100 to {_MAX_ARRAY} (default 2000)",
+    )
     g = v.add_argument_group(
         "grid operator check",
         "any of these selects the grid operator check (transform grids and power "
-        "iteration) in place of the exact operator norm",
+        "iteration) in place of the exact operator norm. The grids have "
+        "n_omega = nodes-per-panel x (3 + ceil(omega-max - 1.5)) frequency nodes "
+        "(920 by default). Each flag, nx x n_omega, ny x n_omega, nx x ny and "
+        f"nodes-per-panel squared must be at most {_MAX_ARRAY}",
     )
     g.add_argument("--omega-max", type=float, default=None, help="frequency grid cutoff")
     g.add_argument("--nodes-per-panel", type=int, default=None, help="frequency nodes per unit panel")

@@ -149,8 +149,13 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
     The super-level set of a nonincreasing radial profile is the disc
     {d < r(t)} with r(t) = sup{d : profile(d) > t}, located by a bisection
     run simultaneously for all requested levels; its measure is
-    4 pi r/(1 - r).  The result is nonincreasing and right-continuous,
-    and vanishes for t >= profile(0).
+    4 pi r/(1 - r).  The bisection stops once every bracket is two
+    adjacent doubles, where the midpoint equals an end and no further
+    step moves it (about 60 halvings on the extremal weights), and after
+    120 halvings at most.  Levels with t >= profile(0) or
+    t < profile(1 - 1e-15) have no bracket to close and do not hold it
+    open.  The result is nonincreasing and right-continuous, and
+    vanishes for t >= profile(0).
     """
     top = 1.0 - 1e-15
 
@@ -159,19 +164,24 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
         t_arr = np.atleast_1d(t_in)
         if np.any(t_arr < 0):
             raise ValueError("distribution argument t must be nonnegative")
+        inside = profile(np.zeros_like(t_arr)) > t_arr
+        beyond = profile(np.full_like(t_arr, top)) > t_arr
+        bracketed = inside & ~beyond
         lo = np.zeros_like(t_arr)
         hi = np.full_like(t_arr, top)
         for _ in range(_BISECT_STEPS):
             mid = 0.5 * (lo + hi)
+            # lo stays above t and hi at or below it, so a midpoint equal to
+            # either end maps (lo, hi) to itself: every later step is void.
+            if not np.any(bracketed & (mid != lo) & (mid != hi)):
+                break
             above = profile(mid) > t_arr
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
         r = 0.5 * (lo + hi)
         out = FOUR_PI * r / (1.0 - r)
-        out = np.where(profile(np.zeros_like(t_arr)) > t_arr, out, 0.0)
-        out = np.where(
-            profile(np.full_like(t_arr, top)) > t_arr, disc_measure(top), out
-        )
+        out = np.where(inside, out, 0.0)
+        out = np.where(beyond, disc_measure(top), out)
         if t_in.ndim == 0:
             return np.float64(out[0])
         return out.reshape(t_in.shape)

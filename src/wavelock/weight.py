@@ -246,9 +246,12 @@ def measured_distribution(w: ExtremalWeight, t):
     For each level t the super-level set {|w| > t} is a disc {d < r}, and
     :func:`~wavelock.closed_form.distribution_of_profile` finds r by a
     bisection on the monotone profile, run simultaneously for all
-    requested levels, and converts it through the disc measure
-    4 pi r/(1 - r).  This is the measurement route: it never touches the
-    analytic distribution formula it is checked against.
+    requested levels until every bracket is two adjacent doubles, and
+    converts it through the disc measure 4 pi r/(1 - r).  Each halving
+    evaluates the profile once, which for a dual weight is one
+    :func:`psi_inverse` solve over all levels.  This is the measurement
+    route: it never touches the analytic distribution formula it is
+    checked against.
     """
     return distribution_of_profile(w.profile())(t)
 
@@ -268,29 +271,6 @@ def distribution_matches_solver(w: ExtremalWeight) -> tuple[bool, float]:
     rel = np.abs(measured - expected) / expected
     worst = float(np.max(rel))
     return worst <= _DISTRIBUTION_RTOL, worst
-
-
-def export_weight_grid(w: ExtremalWeight, xs, ys, path: str) -> None:
-    """Write the weight on a rectangular grid as CSV (x, y, |F|, Re F, Im F)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vals = eval_weight(w, X + 1j * Y)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["x", "y", "abs_F", "re_F", "im_F"])
-        for i in range(xs.size):
-            for j in range(ys.size):
-                v = vals[i, j]
-                out.writerow(
-                    [
-                        repr(float(xs[i])),
-                        repr(float(ys[j])),
-                        repr(float(abs(v))),
-                        repr(float(v.real)),
-                        repr(float(v.imag)),
-                    ]
-                )
 
 
 def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 import wavelock as wl
 from wavelock.cli import main
+from wavelock.verifier import FrequencyGrid
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_KEYS = [
@@ -270,6 +271,70 @@ class TestVerifyCommand:
         assert err.startswith("parameter error: ") and argv[1] in err
         assert "Traceback" not in err
         assert out == ""
+
+
+class TestVerifyGridLimits:
+    PARAMS = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+
+    @pytest.fixture
+    def no_grids(self, monkeypatch):
+        """Grid constructors and the oracle that raise if reached, so a
+        refused flag provably allocates nothing."""
+        from wavelock import verifier
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(verifier.FrequencyGrid, "default", reached)
+        monkeypatch.setattr(verifier.PlaneGrid, "default", reached)
+        monkeypatch.setattr(verifier, "run_oracle", reached)
+        return Reached
+
+    @pytest.mark.parametrize(
+        "flags, what",
+        [
+            (["--omega-max", "1e9"], "--omega-max"),
+            (["--omega-max", "inf"], "--omega-max"),
+            (["--nx", "10000000000"], "--nx"),
+            (["--ny", "2000001"], "--ny"),
+            (["--nodes-per-panel", "3000000"], "--nodes-per-panel"),
+            (["--oracle-points", "10000000000"], "--oracle-points"),
+            (["--oracle-points", "2000001", "--skip-operator"], "--oracle-points"),
+            (["--nodes-per-panel", "1415"], "nodes-per-panel squared"),
+            (["--omega-max", "3000"], "nx x n_omega"),
+            (["--nx", "2000", "--omega-max", "48.6"], "nx x n_omega"),
+            (["--ny", "20000"], "ny x n_omega"),
+            (["--nx", "2000", "--ny", "1001", "--omega-max", "2"], "nx x ny"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_oversized_grids_exit_2(self, flags, what, no_grids, capsys):
+        code, out, err = run_cli(["verify", *flags, *self.PARAMS], capsys)
+        assert code == 2
+        assert err.startswith("parameter error: ") and what in err
+        assert "2000000" in err
+        assert out == ""
+
+    def test_limit_is_inclusive(self, no_grids, capsys):
+        # 20 nodes x 50 panels = 1000 frequency nodes, and 2000 x 1000 is
+        # exactly the limit: the flags pass and the grid is built.
+        with pytest.raises(no_grids):
+            main(["verify", "--nx", "2000", "--omega-max", "48.5", *self.PARAMS])
+
+    def test_stated_node_count_is_the_grid_size(self):
+        for omega_max, n_omega in ((0.5, 60), (1.5, 60), (1.6, 80), (44.0, 920), (48.5, 1000), (48.6, 1020)):
+            assert FrequencyGrid.default(omega_max, 20).size == n_omega
+
+    def test_help_states_the_limits(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "n_omega = nodes-per-panel x (3 + ceil(omega-max - 1.5))" in out
+        assert "at most 2000000" in out
+        assert "100 to 2000000" in out
 
 
 class TestScanCommand:

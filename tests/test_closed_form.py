@@ -163,6 +163,107 @@ class TestDistribution:
             disc_measure(1.0)
 
 
+def _bisected_120(profile, t):
+    """distribution_of_profile as it ran before it stopped at the fixed
+    point: always 120 halvings, with the same top 1 - 1e-15."""
+    top = 1.0 - 1e-15
+    t_in = np.asarray(t, dtype=float)
+    t_arr = np.atleast_1d(t_in)
+    lo = np.zeros_like(t_arr)
+    hi = np.full_like(t_arr, top)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        above = profile(mid) > t_arr
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    r = 0.5 * (lo + hi)
+    out = FOUR_PI * r / (1.0 - r)
+    out = np.where(profile(np.zeros_like(t_arr)) > t_arr, out, 0.0)
+    out = np.where(profile(np.full_like(t_arr, top)) > t_arr, disc_measure(top), out)
+    return out.reshape(t_in.shape)
+
+
+def _indicator(t0=2.0, r0=0.3):
+    return wl.RadialProfile(
+        fn=lambda d: np.where(np.asarray(d, dtype=float) < r0, t0, 0.0), domain=(0, 1)
+    )
+
+
+def _test_profiles(ref_params, ref_report):
+    """(profile, peak) for the reference dual weight, a SingleP and a SingleQ
+    weight, the indicator profile and the zero profile."""
+    out = []
+    for params, report in (
+        (ref_params, ref_report),
+        *((p, wl.compute_bound(p)) for p in (
+            wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0),
+            wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2),
+        )),
+    ):
+        w = wl.weight_from_report(params, report)
+        out.append((w.profile(), w.peak))
+    out.append((_indicator(), 2.0))
+    out.append((wl.RadialProfile(fn=lambda d: np.zeros_like(np.asarray(d, float)), domain=(0, 1)), 0.0))
+    return out
+
+
+class _CountingProfile:
+    """Wraps a profile and counts its evaluations."""
+
+    def __init__(self, profile):
+        self.calls = 0
+        self.profile = profile
+
+    def __call__(self, d):
+        self.calls += 1
+        return self.profile(d)
+
+    def halvings(self, t) -> int:
+        """Halvings distribution_of_profile runs at levels t: all its
+        profile calls but the two at the ends of the bracket."""
+        self.calls = 0
+        wl.distribution_of_profile(wl.RadialProfile(fn=self, domain=(0, 1)))(t)
+        return self.calls - 2
+
+
+class TestBisectionFixedPoint:
+    def test_equals_the_120_halving_loop(self, ref_params, ref_report):
+        modes = []
+        for profile, peak in _test_profiles(ref_params, ref_report):
+            levels = np.concatenate([
+                [0.0, 5e-324, 1e-300, 1e-12 * peak],
+                np.linspace(0.01, 0.99, 60) * peak,
+                [peak, np.nextafter(peak, np.inf), 1.5 * peak + 1.0, 1e300],
+            ])
+            v = wl.distribution_of_profile(profile)
+            assert np.array_equal(v(levels), _bisected_120(profile, levels))
+            for t in (0.0, 0.37 * peak, peak):
+                got = v(t)
+                assert np.ndim(got) == 0
+                assert got == _bisected_120(profile, t)
+            modes.append(profile.label)
+        assert modes[:3] == ["weight-Dual", "weight-SingleP", "weight-SingleQ"]
+
+    def test_stops_within_64_halvings(self, ref_params, ref_report):
+        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
+        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
+            w = wl.weight_from_report(params, report)
+            counter = _CountingProfile(w.profile())
+            interior = np.linspace(0.01, 0.99, 120) * w.peak
+            halvings = counter.halvings(interior)
+            assert 40 <= halvings <= 64
+            # Levels at and above the peak are overwritten, so they must not
+            # hold the loop open.
+            beyond = np.concatenate([interior, [w.peak, 2.0 * w.peak, 1e300]])
+            assert counter.halvings(beyond) <= halvings
+
+    def test_levels_without_a_bracket_take_no_halving(self):
+        counter = _CountingProfile(_indicator())
+        assert counter.halvings(np.array([2.0, 3.0, 1e300])) == 0
+        zero = _CountingProfile(wl.RadialProfile(fn=lambda d: np.zeros_like(d), domain=(0, 1)))
+        assert zero.halvings(np.array([0.0, 1.0])) == 0
+
+
 class TestMomentIdentities:
     def test_reference_p_side(self):
         params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)

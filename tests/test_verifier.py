@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,22 @@ class TestOperatorNorm:
         gaps = [r["gap"] for r in rows]
         assert defects[2] < defects[0]
         assert gaps[2] < gaps[0]
+
+
+class TestSampleWeight:
+    def test_is_the_modulus_at_phase_0_and_phase_free(self, ref_params, ref_report):
+        pgrid = PlaneGrid.default()
+        X, Y = pgrid.mesh()
+        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)
+        for w in (
+            weight_from_report(ref_params, ref_report),
+            weight_from_report(single, wl.compute_bound(single)),
+        ):
+            assert w.phase == 0.0
+            F = sample_weight(w, pgrid)
+            assert F.shape == X.shape
+            assert np.array_equal(F, np.abs(wl.eval_weight(w, X + 1j * Y)))
+            assert np.array_equal(sample_weight(replace(w, phase=1.3), pgrid), F)
 
 
 def _rayleigh_at_wavelet(machine, F) -> float:

@@ -11,7 +11,6 @@ from wavelock.weight import (
     HalfPlanePoint,
     distribution_matches_solver,
     export_profile,
-    export_weight_grid,
     hyperbolic_circle,
 )
 from conftest import random_dual_params, random_single_params
@@ -185,17 +184,6 @@ class TestExports:
         mags = [float(r[1]) for r in rows[1:]]
         assert mags[0] == pytest.approx(dual_weight.peak, rel=1e-12)
         assert all(b <= a for a, b in zip(mags, mags[1:]))
-
-    def test_grid_csv(self, dual_weight, tmp_path):
-        path = tmp_path / "grid.csv"
-        xs = np.linspace(-1, 1, 5)
-        ys = np.geomspace(0.5, 2.0, 4)
-        export_weight_grid(dual_weight, xs, ys, str(path))
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["x", "y", "abs_F", "re_F", "im_F"]
-        assert len(rows) == 1 + 5 * 4
-        x, y, mag, re, im = (float(v) for v in rows[1])
-        assert mag == pytest.approx(math.hypot(re, im), rel=1e-12)
 
 
 class TestValidation:
