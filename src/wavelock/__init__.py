@@ -6,7 +6,9 @@ hyperbolic upper half-plane, classifies which constraint binds,
 reconstructs the extremal weights, and checks everything against two
 independent numerical oracles: a discrete variational solver, and the
 operator norm of the extremal weight, computed exactly from its radial
-profile (or, on request, by power iteration on a transform grid).
+profile.  Every extremal weight, single-regime ones included, is given by
+its multiplier pair.  The transform grid with power iteration in
+:mod:`wavelock.verifier` is a first-principles reference for that norm.
 """
 
 from .core import (
@@ -30,7 +32,6 @@ from .closed_form import (
     distribution_of_profile,
     single_bound,
     single_profile,
-    verify_moment_identities,
 )
 from .solver import (
     BoundReport,

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
-import math
 import sys
 
 import numpy as np
 
 from .core import ParameterError, ProblemParams, QuadratureError
 from .solver import BoundReport, SolverError, compute_bound, u_eval
-from .verifier import FrequencyGrid, PlaneGrid, run_verification
+from .verifier import run_verification
 from .weight import weight_from_report
 
 EXIT_OK = 0
@@ -29,14 +27,8 @@ EXIT_VERIFY = 5
 
 SCHEMA = "wavelock/1"
 
-# Entries in the largest array verify may build: the grid check's
-# oscillation matrix holds nx x n_omega complex numbers (32 MB here).
+# The largest discrete oracle grid verify builds.
 _MAX_ARRAY = 2_000_000
-_GRID_DEFAULTS = {
-    name: param.default
-    for fn in (FrequencyGrid.default, PlaneGrid.default)
-    for name, param in inspect.signature(fn).parameters.items()
-}
 
 _EPILOG = """exit codes:
   0  success
@@ -107,11 +99,6 @@ def _params_from(args) -> ProblemParams:
     return ProblemParams(beta=args.beta, p=args.p, q=args.q, A=args.A, B=args.B)
 
 
-def _given(**flags) -> dict:
-    """The flags that were passed, as keyword arguments; the rest keep their defaults."""
-    return {k: v for k, v in flags.items() if v is not None}
-
-
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, required=True, help="Cauchy wavelet exponent (> 0)")
     sub.add_argument("--p", type=float, required=True, help="first Lebesgue exponent (> 1)")
@@ -156,9 +143,8 @@ def cmd_profile(args) -> int:
     n = args.samples
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
     mags = prof(ds)
-    t_top = report.T if report.T is not None else w.peak
-    ts = np.linspace(t_top / n, t_top, n)
-    us = u_eval(ts, report.multipliers(), params)
+    ts = np.linspace(w.peak / n, w.peak, n)
+    us = u_eval(ts, w.mults, params)
 
     try:
         with open(args.out, "w", newline="") as fh:
@@ -175,42 +161,13 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     params = _params_from(args)
-    # The oracle grid needs 100 nodes, a plane axis 2 and a Gauss panel 1.
-    for flag, value, least in (
-        ("--oracle-points", args.oracle_points, 100),
-        ("--nodes-per-panel", args.nodes_per_panel, 1),
-        ("--nx", args.nx, 2),
-        ("--ny", args.ny, 2),
-    ):
-        if value is not None and not least <= value <= _MAX_ARRAY:
-            raise ParameterError(f"{flag} must be between {least} and {_MAX_ARRAY}, got {value}")
-    if args.omega_max is not None and not 0.0 < args.omega_max <= _MAX_ARRAY:
+    # The oracle grid needs 100 nodes.
+    if not 100 <= args.oracle_points <= _MAX_ARRAY:
         raise ParameterError(
-            f"--omega-max must be positive and at most {_MAX_ARRAY}, got {args.omega_max}"
+            f"--oracle-points must be between 100 and {_MAX_ARRAY}, got {args.oracle_points}"
         )
-    fkw = _given(omega_max=args.omega_max, nodes_per_panel=args.nodes_per_panel)
-    pkw = _given(nx=args.nx, ny=args.ny)
-    grid = {**_GRID_DEFAULTS, **fkw, **pkw}
-    npp, nx, ny = grid["nodes_per_panel"], grid["nx"], grid["ny"]
-    # FrequencyGrid.default: three head panels, then unit panels up to omega_max.
-    n_omega = npp * (3 + max(0, math.ceil(grid["omega_max"] - 1.5)))
-    for what, size in (
-        ("nodes-per-panel squared", npp * npp),
-        ("nx x n_omega", nx * n_omega),
-        ("ny x n_omega", ny * n_omega),
-        ("nx x ny", nx * ny),
-    ):
-        if size > _MAX_ARRAY:
-            raise ParameterError(
-                f"{what} must be at most {_MAX_ARRAY}, got {size} "
-                f"(nx = {nx}, ny = {ny}, n_omega = {n_omega})"
-            )
-    fgrid = FrequencyGrid.default(**fkw) if fkw else None
-    pgrid = PlaneGrid.default(**pkw) if pkw else None
     report = run_verification(
         params,
-        fgrid=fgrid,
-        pgrid=pgrid,
         oracle_points=args.oracle_points,
         skip_operator=args.skip_operator,
         corrupt_weight=args.inject_corruption,
@@ -224,11 +181,12 @@ def cmd_verify(args) -> int:
         "oracle_pointwise_err": report.oracle_pointwise_err,
         "oracle_converged": report.oracle_converged,
         "oracle_duality_gap": report.oracle_duality_gap,
-        "isometry_defects": report.isometry_defects,
+        # The keys of the former grid check stay in wavelock/1, always empty.
+        "isometry_defects": [],
         "operator_norm": report.operator_norm,
         "operator_rel_gap": report.operator_rel_gap,
-        "operator_iterations": report.operator_iterations,
-        "grid": report.grid,
+        "operator_iterations": None,
+        "grid": {},
         "checks": report.checks,
         "ok": report.ok,
         "wall_time_s": report.wall_time_s,
@@ -236,8 +194,8 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(_fmt_json(data))
     else:
-        _print_text({k: v for k, v in data.items() if k not in ("grid", "checks", "isometry_defects")})
-        print(f"isometry_defects = {[f'{d:.3e}' for d in report.isometry_defects]}")
+        empty = ("isometry_defects", "operator_iterations", "grid")
+        _print_text({k: v for k, v in data.items() if k not in (*empty, "checks")})
         for name, passed in report.checks.items():
             print(f"check {name}: {'pass' if passed else 'FAIL'}")
     if not report.ok:
@@ -340,18 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-points", type=int, default=2000,
         help=f"discrete oracle grid size, 100 to {_MAX_ARRAY} (default 2000)",
     )
-    g = v.add_argument_group(
-        "grid operator check",
-        "any of these selects the grid operator check (transform grids and power "
-        "iteration) in place of the exact operator norm. The grids have "
-        "n_omega = nodes-per-panel x (3 + ceil(omega-max - 1.5)) frequency nodes "
-        "(920 by default). Each flag, nx x n_omega, ny x n_omega, nx x ny and "
-        f"nodes-per-panel squared must be at most {_MAX_ARRAY}",
-    )
-    g.add_argument("--omega-max", type=float, default=None, help="frequency grid cutoff")
-    g.add_argument("--nodes-per-panel", type=int, default=None, help="frequency nodes per unit panel")
-    g.add_argument("--nx", type=int, default=None, help="plane grid x resolution")
-    g.add_argument("--ny", type=int, default=None, help="plane grid y resolution")
     v.add_argument(
         "--inject-corruption",
         action="store_true",

@@ -3,8 +3,7 @@
 When the budget ratio leaves the dual window, the optimal weight is the
 one-constraint extremizer: a radial profile lam * (1 - d)^(1/alpha_e) in
 the squared pseudo-hyperbolic coordinate d.  This module evaluates the
-corresponding sharp bound, the profile, its distribution function and the
-moment identities that tie them together.
+corresponding sharp bound, the profile and its distribution function.
 
 Note on the profile exponent: the published display of the extremal weight
 carries the exponent -alpha_e, which grows toward the boundary and has a
@@ -28,7 +27,6 @@ from .core import (
     DerivedConstants,
     ProblemParams,
     RegimeError,
-    _checked_integral,
     classify_regime,
 )
 
@@ -187,79 +185,3 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
         return out.reshape(t_in.shape)
 
     return RadialProfile(fn=fn, domain=(0.0, math.inf), label=f"dist({profile.label})")
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """Quadrature residuals of the two moment identities of a single profile."""
-
-    side: str
-    own_moment: float
-    own_closed_form: float
-    own_residual: float
-    cross_moment: float
-    cross_closed_form: float
-    cross_residual: float | None
-
-    @property
-    def cross_diverges(self) -> bool:
-        return math.isinf(self.cross_moment)
-
-
-def _moment_of_single_profile(e: float, alpha: float, lam: float) -> float:
-    """e * int t^(e-1) v(t) dt for v(t) = 4pi ((t/lam)^(-alpha) - 1) on (0, lam].
-
-    After s = t/lam the integrand is s^(e-1-alpha) - s^(e-1) on (0, 1];
-    the first exponent stays above -1 exactly when e > alpha.  It tends
-    to -1 as the cross moment nears divergence, so the graded Gauss rule
-    runs in y = s^(e-alpha), where the integrand becomes
-    (1 - y^(alpha/(e-alpha)))/(e - alpha), bounded on (0, 1].
-    """
-    if e <= alpha:
-        return math.inf
-    m = 1.0 / (e - alpha)
-    val = _checked_integral(
-        lambda y: -m * np.expm1(alpha * m * np.log(y)),
-        1.0,
-        f"moment {e:g} of a single profile",
-    )
-    return FOUR_PI * e * lam**e * val
-
-
-def verify_moment_identities(
-    params: ProblemParams,
-    consts: DerivedConstants,
-    lam: float,
-    side: str,
-) -> MomentCheck:
-    """Check the own- and cross-moment closed forms of a single profile.
-
-    The own moment e * int t^(e-1) v dt must come out as 4 pi sigma_e
-    lam^e (the budget to the e-th power when lam was matched to it); the
-    cross moment must equal the threshold form (r * budget)^other, or
-    diverge when other <= alpha_e.  Residuals are relative.
-    """
-    e, _, alpha, sigma, _, other = _side_fields(params, consts, side)
-
-    own_closed = FOUR_PI * sigma * lam**e
-    own = _moment_of_single_profile(e, alpha, lam)
-    own_res = abs(own - own_closed) / own_closed
-
-    cross_closed = (
-        (FOUR_PI * alpha / (other - alpha)) * lam**other if other > alpha else math.inf
-    )
-    cross = _moment_of_single_profile(other, alpha, lam)
-    if math.isinf(cross_closed) or math.isinf(cross):
-        cross_res = None
-    else:
-        cross_res = abs(cross - cross_closed) / cross_closed
-
-    return MomentCheck(
-        side=side,
-        own_moment=own,
-        own_closed_form=own_closed,
-        own_residual=own_res,
-        cross_moment=cross,
-        cross_closed_form=cross_closed,
-        cross_residual=cross_res,
-    )

@@ -20,6 +20,10 @@ FOUR_PI = 4.0 * math.pi
 # Relative tolerance used to flag B/A sitting on a regime threshold.
 BOUNDARY_RTOL = 1e-12
 
+# Logs of the largest double and of the smallest positive one.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MIN = math.log(math.ulp(0.0))
+
 
 class ParameterError(ValueError):
     """Invalid problem parameters (nonpositive values, p = q, ...)."""
@@ -35,7 +39,8 @@ class ProblemParams:
 
     ``beta`` is the Cauchy-wavelet exponent, ``p`` and ``q`` the two
     Lebesgue exponents (both > 1, distinct), ``A`` and ``B`` the
-    corresponding norm budgets.
+    corresponding norm budgets.  The budgets enter through their powers
+    A^p and B^q, which must be positive finite doubles.
     """
 
     beta: float
@@ -56,10 +61,16 @@ class ProblemParams:
                 "p and q must be distinct; the two-constraint problem "
                 f"degenerates at p = q = {self.p}"
             )
-        for name in ("A", "B"):
-            v = getattr(self, name)
+        for name, e_name in (("A", "p"), ("B", "q")):
+            v, e = getattr(self, name), getattr(self, e_name)
             if not (v > 0):
                 raise ParameterError(f"{name} must be positive, got {v}")
+            log_power = e * math.log(v)
+            if not _LOG_FLOAT_MIN <= log_power < _LOG_FLOAT_MAX:
+                raise ParameterError(
+                    f"{name}^{e_name} = exp({log_power:.6g}) is not a positive finite double "
+                    f"({name} = {v}, {e_name} = {e})"
+                )
 
     @property
     def ratio(self) -> float:

@@ -319,11 +319,6 @@ def check_monotone_restoration(sol: DiscreteSolution) -> MonotoneReport:
     )
 
 
-def objective_of(prob: DiscreteProblem, v: np.ndarray) -> float:
-    """Discrete objective sum G(v_i) dt_i of an arbitrary profile."""
-    return float(g_eval(np.asarray(v, dtype=float), prob.params.beta) @ prob.dt)
-
-
 def export_solution(
     prob: DiscreteProblem,
     sol: DiscreteSolution,

@@ -33,6 +33,8 @@ import numpy as np
 from . import closed_form
 
 from .core import (
+    _LOG_FLOAT_MAX,
+    _LOG_FLOAT_MIN,
     _PANELS,
     FOUR_PI,
     DerivedConstants,
@@ -46,8 +48,6 @@ from .core import (
 
 
 _log = logging.getLogger(__name__)
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class SolverError(RuntimeError):
@@ -461,6 +461,12 @@ def compute_bound(params: ProblemParams) -> BoundReport:
         single = closed_form.single_bound(params, consts, side)
         bound = single.bound
         e = params.p if side == "P" else params.q
+        log_seed = -(e - 1.0) * math.log(single.lam)
+        if not _LOG_FLOAT_MIN <= log_seed < _LOG_FLOAT_MAX:
+            raise SolverError(
+                f"the single-regime multiplier lam^-(e-1) = exp({log_seed:.6g}) "
+                "is out of the float range"
+            )
         seed = single.lam ** (-(e - 1.0))
         if side == "P":
             lam1, lam2 = seed, 0.0

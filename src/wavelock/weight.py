@@ -2,9 +2,10 @@
 
 A weight is radial about its centre z0 in the squared pseudo-hyperbolic
 coordinate d(z, z0) = |z - z0|^2 / |z - conj(z0)|^2, carries a constant
-phase, and its magnitude profile is either the single-constraint power
-lam (1 - d)^(1/alpha_e) or, in the dual regime, psi(d/(1 - d)) where psi
-inverts t -> (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta + 1)) - 1 on (0, T].
+phase, and its magnitude profile is psi(d/(1 - d)), where psi inverts
+t -> (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta + 1)) - 1 on (0, T].  In a
+single regime the inactive multiplier is zero, and psi is the closed-form
+power lam (1 - d)^(1/alpha_e) with lam = T.
 
 Everything is evaluated on demand; all norm and distribution checks
 reduce to one-dimensional integrals through the disc measure
@@ -19,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, _checked_integral, derive_constants
-from .closed_form import RadialProfile, distribution_of_profile, single_bound
+from .core import FOUR_PI, ProblemParams, _checked_integral
+from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
+from .closed_form import RadialProfile, distribution_of_profile
+from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
 from .solver import BoundReport, Multipliers, _log_phi_inverse, u_eval
 
 # Beyond this d the double-precision map d/(1-d) saturates; the profile
@@ -81,45 +84,26 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
 
 @dataclass(frozen=True)
 class ExtremalWeight:
-    """A reconstructed extremal weight: centre, phase and radial profile data.
+    """A reconstructed extremal weight: centre, multipliers and phase.
 
-    ``mode`` selects the profile: "SingleP"/"SingleQ" use ``lam`` with the
-    matching alpha exponent, "Dual" uses the inverse profile of
-    ``multipliers``.  The magnitude depends on z only through d(z, centre);
-    the phase is a global unimodular constant.
+    The magnitude is the inverse profile psi of ``mults`` in s = d/(1 - d),
+    d = d(z, centre), for every regime: a single-regime weight carries its
+    inactive multiplier as zero.  The phase is a global unimodular
+    constant.
     """
 
     params: ProblemParams
-    mode: str
     center: HalfPlanePoint
+    mults: Multipliers
     phase: float = 0.0
-    lam: float | None = None
-    mults: Multipliers | None = None
-
-    def __post_init__(self):
-        if self.mode in ("SingleP", "SingleQ"):
-            if self.lam is None or self.lam < 0:
-                raise ValueError(f"{self.mode} weight needs a nonnegative lam")
-        elif self.mode == "Dual":
-            if self.mults is None:
-                raise ValueError("Dual weight needs multipliers")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def peak(self) -> float:
-        """Magnitude at the centre: lam for single modes, T for dual."""
-        return self.lam if self.mode != "Dual" else self.mults.T
+        """Magnitude at the centre, the support endpoint T."""
+        return self.mults.T
 
     def profile(self) -> RadialProfile:
         """Magnitude as a function of d in [0, 1)."""
-        consts = derive_constants(self.params)
-        if self.mode == "SingleP":
-            alpha, lam = consts.alpha_p, self.lam
-        elif self.mode == "SingleQ":
-            alpha, lam = consts.alpha_q, self.lam
-        else:
-            alpha = lam = None
 
         def fn(d):
             d = np.asarray(d, dtype=float)
@@ -127,13 +111,10 @@ class ExtremalWeight:
                 raise ValueError("profile argument d must lie in [0, 1)")
             inside = d <= _D_CUTOFF
             dd = np.where(inside, d, 0.0)
-            if self.mode == "Dual":
-                vals = psi_inverse(dd / (1.0 - dd), self.mults, self.params)
-            else:
-                vals = lam * (1.0 - dd) ** (1.0 / alpha)
+            vals = psi_inverse(dd / (1.0 - dd), self.mults, self.params)
             return np.where(inside, vals, 0.0)
 
-        return RadialProfile(fn=fn, domain=(0.0, 1.0), label=f"weight-{self.mode}")
+        return RadialProfile(fn=fn, domain=(0.0, 1.0), label="weight")
 
 
 def weight_from_report(
@@ -143,18 +124,7 @@ def weight_from_report(
     phase: float = 0.0,
 ) -> ExtremalWeight:
     """Build the extremal weight matching a bound report."""
-    center = center or HalfPlanePoint(0.0, 1.0)
-    if report.regime == "Dual":
-        return ExtremalWeight(
-            params=params, mode="Dual", center=center, phase=phase,
-            mults=report.multipliers(),
-        )
-    consts = derive_constants(params)
-    side = "P" if report.regime == "SingleP" else "Q"
-    lam = single_bound(params, consts, side).lam
-    return ExtremalWeight(
-        params=params, mode=report.regime, center=center, phase=phase, lam=lam
-    )
+    return ExtremalWeight(params, center or HalfPlanePoint(0.0, 1.0), report.multipliers(), phase)
 
 
 def eval_weight(w: ExtremalWeight, z):
@@ -169,26 +139,19 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
 
     Every extremal magnitude is |F| = psi(s), the inverse of the level map
     S(t) = phi(t)^(-c) - 1 on (0, peak], c = 1/(2 beta + 1),
-    phi = l1 t^(p-1) + l2 t^(q-1); a single weight lam (1 - d)^(1/alpha_p)
-    has the one term lam^(1-p) t^(p-1), and likewise for q.  Through
-    s = S(t) the factor (1 + s)^(-(2 beta + 1)) is phi(t).  The nodes are
-    placed through t = peak y^m, m = 1/(e - alpha + a k0), with k0 = e0 - 1
-    for the smallest exponent e0 with a positive multiplier and
-    alpha = c k0: the integrand in t behaves like t^(1/m - 1) at 0, so in
-    y it tends to a constant however slowly |F|^e decays in s, and the
-    checked graded Gauss rule on (0, 1] evaluates it, in log space.  |F|
-    at a node is the log-space inversion of phi at its level.  The
-    integral diverges when 1/m <= 0 and is returned as inf.
+    phi = l1 t^(p-1) + l2 t^(q-1), which has one term for a single
+    weight.  Through s = S(t) the factor (1 + s)^(-(2 beta + 1)) is
+    phi(t).  The nodes are placed through t = peak y^m,
+    m = 1/(e - alpha + a k0), with k0 = e0 - 1 for the smallest exponent
+    e0 with a positive multiplier and alpha = c k0: the integrand in t
+    behaves like t^(1/m - 1) at 0, so in y it tends to a constant however
+    slowly |F|^e decays in s, and the checked graded Gauss rule on (0, 1]
+    evaluates it, in log space.  |F| at a node is the log-space inversion
+    of phi at its level.  The integral diverges when 1/m <= 0 and is
+    returned as inf.
     """
     params = w.params
-    if w.peak == 0.0:
-        return 0.0
-    if w.mode == "Dual":
-        lams = (w.mults.lambda1, w.mults.lambda2)
-    elif w.mode == "SingleP":
-        lams = (w.lam ** (1.0 - params.p), 0.0)
-    else:
-        lams = (0.0, w.lam ** (1.0 - params.q))
+    lams = (w.mults.lambda1, w.mults.lambda2)
     c = 1.0 / (2.0 * params.beta + 1.0)
     terms = [(math.log(lam), e0 - 1.0) for lam, e0 in zip(lams, (params.p, params.q)) if lam > 0.0]
     k0 = min(k for _, k in terms)
@@ -257,13 +220,11 @@ def measured_distribution(w: ExtremalWeight, t):
 
 
 def distribution_matches_solver(w: ExtremalWeight) -> tuple[bool, float]:
-    """Compare the measured distribution of a dual weight against u(t).
+    """Compare the measured distribution of a weight against u(t).
 
     Samples 200 levels t over the interior of (0, T) and returns (all
     within 1e-4 relative, worst relative deviation).
     """
-    if w.mode != "Dual":
-        raise ValueError("distribution comparison applies to dual weights")
     T = w.mults.T
     ts = np.linspace(0.01 * T, 0.99 * T, _DISTRIBUTION_SAMPLES)
     measured = measured_distribution(w, ts)

@@ -131,6 +131,37 @@ class TestBoundCommand:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(
+                ["bound", "--beta", "0.5", "--p", "50", "--q", "60", "--A", "1e-10", "--B", "1"],
+                2, id="bound A^p underflows",
+            ),
+            pytest.param(
+                ["verify", "--beta", "0.5", "--p", "40", "--q", "60", "--A", "1e10", "--B", "1e13"],
+                2, id="verify A^p overflows",
+            ),
+            pytest.param(
+                ["profile", "--beta", "0.5", "--p", "40", "--q", "60", "--A", "1e10", "--B", "1e13"],
+                2, id="profile A^p overflows",
+            ),
+            # A^p is in range, but the SingleP multiplier lam^-(p-1) ~ exp(728) is not.
+            pytest.param(
+                ["bound", "--beta", "0.5", "--p", "50", "--q", "60", "--A", "3.7e-7", "--B", "1"],
+                3, id="bound multiplier overflows",
+            ),
+        ],
+    )
+    def test_budget_powers_out_of_float_range(self, argv, expected, capsys, tmp_path):
+        if argv[0] == "profile":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == expected
+        assert err.startswith(("parameter error: ", "solver error: "))
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestProfileCommand:
     def test_dual_profile_csv(self, capsys, tmp_path, ref_report):
@@ -149,20 +180,22 @@ class TestProfileCommand:
         assert np.all(np.diff(mags) <= 0)
 
     def test_single_profile_matches_closed_form(self, capsys, tmp_path):
-        out_path = tmp_path / "single.csv"
-        code, _, _ = run_cli(
-            ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "1",
-             "--samples", "100", "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 0
-        rows = list(csv.reader(out_path.open()))[1:]
-        params = wl.ProblemParams(0.5, 2, 4, 1.0, 1.0)
-        consts = wl.derive_constants(params)
-        lam = wl.single_bound(params, consts, "P").lam
-        for r in rows[::17]:
-            d, mag = float(r[0]), float(r[1])
-            assert mag == pytest.approx(lam * (1 - d) ** (1 / consts.alpha_p), rel=1e-10)
+        for B, side in (("1", "P"), ("0.2", "Q")):
+            out_path = tmp_path / f"single{side}.csv"
+            code, _, _ = run_cli(
+                ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", B,
+                 "--samples", "100", "--out", str(out_path)],
+                capsys,
+            )
+            assert code == 0
+            rows = list(csv.reader(out_path.open()))[1:]
+            params = wl.ProblemParams(0.5, 2, 4, 1.0, float(B))
+            consts = wl.derive_constants(params)
+            lam = wl.single_bound(params, consts, side).lam
+            alpha = consts.alpha_p if side == "P" else consts.alpha_q
+            for r in rows[::17]:
+                d, mag = float(r[0]), float(r[1])
+                assert mag == pytest.approx(lam * (1 - d) ** (1 / alpha), rel=1e-10)
 
     def test_center_flag(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
@@ -237,8 +270,7 @@ class TestVerifyCommand:
     def test_corruption_exit_5(self, capsys):
         code, _, err = run_cli(
             ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
-             "--oracle-points", "800", "--nodes-per-panel", "12", "--nx", "151",
-             "--ny", "140", "--inject-corruption"],
+             "--oracle-points", "800", "--inject-corruption"],
             capsys,
         )
         assert code == 5
@@ -250,15 +282,6 @@ class TestVerifyCommand:
             ["verify", "--oracle-points", "50"],
             ["profile", "--samples", "0"],
             ["profile", "--samples", "-3"],
-            ["verify", "--nx", "1"],
-            ["verify", "--ny", "1"],
-            ["verify", "--nodes-per-panel", "-2"],
-            ["verify", "--nx", "0"],
-            ["verify", "--ny", "0"],
-            ["verify", "--nodes-per-panel", "0"],
-            ["verify", "--omega-max", "0"],
-            ["verify", "--omega-max", "-5"],
-            ["verify", "--omega-max", "nan"],
         ],
         ids=" ".join,
     )
@@ -272,14 +295,27 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--omega-max", "44"), ("--nodes-per-panel", "20"), ("--nx", "301"), ("--ny", "280")],
+    )
+    def test_removed_grid_flags_exit_2(self, flag, value, capsys):
+        params = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, value, *params])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyGridLimits:
     PARAMS = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
 
     @pytest.fixture
     def no_grids(self, monkeypatch):
-        """Grid constructors and the oracle that raise if reached, so a
-        refused flag provably allocates nothing."""
+        """An oracle that raises if reached, so a refused flag provably
+        allocates nothing."""
         from wavelock import verifier
 
         class Reached(Exception):
@@ -288,26 +324,14 @@ class TestVerifyGridLimits:
         def reached(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(verifier.FrequencyGrid, "default", reached)
-        monkeypatch.setattr(verifier.PlaneGrid, "default", reached)
         monkeypatch.setattr(verifier, "run_oracle", reached)
         return Reached
 
     @pytest.mark.parametrize(
         "flags, what",
         [
-            (["--omega-max", "1e9"], "--omega-max"),
-            (["--omega-max", "inf"], "--omega-max"),
-            (["--nx", "10000000000"], "--nx"),
-            (["--ny", "2000001"], "--ny"),
-            (["--nodes-per-panel", "3000000"], "--nodes-per-panel"),
             (["--oracle-points", "10000000000"], "--oracle-points"),
             (["--oracle-points", "2000001", "--skip-operator"], "--oracle-points"),
-            (["--nodes-per-panel", "1415"], "nodes-per-panel squared"),
-            (["--omega-max", "3000"], "nx x n_omega"),
-            (["--nx", "2000", "--omega-max", "48.6"], "nx x n_omega"),
-            (["--ny", "20000"], "ny x n_omega"),
-            (["--nx", "2000", "--ny", "1001", "--omega-max", "2"], "nx x ny"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else "",
     )
@@ -319,12 +343,14 @@ class TestVerifyGridLimits:
         assert out == ""
 
     def test_limit_is_inclusive(self, no_grids, capsys):
-        # 20 nodes x 50 panels = 1000 frequency nodes, and 2000 x 1000 is
-        # exactly the limit: the flags pass and the grid is built.
+        # 2 000 000 oracle points is exactly the limit: the flag passes and
+        # the oracle is reached.
         with pytest.raises(no_grids):
-            main(["verify", "--nx", "2000", "--omega-max", "48.5", *self.PARAMS])
+            main(["verify", "--oracle-points", "2000000", *self.PARAMS])
 
     def test_stated_node_count_is_the_grid_size(self):
+        # n_omega = nodes-per-panel x (3 + ceil(omega-max - 1.5)) for the
+        # library grid FrequencyGrid.default.
         for omega_max, n_omega in ((0.5, 60), (1.5, 60), (1.6, 80), (44.0, 920), (48.5, 1000), (48.6, 1020)):
             assert FrequencyGrid.default(omega_max, 20).size == n_omega
 
@@ -332,9 +358,9 @@ class TestVerifyGridLimits:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "n_omega = nodes-per-panel x (3 + ceil(omega-max - 1.5))" in out
-        assert "at most 2000000" in out
         assert "100 to 2000000" in out
+        for flag in ("--omega-max", "--nodes-per-panel", "--nx", "--ny"):
+            assert flag not in out
 
 
 class TestScanCommand:

@@ -1,12 +1,13 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 import wavelock as wl
-from wavelock.closed_form import disc_measure
-from wavelock.core import FOUR_PI
+from wavelock.closed_form import _side_fields, disc_measure
+from wavelock.core import FOUR_PI, _checked_integral
 from conftest import random_single_params
 
 # Frozen from 50-digit mpmath evaluations of the closed forms.
@@ -193,6 +194,7 @@ def _test_profiles(ref_params, ref_report):
     """(profile, peak) for the reference dual weight, a SingleP and a SingleQ
     weight, the indicator profile and the zero profile."""
     out = []
+    regimes = []
     for params, report in (
         (ref_params, ref_report),
         *((p, wl.compute_bound(p)) for p in (
@@ -202,6 +204,8 @@ def _test_profiles(ref_params, ref_report):
     ):
         w = wl.weight_from_report(params, report)
         out.append((w.profile(), w.peak))
+        regimes.append(report.regime)
+    assert regimes == ["Dual", "SingleP", "SingleQ"]
     out.append((_indicator(), 2.0))
     out.append((wl.RadialProfile(fn=lambda d: np.zeros_like(np.asarray(d, float)), domain=(0, 1)), 0.0))
     return out
@@ -228,7 +232,6 @@ class _CountingProfile:
 
 class TestBisectionFixedPoint:
     def test_equals_the_120_halving_loop(self, ref_params, ref_report):
-        modes = []
         for profile, peak in _test_profiles(ref_params, ref_report):
             levels = np.concatenate([
                 [0.0, 5e-324, 1e-300, 1e-12 * peak],
@@ -241,8 +244,6 @@ class TestBisectionFixedPoint:
                 got = v(t)
                 assert np.ndim(got) == 0
                 assert got == _bisected_120(profile, t)
-            modes.append(profile.label)
-        assert modes[:3] == ["weight-Dual", "weight-SingleP", "weight-SingleQ"]
 
     def test_stops_within_64_halvings(self, ref_params, ref_report):
         single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
@@ -264,11 +265,87 @@ class TestBisectionFixedPoint:
         assert zero.halvings(np.array([0.0, 1.0])) == 0
 
 
+@dataclass(frozen=True)
+class MomentCheck:
+    """Quadrature residuals of the two moment identities of a single profile."""
+
+    side: str
+    own_moment: float
+    own_closed_form: float
+    own_residual: float
+    cross_moment: float
+    cross_closed_form: float
+    cross_residual: float | None
+
+    @property
+    def cross_diverges(self) -> bool:
+        return math.isinf(self.cross_moment)
+
+
+def _moment_of_single_profile(e: float, alpha: float, lam: float) -> float:
+    """e * int t^(e-1) v(t) dt for v(t) = 4pi ((t/lam)^(-alpha) - 1) on (0, lam].
+
+    After s = t/lam the integrand is s^(e-1-alpha) - s^(e-1) on (0, 1];
+    the first exponent stays above -1 exactly when e > alpha.  It tends
+    to -1 as the cross moment nears divergence, so the graded Gauss rule
+    runs in y = s^(e-alpha), where the integrand becomes
+    (1 - y^(alpha/(e-alpha)))/(e - alpha), bounded on (0, 1].
+    """
+    if e <= alpha:
+        return math.inf
+    m = 1.0 / (e - alpha)
+    val = _checked_integral(
+        lambda y: -m * np.expm1(alpha * m * np.log(y)),
+        1.0,
+        f"moment {e:g} of a single profile",
+    )
+    return FOUR_PI * e * lam**e * val
+
+
+def verify_moment_identities(
+    params: wl.ProblemParams,
+    consts: wl.DerivedConstants,
+    lam: float,
+    side: str,
+) -> MomentCheck:
+    """Check the own- and cross-moment closed forms of a single profile.
+
+    The own moment e * int t^(e-1) v dt must come out as 4 pi sigma_e
+    lam^e (the budget to the e-th power when lam was matched to it); the
+    cross moment must equal the threshold form (r * budget)^other, or
+    diverge when other <= alpha_e.  Residuals are relative.
+    """
+    e, _, alpha, sigma, _, other = _side_fields(params, consts, side)
+
+    own_closed = FOUR_PI * sigma * lam**e
+    own = _moment_of_single_profile(e, alpha, lam)
+    own_res = abs(own - own_closed) / own_closed
+
+    cross_closed = (
+        (FOUR_PI * alpha / (other - alpha)) * lam**other if other > alpha else math.inf
+    )
+    cross = _moment_of_single_profile(other, alpha, lam)
+    if math.isinf(cross_closed) or math.isinf(cross):
+        cross_res = None
+    else:
+        cross_res = abs(cross - cross_closed) / cross_closed
+
+    return MomentCheck(
+        side=side,
+        own_moment=own,
+        own_closed_form=own_closed,
+        own_residual=own_res,
+        cross_moment=cross,
+        cross_closed_form=cross_closed,
+        cross_residual=cross_res,
+    )
+
+
 class TestMomentIdentities:
     def test_reference_p_side(self):
         params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
         lam = wl.single_bound(params, consts, "P").lam
-        chk = wl.verify_moment_identities(params, consts, lam, "P")
+        chk = verify_moment_identities(params, consts, lam, "P")
         assert chk.own_closed_form == pytest.approx(1.0, rel=1e-13)  # = A^p
         assert chk.own_residual <= 1e-10
         assert chk.cross_residual is not None and chk.cross_residual <= 1e-10
@@ -276,7 +353,7 @@ class TestMomentIdentities:
 
     def test_divergent_case(self):
         params, consts = make(0.1, 4.0, 1.5, 1.0, 1.0)
-        chk = wl.verify_moment_identities(params, consts, 1.0, "P")
+        chk = verify_moment_identities(params, consts, 1.0, "P")
         assert chk.cross_diverges
         assert math.isinf(chk.cross_moment)
         assert chk.cross_residual is None
@@ -287,7 +364,7 @@ class TestMomentIdentities:
             params, side = random_single_params(rng)
             consts = wl.derive_constants(params)
             lam = wl.single_bound(params, consts, side).lam
-            chk = wl.verify_moment_identities(params, consts, lam, side)
+            chk = verify_moment_identities(params, consts, lam, side)
             budget = params.A if side == "P" else params.B
             e = params.p if side == "P" else params.q
             assert chk.own_closed_form == pytest.approx(budget**e, rel=1e-12)

@@ -10,12 +10,16 @@ from wavelock.oracle import (
     OracleError,
     _dual,
     export_solution,
-    objective_of,
     run_oracle,
     solve_discrete,
     truncation_note,
 )
 from conftest import random_dual_params, random_single_params
+
+
+def objective_of(prob: DiscreteProblem, v: np.ndarray) -> float:
+    """Discrete objective sum G(v_i) dt_i of an arbitrary profile."""
+    return float(wl.g_eval(np.asarray(v, dtype=float), prob.params.beta) @ prob.dt)
 
 
 def near_threshold_params(rng: np.random.Generator) -> wl.ProblemParams:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,21 +6,68 @@ import pytest
 
 import wavelock as wl
 from conftest import random_dual_params, random_single_params
+from wavelock.core import _checked_integral
 from wavelock.verifier import (
     CauchyTransform,
     FrequencyGrid,
     PlaneGrid,
+    cauchy_wavelet_hat,
     default_test_vectors,
     feasible_perturbation,
     grid_lebesgue_norm,
     indicator_disc,
-    refinement_ladder,
+    operator_norm,
     run_verification,
     sample_weight,
-    wavelet_norm_check,
     wavelet_normalization,
 )
 from wavelock.weight import weight_from_report
+
+
+def wavelet_norm_check(beta: float) -> float:
+    """Quadrature value of 2 pi int |psi_hat|^2 dw/w; equals 1 by design.
+
+    The graded Gauss rule takes w in (0, 1] and, through w = 1/x, the
+    tail w >= 1.
+    """
+
+    def f(w):
+        return cauchy_wavelet_hat(w, beta) ** 2 / w
+
+    head = _checked_integral(f, 1.0, "wavelet norm on (0, 1]")
+    tail = _checked_integral(lambda x: f(1.0 / x) / x**2, 1.0, "wavelet norm beyond 1")
+    return 2.0 * math.pi * (head + tail)
+
+
+def refinement_ladder(
+    params: wl.ProblemParams, report: wl.BoundReport, levels: int = 3
+) -> list[dict]:
+    """Isometry defect and bound gap on successively refined grids.
+
+    Level 0 has 12 frequency nodes per panel and an 81 x 72 plane grid;
+    each level multiplies the panel node count and both plane resolutions
+    by 1.5x.  Used to demonstrate that both discretization measures
+    shrink together.
+    """
+    rows = []
+    for lvl in range(levels):
+        f = 1.5**lvl
+        fgrid = FrequencyGrid.default(nodes_per_panel=int(8 * f) + 4)
+        pgrid = PlaneGrid.default(nx=int(81 * f) | 1, ny=int(72 * f))
+        machine = CauchyTransform(fgrid, pgrid, params.beta)
+        defect = machine.isometry_defect(default_test_vectors(fgrid)[0])
+        w = weight_from_report(params, report)
+        F = sample_weight(w, pgrid)
+        power = operator_norm(F, machine)
+        rows.append(
+            {
+                "level": lvl,
+                "defect": defect,
+                "gap": abs(power.norm - report.bound) / report.bound,
+                "norm": power.norm,
+            }
+        )
+    return rows
 
 
 class TestWavelet:
@@ -37,7 +85,6 @@ class TestWavelet:
         assert wl.cauchy_wavelet_hat(-3.0, 0.5) == 0.0
 
     def test_normalization_constant(self):
-        import math
         from scipy.special import gamma
 
         for beta in (0.3, 0.5, 2.5):
@@ -268,23 +315,12 @@ class TestRadialOperatorNorm:
 
 class TestRunVerification:
     def test_reference_instance_passes(self, ref_params):
-        report = run_verification(
-            ref_params, fgrid=FrequencyGrid.default(), pgrid=PlaneGrid.default()
-        )
+        report = run_verification(ref_params)
         assert report.ok, report.failures()
-        assert max(report.isometry_defects) <= 1e-3
         assert abs(report.oracle_rel_gap) <= 0.01
-        assert -0.10 <= report.operator_rel_gap <= 0.02
+        assert abs(report.operator_rel_gap) <= 1e-8
         assert report.wall_time_s > 0
-
-        exact = run_verification(ref_params)
-        assert exact.ok, exact.failures()
-        assert abs(exact.oracle_rel_gap) <= 0.01
-        assert abs(exact.operator_rel_gap) <= 1e-8
-        assert exact.isometry_defects == []
-        assert exact.operator_iterations is None
-        assert exact.grid == {}
-        assert "isometry" not in exact.checks
+        assert "isometry" not in report.checks
 
     def test_default_passes_on_test_suite_draws(self):
         rng = np.random.default_rng(2024)
@@ -307,12 +343,7 @@ class TestRunVerification:
         assert report.oracle_duality_gap <= 1e-6
 
     def test_corruption_hook_fails(self, ref_params):
-        report = run_verification(
-            ref_params,
-            fgrid=FrequencyGrid.default(nodes_per_panel=12),
-            pgrid=PlaneGrid.default(nx=151, ny=140),
-            corrupt_weight=True,
-        )
+        report = run_verification(ref_params, corrupt_weight=True)
         assert not report.ok
         assert "operator_window" in report.failures()
 

@@ -136,12 +136,6 @@ class TestWeightNorms:
         assert pn == pytest.approx(1.0, rel=1e-8)
         assert qn == pytest.approx(consts.r2, rel=1e-8)
 
-    def test_zero_weight(self, ref_params):
-        w = wl.ExtremalWeight(
-            params=ref_params, mode="SingleP", center=HalfPlanePoint(0.0, 1.0), lam=0.0
-        )
-        assert wl.weight_norms(w) == (0.0, 0.0)
-
 
 class TestRadialOperatorNorm:
     def test_equals_the_bound(self, ref_params, ref_report):
@@ -152,22 +146,18 @@ class TestRadialOperatorNorm:
         for params in instances:
             report = wl.compute_bound(params)
             w = wl.weight_from_report(params, report)
-            modes.add(w.mode)
+            modes.add(report.regime)
             assert wl.radial_operator_norm(w) == pytest.approx(report.bound, rel=1e-12)
         assert modes == {"Dual", "SingleP", "SingleQ"}
-
-    def test_zero_weight(self, ref_params):
-        w = wl.ExtremalWeight(
-            params=ref_params, mode="SingleQ", center=HalfPlanePoint(0.0, 1.0), lam=0.0
-        )
-        assert wl.radial_operator_norm(w) == 0.0
 
 
 class TestDistribution:
     def test_matches_solver_u(self, dual_weight):
-        ok, worst = distribution_matches_solver(dual_weight)
-        assert ok, f"worst relative deviation {worst:.3e}"
-        assert worst <= 1e-4
+        singles = [wl.ProblemParams(0.5, 2.0, 4.0, 1.0, B) for B in (1.0, 0.2)]  # SingleP, SingleQ
+        for w in [dual_weight] + [wl.weight_from_report(P, wl.compute_bound(P)) for P in singles]:
+            ok, worst = distribution_matches_solver(w)
+            assert ok, f"worst relative deviation {worst:.3e}"
+            assert worst <= 1e-4
 
     def test_levels_above_peak_measure_zero(self, dual_weight, ref_report):
         assert wl.measured_distribution(dual_weight, ref_report.T * 1.0001) == 0.0
@@ -194,14 +184,8 @@ class TestValidation:
             HalfPlanePoint(1.0, -2.0)
 
     def test_mode_validation(self, ref_params):
-        with pytest.raises(ValueError):
-            wl.ExtremalWeight(
-                params=ref_params, mode="Dual", center=HalfPlanePoint(0, 1)
-            )
-        with pytest.raises(ValueError):
-            wl.ExtremalWeight(
-                params=ref_params, mode="Elliptic", center=HalfPlanePoint(0, 1), lam=1.0
-            )
+        with pytest.raises(TypeError):
+            wl.ExtremalWeight(params=ref_params, center=HalfPlanePoint(0, 1))
 
 
 # psi at PSI_S for (beta, p, q), lambda1, lambda2, T, frozen from the
@@ -265,18 +249,24 @@ class TestPsiInverseValues:
         assert wl.psi_inverse(0.0, m, ref_params) <= m.T
 
 
-def _quad_norms(w):
-    """(p-norm, q-norm) by scipy's adaptive quadrature of |F|^e over s = d/(1 - d)."""
+def _quad_norms(w, report):
+    """(p-norm, q-norm) by scipy's adaptive quadrature of |F|^e over s = d/(1 - d).
+
+    A single-regime weight is integrated in its closed form
+    lam (1 + s)^(-1/alpha), independently of its multipliers.
+    """
     params = w.params
-    if w.mode == "Dual":
+    if report.regime == "Dual":
         def magnitude(s):
             return wl.psi_inverse(s, w.mults, params)
     else:
         consts = wl.derive_constants(params)
-        alpha = consts.alpha_p if w.mode == "SingleP" else consts.alpha_q
+        side = report.regime[-1]
+        alpha = consts.alpha_p if side == "P" else consts.alpha_q
+        lam = wl.single_bound(params, consts, side).lam
 
         def magnitude(s):
-            return w.lam * (1.0 + s) ** (-1.0 / alpha)
+            return lam * (1.0 + s) ** (-1.0 / alpha)
 
     norms = []
     for e in (params.p, params.q):
@@ -292,9 +282,10 @@ class TestWeightNormsAgainstQuad:
         instances += [random_single_params(rng)[0] for _ in range(10)]
         modes = set()
         for params in instances:
-            w = wl.weight_from_report(params, wl.compute_bound(params))
-            modes.add(w.mode)
-            assert wl.weight_norms(w) == pytest.approx(_quad_norms(w), rel=1e-9)
+            report = wl.compute_bound(params)
+            w = wl.weight_from_report(params, report)
+            modes.add(report.regime)
+            assert wl.weight_norms(w) == pytest.approx(_quad_norms(w, report), rel=1e-9)
         assert modes == {"Dual", "SingleP", "SingleQ"}
 
 
