@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .core import ParameterError, ProblemParams, QuadratureError
+from .oracle import OracleError
 from .solver import BoundReport, SolverError, compute_bound, u_eval
 from .verifier import run_verification
 from .weight import weight_from_report
@@ -27,13 +29,14 @@ EXIT_VERIFY = 5
 
 SCHEMA = "wavelock/1"
 
-# The largest discrete oracle grid verify builds.
+# The largest array a flag can size: verify's oracle grid, profile's rows and
+# scan's ratio steps.
 _MAX_ARRAY = 2_000_000
 
 _EPILOG = """exit codes:
   0  success
   2  invalid parameters (p = q, nonpositive values, bad flags)
-  3  solver failure (no convergence or quadrature breakdown)
+  3  solver failure (no convergence, quadrature breakdown or oracle failure)
   4  I/O error writing an output file
   5  verification tolerance breach
 """
@@ -125,18 +128,20 @@ def cmd_bound(args) -> int:
 
 def cmd_profile(args) -> int:
     params = _params_from(args)
-    if args.samples < 1:
-        raise ParameterError("--samples must be at least 1")
-    report = compute_bound(params)
+    if not 1 <= args.samples <= _MAX_ARRAY:
+        raise ParameterError(f"--samples must be between 1 and {_MAX_ARRAY}, got {args.samples}")
     center = None
     if args.center:
         try:
             cx, cy = (float(v) for v in args.center.split(","))
         except ValueError as exc:
             raise ParameterError(f"--center expects 'x,y', got {args.center!r}") from exc
+        if not (math.isfinite(cx) and math.isfinite(cy) and cy > 0.0):
+            raise ParameterError(f"--center needs finite x and y > 0, got {args.center!r}")
         from .weight import HalfPlanePoint
 
         center = HalfPlanePoint(cx, cy)
+    report = compute_bound(params)
     w = weight_from_report(params, report, center=center)
     prof = w.profile()
 
@@ -242,8 +247,8 @@ def cmd_scan(args) -> int:
 
     tasks = []
     if args.ratio_min is not None:
-        if args.steps < 1:
-            raise ParameterError("--steps must be at least 1")
+        if not 1 <= args.steps <= _MAX_ARRAY:
+            raise ParameterError(f"--steps must be between 1 and {_MAX_ARRAY}, got {args.steps}")
         ratios = (
             np.linspace(args.ratio_min, args.ratio_max, args.steps)
             if args.steps > 1
@@ -285,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("profile", help="export the extremal weight profile as CSV")
     _add_param_flags(pr)
-    pr.add_argument("--samples", type=int, default=1000)
+    pr.add_argument(
+        "--samples", type=int, default=1000,
+        help=f"profile rows, 1 to {_MAX_ARRAY} (default 1000)",
+    )
     pr.add_argument("--out", required=True, help="output CSV path")
     pr.add_argument("--center", default=None, help="weight centre as 'x,y' (default 0,1)")
     pr.set_defaults(func=cmd_profile)
@@ -313,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--B", type=float, default=None, help="q-budget (q sweeps)")
     s.add_argument("--ratio-min", type=float, default=None)
     s.add_argument("--ratio-max", type=float, default=None)
-    s.add_argument("--steps", type=int, default=41)
+    s.add_argument(
+        "--steps", type=int, default=41,
+        help=f"ratio sweep steps, 1 to {_MAX_ARRAY} (default 41)",
+    )
     s.add_argument("--q-sweep", default=None, help="comma-separated q values")
     s.set_defaults(func=cmd_scan)
 
@@ -333,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (SolverError, QuadratureError) as exc:
+    except (SolverError, QuadratureError, OracleError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

@@ -20,11 +20,12 @@ gap between the lowest D and that point's objective.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, derive_constants, g_eval, g_prime
+from .core import FOUR_PI, ProblemParams, derive_constants, g_eval
 
 
 class OracleError(RuntimeError):
@@ -117,87 +118,92 @@ class DiscreteSolution:
 
 
 def _dual(
-    mu: np.ndarray, a: np.ndarray, b: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
+    mu, a: np.ndarray, b: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Lagrangian dual D(mu), its gradient and Hessian, and the maximiser s(mu).
 
     D(mu) = sum_i dt_i [G(s_i) - c_i s_i] + mu . caps with
     c_i = (mu1 a_i + mu2 b_i)/dt_i, where s_i maximises G(s) - c_i s over
-    s >= 0.  With r_i = c_i/G'(0) and x_i = r_i^(-1/(2 beta+1)) that
-    maximiser is s_i = 4pi (x_i - 1) when r_i < 1 and 0 otherwise, and the
-    bracket collapses to 1 - (2 beta+1) r_i x_i + 2 beta r_i, which stays
-    finite as r_i -> 0.  Requires mu != 0.
+    s >= 0.  With r_i = min(c_i/G'(0), 1) and x_i = r_i^(-1/(2 beta+1)) that
+    maximiser is s_i = 4pi (x_i - 1), exactly 0 where r_i = 1, and the
+    bracket collapses to 1 - r_i x_i - 2 beta r_i (x_i - 1), which stays
+    finite as r_i -> 0 and is exactly 0 at r_i = 1.  So every pass runs over
+    all nodes, and only the Hessian masks out r_i = 1.  Requires mu != 0.
     """
     den = mu[0] * a + mu[1] * b
-    r = den / (dt * g_prime(0.0, beta))
-    on = r < 1.0
-    x = r[on] ** (-1.0 / (2.0 * beta + 1.0))
-    s = np.zeros_like(r)
-    s[on] = FOUR_PI * (x - 1.0)
-    value = float(dt[on] @ (1.0 - (2.0 * beta + 1.0) * r[on] * x + 2.0 * beta * r[on]))
-    value += float(mu @ caps)
+    r = np.minimum(den / (dt * (2.0 * beta / FOUR_PI)), 1.0)  # G'(0) = 2 beta/4pi
+    x = r ** (-1.0 / (2.0 * beta + 1.0))
+    s = FOUR_PI * (x - 1.0)
+    value = float(dt @ (1.0 - r * x - 2.0 * beta * r * (x - 1.0)))
+    value += float(mu[0] * caps[0] + mu[1] * caps[1])
     grad = caps - np.array([a @ s, b @ s])
-    rows = np.stack((a[on], b[on]))
-    hess = (FOUR_PI / (2.0 * beta + 1.0)) * (rows * (x / den[on])) @ rows.T
+    w = np.where(r < 1.0, (FOUR_PI / (2.0 * beta + 1.0)) * x / den, 0.0)
+    wa, wb = w * a, w * b
+    hess = np.array([[wa @ a, wa @ b], [wa @ b, wb @ b]])
     return value, grad, hess, s
 
 
-def _advance(mu: np.ndarray, d: np.ndarray, t: float) -> np.ndarray:
-    """The multipliers a step t along d: mu exp(t d/mu) where mu > 0, mu + t d where mu = 0.
+def _advance(m: float, d: float, t: float) -> float:
+    """A multiplier a step t along d: m exp(t d/m) when m > 0, m + t d when m = 0.
 
     A positive multiplier moves multiplicatively, with velocity d at t = 0,
     so it never crosses zero however far the line search reaches; a zero
     multiplier opens linearly.
     """
-    out = mu + t * d
-    pos = mu > 0.0
-    out[pos] = mu[pos] * np.exp(t * d[pos] / mu[pos])
-    return out
+    return m * math.exp(t * d / m) if m > 0.0 else m + t * d
 
 
-def _descend(mu: np.ndarray, free: np.ndarray, dual, caps: np.ndarray, max_steps: int):
+def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
     """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
 
-    The others stay at zero.  Each Newton direction is followed along
-    ``_advance`` with the first trial capped so that no multiplier moves
-    by more than e^40, then backtracked by Armijo over a fixed number of
-    halvings rather than down to a floor on the step: far from the
-    optimum the quadratic model of D overshoots by many orders of
-    magnitude, and the capped first trial can already be below 1e-12.
-    Once the predicted decrease is below the rounding of D, full steps are
-    taken while the relative moment residual keeps falling.  The descent
-    stops when a multiplier's share of mu . caps collapses below 1e-30:
-    the optimum then lies within rounding of the face that the other seed
-    descends, and further steps would only shrink that multiplier toward
-    underflow.  Returns the final multipliers, the dual there (value,
-    gradient, Hessian, maximiser) and the number of steps taken.
+    The others stay at zero.  The step runs on Python floats: the explicit
+    2x2 Newton solve, with the identity in place of a held multiplier's
+    Hessian row and 0 for its gradient, which leaves the 1x1 solve on a
+    face.  Each Newton direction is followed along ``_advance`` with the
+    first trial capped so that no multiplier moves by more than e^40, then
+    backtracked by Armijo over a fixed number of halvings rather than down
+    to a floor on the step: far from the optimum the quadratic model of D
+    overshoots by many orders of magnitude, and the capped first trial can
+    already be below 1e-12.  Once the predicted decrease is below the
+    rounding of D, full steps are taken while the relative moment residual
+    keeps falling.  The descent stops when a multiplier's share of mu . caps
+    collapses below 1e-30: the optimum then lies within rounding of the
+    face that the other seed descends, and further steps would only shrink
+    that multiplier toward underflow.  Returns the final multipliers, the
+    dual there (value, gradient, Hessian, maximiser) and the steps taken.
     """
+    (f1, f2), (c1, c2) = free, caps.tolist()
+
+    def residual(grad):
+        return max(abs(grad[0]) / c1 if f1 else 0.0, abs(grad[1]) / c2 if f2 else 0.0)
+
     point = dual(mu)
-    f = np.flatnonzero(free)
     for step in range(max_steps):
-        value, grad, hess, _ = point
-        h = hess[np.ix_(f, f)]
-        d = np.zeros(2)
-        if np.linalg.det(h) > 0.0:
-            d[f] = -np.linalg.solve(h, grad[f])
-        elif not hess.any():
-            d[f] = -_MAX_LOG_STEP * mu[f]  # every node priced out: D = mu . caps
+        (m1, m2), (value, grad, hess, _) = mu, point
+        (h11, h12), (_, h22) = hess.tolist()
+        g1, g2 = grad.tolist()
+        g1, g2, h12 = g1 if f1 else 0.0, g2 if f2 else 0.0, h12 if f1 and f2 else 0.0
+        h11, h22 = h11 if f1 else 1.0, h22 if f2 else 1.0
+        det = h11 * h22 - h12 * h12
+        if det > 0.0:
+            d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+        elif not hess.any():  # every node priced out: D = mu . caps
+            d1, d2 = -_MAX_LOG_STEP * m1 * f1, -_MAX_LOG_STEP * m2 * f2
         else:
             return mu, point, step
-        if np.any(d[mu == 0.0] < 0.0):
+        if (m1 == 0.0 and d1 < 0.0) or (m2 == 0.0 and d2 < 0.0):
             return mu, point, step
-        moving = (mu > 0.0) & (d != 0.0)
-        t = min(1.0, float(np.min(_MAX_LOG_STEP * mu[moving] / np.abs(d[moving]), initial=np.inf)))
-        slope = float(grad @ d)
-        if -slope <= _ROUNDOFF * (abs(value) + float(mu @ caps)):
-            trial_mu = _advance(mu, d, t)
+        moving = [(m, d) for m, d in ((m1, d1), (m2, d2)) if m > 0.0 and d != 0.0]
+        t = min([1.0] + [_MAX_LOG_STEP * m / abs(d) for m, d in moving])
+        slope = g1 * d1 + g2 * d2
+        if -slope <= _ROUNDOFF * (abs(value) + m1 * c1 + m2 * c2):
+            trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
             trial = dual(trial_mu)
-            residual = np.max(np.abs(grad[f]) / caps[f])
-            if not np.max(np.abs(trial[1][f]) / caps[f]) < residual:
+            if not residual(trial[1]) < residual(grad):
                 return mu, point, step
         else:
             for _ in range(_HALVINGS):
-                trial_mu = _advance(mu, d, t)
+                trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
                 trial = dual(trial_mu)
                 if trial[0] <= value + _ARMIJO * t * slope:
                     break
@@ -205,7 +211,8 @@ def _descend(mu: np.ndarray, free: np.ndarray, dual, caps: np.ndarray, max_steps
             else:
                 return mu, point, step
         mu, point = trial_mu, trial
-        if np.any(mu[f] * caps[f] <= _COLLAPSE * float(mu @ caps)):
+        collapse = _COLLAPSE * (mu[0] * c1 + mu[1] * c2)
+        if (f1 and mu[0] * c1 <= collapse) or (f2 and mu[1] * c2 <= collapse):
             return mu, point, step + 1
     return mu, point, max_steps
 
@@ -213,31 +220,37 @@ def _descend(mu: np.ndarray, free: np.ndarray, dual, caps: np.ndarray, max_steps
 def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSolution:
     """Maximise the discrete problem through its explicit dual, certified by the gap.
 
-    D(mu) is minimised by damped Newton from constant seeds only: a unit
-    multiplier on each face, first (1, 0) and then (0, 1), each descended
-    with the other multiplier held at zero.  A face minimiser at which the
-    other constraint holds (its dual gradient is >= 0) satisfies the KKT
-    conditions and so minimises D over the whole quadrant.  When the other
-    constraint is violated at both, the optimum prices both constraints and
-    both descents continue over the two multipliers.  The lowest D reached
-    bounds every feasible objective from above; the primal answer is the
-    best of the descents' maximisers s(mu), each divided by its budget load
-    max(a.s/A^p, b.s/B^q) when that exceeds 1.  Taking the two separately
-    matters where D is flat in a multiplier near zero.  ``converged`` means
-    certified: (D - obj)/obj <= 1e-6.  ``max_iter`` caps the Newton steps
-    of each descent, and ``iterations`` counts the steps of all of them.
+    D(mu) is minimised by damped Newton steps on Python floats from
+    constant seeds only: a unit multiplier on each face, first (1, 0) and
+    then (0, 1), each descended with the other multiplier held at zero.  A
+    face minimiser at which the other constraint holds (its dual gradient is
+    >= 0) satisfies the KKT conditions and so minimises D over the whole
+    quadrant.  When the other constraint is violated at both, the optimum
+    prices both constraints and both descents continue over the two
+    multipliers.  The lowest D reached bounds every feasible objective from
+    above; the primal answer is the best of the descents' maximisers s(mu),
+    each divided by its budget load max(a.s/A^p, b.s/B^q) when that exceeds
+    1.  Taking the two separately matters where D is flat in a multiplier
+    near zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
+    ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
+    the steps of all of them, and diagnostics["dual_evaluations"] the
+    evaluations of D, line-search trials included.
     """
     beta = prob.params.beta
     a, b = prob.moment_vectors()
     dt = prob.dt
     caps = np.array([prob.budget_p, prob.budget_q])
+    evaluations = 0
 
     def dual(m):
+        nonlocal evaluations
+        evaluations += 1
         return _dual(m, a, b, dt, caps, beta)
 
-    descents = [_descend(seed, seed > 0.0, dual, caps, max_iter) for seed in np.eye(2)]
+    descents = [_descend(seed, (seed[0] > 0.0, seed[1] > 0.0), dual, caps, max_iter)
+                for seed in ((1.0, 0.0), (0.0, 1.0))]
     if all(point[1][1 - face] < 0.0 for face, (_, point, _) in enumerate(descents)):
-        descents += [_descend(mu, np.ones(2, bool), dual, caps, max_iter) for mu, _, _ in descents]
+        descents += [_descend(mu, (True, True), dual, caps, max_iter) for mu, _, _ in descents]
     iterations = sum(steps for *_, steps in descents)
     mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
     obj = -np.inf
@@ -253,7 +266,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     # a budget.
     excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
-    if gap + float(mu_dual @ excess) / max(obj, 1e-300) < -1e-12:
+    if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
 
     res_p = (float(a @ v) - prob.budget_p) / prob.budget_p
@@ -264,7 +277,8 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
         "duality_gap": gap,
         "dual_value": dual_value,
-        "dual_multipliers": (float(mu_dual[0]), float(mu_dual[1])),
+        "dual_multipliers": mu_dual,
+        "dual_evaluations": evaluations,
     }
     return DiscreteSolution(
         v=v,

@@ -282,6 +282,8 @@ class TestVerifyCommand:
             ["verify", "--oracle-points", "50"],
             ["profile", "--samples", "0"],
             ["profile", "--samples", "-3"],
+            ["profile", "--center", "0,-1"],
+            ["profile", "--center", "nan,1"],
         ],
         ids=" ".join,
     )
@@ -292,6 +294,22 @@ class TestVerifyCommand:
         code, out, err = run_cli(argv + params, capsys)
         assert code == 2
         assert err.startswith("parameter error: ") and argv[1] in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_oracle_failure_exit_3(self, capsys, monkeypatch):
+        from wavelock import verifier
+        from wavelock.oracle import OracleError
+
+        def failing(*args, **kwargs):
+            raise OracleError("grid expansion failed to cover the solution support")
+
+        monkeypatch.setattr(verifier, "run_oracle", failing)
+        code, out, err = run_cli(
+            ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"], capsys
+        )
+        assert code == 3
+        assert err.startswith("solver error: ") and "grid expansion failed" in err
         assert "Traceback" not in err
         assert out == ""
 
@@ -353,6 +371,36 @@ class TestVerifyGridLimits:
         # library grid FrequencyGrid.default.
         for omega_max, n_omega in ((0.5, 60), (1.5, 60), (1.6, 80), (44.0, 920), (48.5, 1000), (48.6, 1020)):
             assert FrequencyGrid.default(omega_max, 20).size == n_omega
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["profile", *PARAMS, "--out", "x.csv", "--samples", "2000001"], "--samples"),
+            (["scan", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1",
+              "--ratio-min", "0.2", "--ratio-max", "0.8", "--steps", "2000001"], "--steps"),
+        ],
+        ids=["profile", "scan"],
+    )
+    def test_oversized_rows_exit_2(self, argv, flag, capsys, monkeypatch):
+        # compute_bound raises if reached, so a refused value provably builds
+        # no array (and profile writes no file).
+        from wavelock import cli
+
+        def reached(*args, **kwargs):
+            raise AssertionError("compute_bound reached")
+
+        monkeypatch.setattr(cli, "compute_bound", reached)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("parameter error: ") and flag in err
+        assert "2000000" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["profile", "scan"])
+    def test_help_states_the_row_limits(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "1 to 2000000" in " ".join(capsys.readouterr().out.split())
 
     def test_help_states_the_limits(self, capsys):
         with pytest.raises(SystemExit):

@@ -160,6 +160,59 @@ class TestCertificate:
             assert value >= sol.objective
         assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
 
+    def test_dual_matches_its_definition(self, ref_solution):
+        # Value, gradient, Hessian and maximiser against the definition of
+        # D(mu) = sum dt [G(s) - c s] + mu . caps, not against its formulas.
+        prob, sol = ref_solution
+        a, b = prob.moment_vectors()
+        dt, beta = prob.dt, prob.params.beta
+        rows = np.stack((a, b))
+        caps = np.array([prob.budget_p, prob.budget_q])
+        scale = np.array(sol.diagnostics["dual_multipliers"])
+        rng = np.random.default_rng(12)
+        priced_out_nodes = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(20):
+                mu = scale * np.exp(rng.uniform(-4.0, 4.0, size=2))
+                if k < 4:
+                    mu[k % 2] = 0.0
+                value, grad, hess, s = _dual(mu, a, b, dt, caps, beta)
+                c = (mu @ rows) / dt
+                expected = float(dt @ (wl.g_eval(s, beta) - c * s)) + float(mu @ caps)
+                assert value == pytest.approx(expected, rel=1e-12)
+                load = rows @ s
+                assert np.all(np.abs(grad - (caps - load)) <= 1e-13 * (caps + load))
+                priced_out = c >= wl.g_prime(0.0, beta)
+                assert np.all(s[priced_out] == 0.0)
+                priced_out_nodes += np.count_nonzero(priced_out)
+                # Only along positive multipliers: a central difference along a
+                # zero one leaves the quadrant, and at mu1 = 0 the first nodes'
+                # prices mu2 b_i lie below mu1 a_i for any usable step in mu1.
+                for j in np.flatnonzero(mu):
+                    step = np.zeros(2)
+                    step[j] = 1e-6 * mu[j]
+                    plus = _dual(mu + step, a, b, dt, caps, beta)[1]
+                    minus = _dual(mu - step, a, b, dt, caps, beta)[1]
+                    np.testing.assert_allclose(hess[:, j], (plus - minus) / (2.0 * step[j]), rtol=1e-6)
+        assert priced_out_nodes > 0
+
+    def test_counts_every_dual_evaluation(self, ref_params, ref_report, monkeypatch):
+        counts = {"_dual": 0, "_descend": 0}
+        for name in counts:
+            def counted(*args, _name=name, _f=getattr(oracle, name)):
+                counts[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        evaluations = sol.diagnostics["dual_evaluations"]
+        assert evaluations == counts["_dual"]
+        # one evaluation at each seed and at least one per Newton step
+        assert evaluations >= sol.iterations + counts["_descend"]
+        assert counts["_descend"] == 4  # both faces, then both over the quadrant
+
     @pytest.mark.parametrize(
         "params, objective",
         [
