@@ -42,7 +42,7 @@ _EPILOG = """exit codes:
 """
 
 
-def _fmt_json(value, digits: int = 17) -> str:
+def _fmt_json(value) -> str:
     """Minimal JSON emitter with fixed significant digits for floats."""
     if value is None:
         return "null"
@@ -52,15 +52,15 @@ def _fmt_json(value, digits: int = 17) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         # JSON has no inf or nan: an unavailable value (no certificate) is null.
-        return f"{float(value):.{digits}g}" if np.isfinite(value) else "null"
+        return f"{float(value):.17g}" if np.isfinite(value) else "null"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(value, dict):
-        items = ", ".join(f'"{k}": {_fmt_json(v, digits)}' for k, v in value.items())
+        items = ", ".join(f'"{k}": {_fmt_json(v)}' for k, v in value.items())
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_json(v, digits) for v in value) + "]"
+        return "[" + ", ".join(_fmt_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -86,12 +86,12 @@ def _report_dict(report: BoundReport) -> dict:
     }
 
 
-def _print_text(data: dict, digits: int = 9) -> None:
+def _print_text(data: dict) -> None:
     for key, value in data.items():
         if key == "schema":
             continue
         if isinstance(value, (float, np.floating)):
-            print(f"{key} = {float(value):.{digits}g}")
+            print(f"{key} = {float(value):.9g}")
         elif value is None:
             print(f"{key} = null")
         else:
@@ -174,7 +174,6 @@ def cmd_verify(args) -> int:
     report = run_verification(
         params,
         oracle_points=args.oracle_points,
-        skip_operator=args.skip_operator,
         corrupt_weight=args.inject_corruption,
     )
     data = {
@@ -249,11 +248,7 @@ def cmd_scan(args) -> int:
     if args.ratio_min is not None:
         if not 1 <= args.steps <= _MAX_ARRAY:
             raise ParameterError(f"--steps must be between 1 and {_MAX_ARRAY}, got {args.steps}")
-        ratios = (
-            np.linspace(args.ratio_min, args.ratio_max, args.steps)
-            if args.steps > 1
-            else np.array([args.ratio_min])
-        )
+        ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps)
         tasks = [(args.beta, args.p, args.q, args.A, args.A * r) for r in ratios]
     else:
         try:
@@ -301,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the discrete and operator verifications")
     _add_param_flags(v)
     v.add_argument("--format", choices=("json", "text"), default="text")
-    v.add_argument("--skip-operator", action="store_true", help="run only the discrete oracle")
     v.add_argument(
         "--oracle-points", type=int, default=2000,
         help=f"discrete oracle grid size, 100 to {_MAX_ARRAY} (default 2000)",

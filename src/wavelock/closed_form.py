@@ -53,7 +53,6 @@ class SingleConstraintResult:
 
     bound: float
     lam: float
-    side: str
     cross_norm: float
 
 
@@ -67,8 +66,6 @@ class RadialProfile:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
-    label: str = ""
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -111,7 +108,7 @@ def single_bound(
     else:
         cross = math.inf
 
-    return SingleConstraintResult(bound=bound, lam=lam, side=side, cross_norm=cross)
+    return SingleConstraintResult(bound=bound, lam=lam, cross_norm=cross)
 
 
 def single_profile(consts: DerivedConstants, lam: float, side: str) -> RadialProfile:
@@ -131,7 +128,7 @@ def single_profile(consts: DerivedConstants, lam: float, side: str) -> RadialPro
             raise ValueError("profile argument d must lie in [0, 1)")
         return lam * (1.0 - d) ** inv_alpha
 
-    return RadialProfile(fn=fn, domain=(0.0, 1.0), label=f"single-{side}")
+    return RadialProfile(fn)
 
 
 def disc_measure(d: float) -> float:
@@ -184,4 +181,4 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
             return np.float64(out[0])
         return out.reshape(t_in.shape)
 
-    return RadialProfile(fn=fn, domain=(0.0, math.inf), label=f"dist({profile.label})")
+    return RadialProfile(fn)

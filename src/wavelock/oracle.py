@@ -137,8 +137,9 @@ def _dual(
     value = float(dt @ (1.0 - r * x - 2.0 * beta * r * (x - 1.0)))
     value += float(mu[0] * caps[0] + mu[1] * caps[1])
     grad = caps - np.array([a @ s, b @ s])
-    w = np.where(r < 1.0, (FOUR_PI / (2.0 * beta + 1.0)) * x / den, 0.0)
-    wa, wb = w * a, w * b
+    # x/den overflows where den underflows; a/den <= 1/mu1 and b/den <= 1/mu2.
+    k = np.where(r < 1.0, (FOUR_PI / (2.0 * beta + 1.0)) * x, 0.0)
+    wa, wb = k * (a / den), k * (b / den)
     hess = np.array([[wa @ a, wa @ b], [wa @ b, wb @ b]])
     return value, grad, hess, s
 
@@ -273,7 +274,6 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     res_q = (float(b @ v) - prob.budget_q) / prob.budget_q
     tail = v[int(0.95 * v.size):]
     diagnostics = {
-        "constraints_active": (res_p > -1e-6, res_q > -1e-6),
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
         "duality_gap": gap,
         "dual_value": dual_value,
@@ -314,7 +314,6 @@ class MonotoneReport:
 
     max_relative_violation: float
     within: bool
-    tolerance: float
 
 
 def check_monotone_restoration(sol: DiscreteSolution) -> MonotoneReport:
@@ -328,24 +327,18 @@ def check_monotone_restoration(sol: DiscreteSolution) -> MonotoneReport:
     v = sol.v
     scale = max(float(np.max(v)), 1e-300)
     viol = float(np.max(np.maximum(v[1:] - v[:-1], 0.0))) / scale
-    return MonotoneReport(
-        max_relative_violation=viol, within=viol <= _MONOTONE_TOL, tolerance=_MONOTONE_TOL
-    )
+    return MonotoneReport(max_relative_violation=viol, within=viol <= _MONOTONE_TOL)
 
 
 def export_solution(
-    prob: DiscreteProblem,
-    sol: DiscreteSolution,
-    path: str,
-    u_analytic: np.ndarray | None = None,
+    prob: DiscreteProblem, sol: DiscreteSolution, path: str, u_analytic: np.ndarray
 ) -> None:
-    """Write (t, v, u_analytic) rows as CSV; the last column may be empty."""
+    """Write (t, v, u_analytic) rows as CSV."""
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["t", "v", "u_analytic"])
-        for i in range(prob.t.size):
-            u_val = "" if u_analytic is None else repr(float(u_analytic[i]))
-            out.writerow([repr(float(prob.t[i])), repr(float(sol.v[i])), u_val])
+        for t, v, u in zip(prob.t, sol.v, u_analytic, strict=True):
+            out.writerow([repr(float(t)), repr(float(v)), repr(float(u))])
 
 
 def truncation_note(prob: DiscreteProblem) -> str:

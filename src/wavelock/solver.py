@@ -386,9 +386,7 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
     return m, res_p, res_q
 
 
-def solve_multipliers(
-    params: ProblemParams, consts: DerivedConstants | None = None
-) -> Multipliers:
+def solve_multipliers(params: ProblemParams) -> Multipliers:
     """Solve the two moment equations for (lambda1, lambda2) in the dual regime.
 
     Damped Newton on the convex Lagrangian dual D (see the module
@@ -399,10 +397,8 @@ def solve_multipliers(
     8-node quadrature check, else :class:`QuadratureError`.  Raises
     :class:`SolverError` if Newton does not converge, meets a non-finite
     iterate, or ends with relative moment residuals above 1e-8.
-    ``consts``, the derived constants of ``params``, saves recomputing them.
     """
-    if consts is None:
-        consts = derive_constants(params)
+    consts = derive_constants(params)
     regime = classify_regime(params, consts)
     if regime.tag != "Dual":
         raise SolverError(

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import FOUR_PI, ProblemParams
 from .oracle import run_oracle
-from .solver import BoundReport, compute_bound, u_eval
+from .solver import compute_bound, u_eval
 from .weight import (
     ExtremalWeight,
     eval_weight,  # noqa: F401  (perfbench's tracer hooks verifier.eval_weight)
@@ -156,15 +156,6 @@ class PlaneGrid:
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x, self.y, indexing="ij")
-
-    def describe(self) -> dict:
-        return {
-            "nx": int(self.x.size),
-            "x_half": float(self.x[-1]),
-            "ny": int(self.y.size),
-            "y_min": float(self.y[0]),
-            "y_max": float(self.y[-1]),
-        }
 
 
 class CauchyTransform:
@@ -281,12 +272,12 @@ def feasible_perturbation(
     return F * scale
 
 
-def indicator_disc(pgrid: PlaneGrid, measure: float, center: complex = 1j) -> np.ndarray:
-    """Indicator of the hyperbolic disc about ``center`` with given nu-measure."""
+def indicator_disc(pgrid: PlaneGrid, measure: float) -> np.ndarray:
+    """Indicator of the hyperbolic disc about i with given nu-measure."""
     r = measure / (FOUR_PI + measure)  # invert 4 pi r/(1-r)
     X, Y = pgrid.mesh()
     Z = X + 1j * Y
-    d = np.abs((Z - center) / (Z - np.conj(center))) ** 2
+    d = np.abs((Z - 1j) / (Z + 1j)) ** 2
     return (d < r).astype(float)
 
 
@@ -334,23 +325,21 @@ RADIAL_NORM_RTOL = 1e-8
 
 def run_verification(
     params: ProblemParams,
-    report: BoundReport | None = None,
     oracle_points: int = 2000,
-    skip_operator: bool = False,
     corrupt_weight: bool = False,
 ) -> VerificationReport:
     """Check a computed bound against the two independent oracles.
 
     Runs the discrete variational solver (certified by its duality gap,
     objective within 1 percent, profile pointwise within 2 percent away
-    from the endpoints when the instance is dual) and, unless skipped, the
-    operator check: the exact norm of the extremal weight's operator,
+    from the endpoints when the instance is dual) and the operator check:
+    the exact norm of the extremal weight's operator,
     :func:`~wavelock.weight.radial_operator_norm`, must match the bound to
     1e-8 relative.  ``corrupt_weight`` is a test hook that inflates the
     weight by 1.5, past its budgets, so the operator check must fail.
     """
     t0 = time.perf_counter()
-    report = report or compute_bound(params)
+    report = compute_bound(params)
     out = VerificationReport(params=params, regime=report.regime, bound=report.bound)
 
     t_max = 2.0 * report.T if report.T is not None else None
@@ -371,14 +360,13 @@ def run_verification(
         )
         out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
 
-    if not skip_operator:
-        norm = radial_operator_norm(weight_from_report(params, report))
-        if corrupt_weight:
-            # Test hook: the norm of the weight scaled by 1.5, past both budgets.
-            norm *= 1.5
-        out.operator_norm = norm
-        out.operator_rel_gap = (norm - report.bound) / report.bound
-        out.checks["operator_window"] = abs(out.operator_rel_gap) <= RADIAL_NORM_RTOL
+    norm = radial_operator_norm(weight_from_report(params, report))
+    if corrupt_weight:
+        # Test hook: the norm of the weight scaled by 1.5, past both budgets.
+        norm *= 1.5
+    out.operator_norm = norm
+    out.operator_rel_gap = (norm - report.bound) / report.bound
+    out.checks["operator_window"] = abs(out.operator_rel_gap) <= RADIAL_NORM_RTOL
 
     out.wall_time_s = time.perf_counter() - t0
     return out

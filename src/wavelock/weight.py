@@ -42,6 +42,8 @@ class HalfPlanePoint:
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"half-plane points need finite x and y, got ({self.x}, {self.y})")
         if not (self.y > 0):
             raise ValueError(f"half-plane points need y > 0, got y = {self.y}")
 
@@ -114,7 +116,7 @@ class ExtremalWeight:
             vals = psi_inverse(dd / (1.0 - dd), self.mults, self.params)
             return np.where(inside, vals, 0.0)
 
-        return RadialProfile(fn=fn, domain=(0.0, 1.0), label="weight")
+        return RadialProfile(fn)
 
 
 def weight_from_report(

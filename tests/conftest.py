@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,22 @@ def random_single_params(rng: np.random.Generator) -> tuple[wl.ProblemParams, st
             return wl.ProblemParams(beta, p, q, 1.0, c.r2 * rng.uniform(1.2, 3.0)), "P"
         if c.r1 is not None:
             return wl.ProblemParams(beta, p, q, 1.0, c.r1 * rng.uniform(0.2, 0.8)), "Q"
+
+
+def wide_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
+    """Sample a dual instance from the wide domain: beta log-uniform in
+    [0.05, 10], p and q each 1.01 + U(0, 50) with |p - q| >= 1e-3, A = 1 and
+    B log-uniform between the two thresholds."""
+    while True:
+        beta = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        p = 1.01 + rng.uniform(0.0, 50.0)
+        q = 1.01 + rng.uniform(0.0, 50.0)
+        if abs(p - q) < 1e-3:
+            continue
+        c = wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0))
+        if c.r1 is None or c.r2 is None:
+            continue
+        B = math.exp(rng.uniform(math.log(c.r1), math.log(c.r2)))
+        params = wl.ProblemParams(beta, p, q, 1.0, B)
+        if wl.classify_regime(params, wl.derive_constants(params)).tag == "Dual":
+            return params

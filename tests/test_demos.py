@@ -13,12 +13,14 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def run_demo(path: Path, cwd: Path) -> subprocess.CompletedProcess:
     # A fresh interpreter in a scratch directory, since demos 02 and 03
-    # write CSV files; it imports the same wavelock as the tests.
+    # write CSV files; it imports the same wavelock as the tests and keeps
+    # their warning policy, so a RuntimeWarning fails the demo.
     env = dict(os.environ)
     package_root = str(Path(wl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(path)], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error::RuntimeWarning", str(path)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
 

@@ -330,14 +330,8 @@ class TestRunVerification:
             assert report.ok, (params, report.failures())
             assert abs(report.operator_rel_gap) <= 1e-8
 
-    def test_skip_operator(self, ref_params):
-        report = run_verification(ref_params, skip_operator=True)
-        assert report.operator_norm is None
-        assert "operator_window" not in report.checks
-        assert report.ok
-
     def test_oracle_certificate_is_gated(self, ref_params):
-        report = run_verification(ref_params, skip_operator=True, oracle_points=800)
+        report = run_verification(ref_params, oracle_points=800)
         assert report.checks["oracle_converged"] is True
         assert report.oracle_converged
         assert report.oracle_duality_gap <= 1e-6

@@ -182,6 +182,9 @@ class TestValidation:
             HalfPlanePoint(0.0, 0.0)
         with pytest.raises(ValueError):
             HalfPlanePoint(1.0, -2.0)
+        for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                HalfPlanePoint(x, y)
 
     def test_mode_validation(self, ref_params):
         with pytest.raises(TypeError):
