@@ -171,11 +171,7 @@ def cmd_verify(args) -> int:
         raise ParameterError(
             f"--oracle-points must be between 100 and {_MAX_ARRAY}, got {args.oracle_points}"
         )
-    report = run_verification(
-        params,
-        oracle_points=args.oracle_points,
-        corrupt_weight=args.inject_corruption,
-    )
+    report = run_verification(params, oracle_points=args.oracle_points)
     data = {
         "schema": SCHEMA,
         "regime": report.regime,
@@ -248,6 +244,12 @@ def cmd_scan(args) -> int:
     if args.ratio_min is not None:
         if not 1 <= args.steps <= _MAX_ARRAY:
             raise ParameterError(f"--steps must be between 1 and {_MAX_ARRAY}, got {args.steps}")
+        # A non-finite end makes the difference non-finite too.
+        if not math.isfinite(args.ratio_max - args.ratio_min):
+            raise ParameterError(
+                f"--ratio-min and --ratio-max must be finite, with a finite difference; "
+                f"got {args.ratio_min!r} and {args.ratio_max!r}"
+            )
         ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps)
         tasks = [(args.beta, args.p, args.q, args.A, args.A * r) for r in ratios]
     else:
@@ -299,11 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--oracle-points", type=int, default=2000,
         help=f"discrete oracle grid size, 100 to {_MAX_ARRAY} (default 2000)",
-    )
-    v.add_argument(
-        "--inject-corruption",
-        action="store_true",
-        help="test hook: corrupt the weight so verification must fail",
     )
     v.set_defaults(func=cmd_verify)
 

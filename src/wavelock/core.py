@@ -254,12 +254,12 @@ def _checked_integral(f, upper: float, what: str) -> float:
     """Integral of f over (0, upper], 16 Gauss nodes per panel checked against 8.
 
     Raises :class:`QuadratureError` when the two differ by more than 100
-    times (_ABS_TOL + _REL_TOL |value|).
+    times (_ABS_TOL + _REL_TOL |value|), or either is not finite.
     """
     value = _graded_gauss(f, upper, _PANELS, 16)
     coarse = _graded_gauss(f, upper, _PANELS, 8)
     err = abs(value - coarse)
-    if err > 100.0 * (_ABS_TOL + _REL_TOL * abs(value)):
+    if not err <= 100.0 * (_ABS_TOL + _REL_TOL * abs(value)):
         raise QuadratureError(
             f"{what}: error estimate {err:.3e} exceeds tolerance "
             f"(rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g})"

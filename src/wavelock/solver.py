@@ -171,7 +171,10 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     e = params.p if which == "P" else params.q
 
     def f(t):
-        return e * t ** (e - 1.0) * u_eval(t, m, params)
+        # Where t^(e-1) underflows and u overflows the product is nan, which
+        # the quadrature check turns into a QuadratureError.
+        with np.errstate(invalid="ignore"):
+            return e * t ** (e - 1.0) * u_eval(t, m, params)
 
     return _checked_integral(f, m.T, f"moment {which}")
 
@@ -348,16 +351,21 @@ def _newton(dual: _Dual, lam: np.ndarray) -> tuple[_DualPoint, int, int]:
     )
 
 
-def _start(work: ProblemParams, sigma_p: float) -> np.ndarray:
-    """The p-constraint solution (lambda2 = 0), where Newton starts.
-
-    lambda1 matches A^p in closed form (``sigma_p`` belongs to work's p),
-    and in canonical order (p < q) the q-moment is finite there, so D is
-    smooth at this start; the first Newton step opens lambda2.  The lambda1 = 0 end is no start: when
-    kappa < 1 the curvature of D in lambda1 is infinite there.
-    """
-    T_p = work.A * (FOUR_PI * sigma_p) ** (-1.0 / work.p)
-    return np.array([T_p ** (-(work.p - 1.0)), 0.0])
+def _single_solution(
+    params: ProblemParams, consts: DerivedConstants, side: str
+) -> tuple[closed_form.SingleConstraintResult, float]:
+    """The ``side``-constraint solution and its multiplier lam^-(e-1): the
+    optimum outside the dual window, and where the dual solve starts inside
+    it.  Raises :class:`SolverError` when the multiplier is out of the float range."""
+    single = closed_form.single_bound(params, consts, side, enforce_regime=False)
+    e = params.p if side == "P" else params.q
+    log_seed = -(e - 1.0) * math.log(single.lam)
+    if not _LOG_FLOAT_MIN <= log_seed < _LOG_FLOAT_MAX:
+        raise SolverError(
+            f"the single-constraint multiplier lam^-(e-1) = exp({log_seed:.6g}) "
+            "is out of the float range"
+        )
+    return single, single.lam ** (-(e - 1.0))
 
 
 def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float]:
@@ -365,8 +373,10 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
     multipliers and the relative residuals (P, Q) of params."""
     work, swapped = canonical_order(params)
     dual = _Dual(work)
-    sigma_p = consts.sigma_q if swapped else consts.sigma_p
-    point, iterations, evaluations = _newton(dual, _start(work, sigma_p))
+    # Start at work's p-constraint solution, where D is smooth; at the
+    # lambda1 = 0 end D's curvature in lambda1 is infinite when kappa < 1.
+    _, seed = _single_solution(params, consts, "Q" if swapped else "P")
+    point, iterations, evaluations = _newton(dual, np.array([seed, 0.0]))
     _log.debug(
         "dual solve: %d Newton iterations, %d line-search evaluations, "
         "relative residuals %.2e %.2e",
@@ -432,8 +442,9 @@ class BoundReport:
     wall_time_s: float
 
     def multipliers(self) -> Multipliers:
-        T = self.T if self.T is not None else find_T(self.lambda1, self.lambda2, self.params)
-        return Multipliers(self.lambda1, self.lambda2, T)
+        if self.T is None:
+            return multipliers(self.lambda1, self.lambda2, self.params)
+        return Multipliers(self.lambda1, self.lambda2, self.T)
 
 
 def compute_bound(params: ProblemParams) -> BoundReport:
@@ -454,16 +465,8 @@ def compute_bound(params: ProblemParams) -> BoundReport:
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:
         side = "P" if regime.tag == "SingleP" else "Q"
-        single = closed_form.single_bound(params, consts, side)
+        single, seed = _single_solution(params, consts, side)
         bound = single.bound
-        e = params.p if side == "P" else params.q
-        log_seed = -(e - 1.0) * math.log(single.lam)
-        if not _LOG_FLOAT_MIN <= log_seed < _LOG_FLOAT_MAX:
-            raise SolverError(
-                f"the single-regime multiplier lam^-(e-1) = exp({log_seed:.6g}) "
-                "is out of the float range"
-            )
-        seed = single.lam ** (-(e - 1.0))
         if side == "P":
             lam1, lam2 = seed, 0.0
             residual_p, residual_q = 0.0, None

@@ -323,11 +323,7 @@ ORACLE_GAP_TOL = 0.01
 RADIAL_NORM_RTOL = 1e-8
 
 
-def run_verification(
-    params: ProblemParams,
-    oracle_points: int = 2000,
-    corrupt_weight: bool = False,
-) -> VerificationReport:
+def run_verification(params: ProblemParams, oracle_points: int = 2000) -> VerificationReport:
     """Check a computed bound against the two independent oracles.
 
     Runs the discrete variational solver (certified by its duality gap,
@@ -335,8 +331,7 @@ def run_verification(
     from the endpoints when the instance is dual) and the operator check:
     the exact norm of the extremal weight's operator,
     :func:`~wavelock.weight.radial_operator_norm`, must match the bound to
-    1e-8 relative.  ``corrupt_weight`` is a test hook that inflates the
-    weight by 1.5, past its budgets, so the operator check must fail.
+    1e-8 relative.
     """
     t0 = time.perf_counter()
     report = compute_bound(params)
@@ -361,9 +356,6 @@ def run_verification(
         out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
 
     norm = radial_operator_norm(weight_from_report(params, report))
-    if corrupt_weight:
-        # Test hook: the norm of the weight scaled by 1.5, past both budgets.
-        norm *= 1.5
     out.operator_norm = norm
     out.operator_rel_gap = (norm - report.bound) / report.bound
     out.checks["operator_window"] = abs(out.operator_rel_gap) <= RADIAL_NORM_RTOL

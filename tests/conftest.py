@@ -88,3 +88,30 @@ def wide_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
         params = wl.ProblemParams(beta, p, q, 1.0, B)
         if wl.classify_regime(params, wl.derive_constants(params)).tag == "Dual":
             return params
+
+
+def tiny_budget_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
+    """Sample a dual instance with tiny budgets at large exponents: beta
+    log-uniform in [0.05, 10], p ~ U(10, 60), q = p + U(-8, 8) with
+    |p - q| >= 1e-3, the smaller exponent's budget b with
+    log10 b = -U(300, 323)/min(p, q), and the other budget b r (p < q) or
+    b/r, with r log-uniform between the thresholds of (beta, p, q, 1, 1)."""
+    while True:
+        beta = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
+        p = rng.uniform(10.0, 60.0)
+        while True:
+            q = p + rng.uniform(-8.0, 8.0)
+            if q > 1.01 and abs(p - q) >= 1e-3:
+                break
+        b = 10.0 ** (-rng.uniform(300.0, 323.0) / min(p, q))
+        c = wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0))
+        if c.r1 is None or c.r2 is None:
+            continue
+        r = math.exp(rng.uniform(math.log(c.r1), math.log(c.r2)))
+        A, B = (b, b * r) if p < q else (b / r, b)
+        try:
+            params = wl.ProblemParams(beta, p, q, A, B)
+        except wl.ParameterError:
+            continue
+        if wl.classify_regime(params, wl.derive_constants(params)).tag == "Dual":
+            return params

@@ -12,7 +12,7 @@ import pytest
 import wavelock as wl
 from wavelock.cli import main
 from wavelock.verifier import FrequencyGrid
-from conftest import wide_dual_params
+from conftest import tiny_budget_dual_params, wide_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_KEYS = [
@@ -258,10 +258,15 @@ class TestVerifyCommand:
         assert data["checks"]["operator_window"] is True
         assert abs(data["operator_rel_gap"]) <= 1e-8
 
-    def test_corruption_exit_5(self, capsys):
+    def test_corruption_exit_5(self, capsys, monkeypatch):
+        from wavelock import verifier
+
+        # The norm of the weight scaled by 1.5, past both budgets.
+        original = verifier.radial_operator_norm
+        monkeypatch.setattr(verifier, "radial_operator_norm", lambda w: 1.5 * original(w))
         code, _, err = run_cli(
             ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
-             "--oracle-points", "800", "--inject-corruption"],
+             "--oracle-points", "800"],
             capsys,
         )
         assert code == 5
@@ -306,15 +311,17 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--omega-max", "44"), ("--nodes-per-panel", "20"), ("--nx", "301"), ("--ny", "280")],
+        [("--omega-max", "44"), ("--nodes-per-panel", "20"), ("--nx", "301"), ("--ny", "280"),
+         ("--inject-corruption", None)],
     )
     def test_removed_grid_flags_exit_2(self, flag, value, capsys):
         params = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+        removed = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as exc:
-            main(["verify", flag, value, *params])
+            main(["verify", *removed, *params])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"unrecognized arguments: {flag} {value}" in err
+        assert f"unrecognized arguments: {' '.join(removed)}" in err
         assert "Traceback" not in err
 
 
@@ -467,6 +474,26 @@ class TestScanCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--ratio-min", "0.3", "--ratio-max", "inf"],
+            ["--ratio-min", "nan", "--ratio-max", "0.5"],
+            ["--ratio-min=-1e308", "--ratio-max", "1e308"],
+        ],
+        ids=["inf-max", "nan-min", "overflowing-difference"],
+    )
+    def test_non_finite_ratio_range_exit_2(self, bounds, capsys):
+        code, out, err = run_cli(
+            ["scan", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", *bounds,
+             "--steps", "3"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("parameter error: ")
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert out == ""
+
 
 class TestWideDomainContract:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -495,6 +522,28 @@ class TestWideDomainContract:
             )
             assert code == 3 and out == "", P
             assert err.startswith("solver error: "), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_budgets_are_results_or_typed_errors(self, capsys):
+        # Tiny budgets at large exponents push the dual start's multiplier
+        # out of the float range; that must be a typed error, not a traceback.
+        rng = np.random.default_rng(0)
+        for _ in range(600):
+            params = tiny_budget_dual_params(rng)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError, wl.ParameterError):
+                continue
+            assert math.isfinite(report.bound) and report.bound > 0.0, params
+            assert max(report.residual_p, report.residual_q) <= 1e-8, params
+        code, out, err = run_cli(
+            ["bound", "--beta", "2.770300025191308", "--p", "34.87113477438095",
+             "--q", "35.34012933752928", "--A", "7.561609926998425e-10",
+             "--B", "7.555968847668618e-10"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("solver error: "), err
 
 
 class TestEntryPoint:

@@ -95,6 +95,16 @@ class TestMoment:
             )
             assert mine == pytest.approx(ref, rel=1e-9)
 
+    def test_nan_integrand_is_a_quadrature_error(self):
+        # At the dual start t^(p-1) underflows where u overflows; their nan
+        # product must end in a QuadratureError, with no RuntimeWarning.
+        params = wl.ProblemParams(
+            4.506108126611198, 14.545912456105732, 15.098453525992603,
+            4.745634443856013e-22, 4.729355723705874e-22,
+        )
+        with pytest.raises(wl.QuadratureError, match="moment P"):
+            wl.compute_bound(params)
+
 
 class TestSolveMultipliers:
     def test_reference_instance(self, ref_report):

@@ -6,6 +6,7 @@ import pytest
 
 import wavelock as wl
 from conftest import random_dual_params, random_single_params
+from wavelock import verifier
 from wavelock.core import _checked_integral
 from wavelock.verifier import (
     CauchyTransform,
@@ -336,12 +337,18 @@ class TestRunVerification:
         assert report.oracle_converged
         assert report.oracle_duality_gap <= 1e-6
 
-    def test_corruption_hook_fails(self, ref_params):
-        report = run_verification(ref_params, corrupt_weight=True)
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        """The operator check sees the weight scaled by 1.5, past both budgets."""
+        original = verifier.radial_operator_norm
+        monkeypatch.setattr(verifier, "radial_operator_norm", lambda w: 1.5 * original(w))
+
+    def test_corruption_hook_fails(self, ref_params, corrupted):
+        report = run_verification(ref_params)
         assert not report.ok
         assert "operator_window" in report.failures()
 
-    def test_corruption_hook_fails_exact_path(self, ref_params):
-        report = run_verification(ref_params, oracle_points=800, corrupt_weight=True)
+    def test_corruption_hook_fails_exact_path(self, ref_params, corrupted):
+        report = run_verification(ref_params, oracle_points=800)
         assert report.failures() == ["operator_window"]
         assert report.operator_rel_gap == pytest.approx(0.5, rel=1e-8)
