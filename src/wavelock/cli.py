@@ -130,19 +130,8 @@ def cmd_profile(args) -> int:
     params = _params_from(args)
     if not 1 <= args.samples <= _MAX_ARRAY:
         raise ParameterError(f"--samples must be between 1 and {_MAX_ARRAY}, got {args.samples}")
-    center = None
-    if args.center:
-        try:
-            cx, cy = (float(v) for v in args.center.split(","))
-        except ValueError as exc:
-            raise ParameterError(f"--center expects 'x,y', got {args.center!r}") from exc
-        if not (math.isfinite(cx) and math.isfinite(cy) and cy > 0.0):
-            raise ParameterError(f"--center needs finite x and y > 0, got {args.center!r}")
-        from .weight import HalfPlanePoint
-
-        center = HalfPlanePoint(cx, cy)
     report = compute_bound(params)
-    w = weight_from_report(params, report, center=center)
+    w = weight_from_report(params, report)
     prof = w.profile()
 
     n = args.samples
@@ -292,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"profile rows, 1 to {_MAX_ARRAY} (default 1000)",
     )
     pr.add_argument("--out", required=True, help="output CSV path")
-    pr.add_argument("--center", default=None, help="weight centre as 'x,y' (default 0,1)")
     pr.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run the discrete and operator verifications")

@@ -2,22 +2,26 @@
 
 In the dual regime the extremal distribution function is
 
-    u(t) = 4 pi max{ phi(t)^(-1/(2 beta + 1)) - 1, 0 },
+    u(t) = 4 pi max{ phi(t)^(-c) - 1, 0 },   c = 1/(2 beta + 1),
     phi(t) = l1 t^(p-1) + l2 t^(q-1),
 
 supported on (0, T] with T the unique root of phi(T) = 1.  The
 multipliers are pinned by the two moment equations M_P = A^p and
-M_Q = B^q, with M_e = e int t^(e-1) u dt.  These are the stationarity
-conditions of the convex Lagrangian dual
+M_Q = B^q, with M_e = e int t^(e-1) u dt.
 
-    D(l) = int_0^T [(4 pi/(2 beta)) (1 - phi^gamma) - u phi] dt
-           + l1 A^p/p + l2 B^q/q,            gamma = 2 beta/(2 beta + 1),
+The problem is scale invariant.  In canonical order p < q, let the
+crossover share be a = l1 T^(p-1), so that 1 - a = l2 T^(q-1) and
+phi(T x) = a x^(p-1) + (1 - a) x^(q-1) depends on a alone.  Then
+M_e = e T^e m_e(a) with m_e(a) = int_0^1 x^(e-1) u(T x) dx, and the two
+equations become one equation in a,
 
-whose gradient is ((A^p - M_P)/p, (B^q - M_Q)/q) and whose Hessian
-H_ij = int t^(e_i-1) t^(e_j-1) (-du/dphi) dt is a positive definite 2x2
-moment matrix; no boundary term appears because u(T) = 0.
-:func:`solve_multipliers` minimises D by damped Newton, with one fused
-quadrature pass per iterate giving D, both moments and H.
+    R(a) = (q m_q(a))^(1/q) / (p m_p(a))^(1/p) = B/A,
+
+with T = A (p m_p(a))^(-1/p) in closed form.  R increases from r1
+(a -> 0) to r2 (a -> 1), so B/A has a root exactly in the dual window.
+:func:`solve_multipliers` solves log R = log(B/A) for z = log(a/(1 - a))
+by a bracketed Newton, one log-space pass of the graded rule per
+iterate, and takes l1 = a T^(1-p) and l2 = (1 - a) T^(1-q) from the root.
 """
 
 from __future__ import annotations
@@ -196,167 +200,90 @@ def bound_integral(m: Multipliers, params: ProblemParams) -> float:
     return _checked_integral(f, m.T, "bound integral")
 
 
-_DUAL_ROUNDOFF = 64.0 * np.finfo(float).eps
 _NEWTON_MAX = 50
-_NEWTON_RTOL = 1e-15  # residual at which Newton stops; the gate below is looser
+_NEWTON_RTOL = 1e-15  # |log R - log(B/A)| at which Newton stops; the gate below is looser
+_STEP_MAX = 64.0  # largest Newton step in z
 _RESIDUAL_GATE = 1e-8
-_ARMIJO = 1e-4
-_FLOOR = 0.1  # a step cuts a coordinate linearly down to this fraction of it
 
 
-class _DualPoint(NamedTuple):
-    """The dual D and its derivatives at one multiplier pair."""
+def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, float]]:
+    """z -> (log R(z), d log R/dz, log(p m_p)) for a canonical instance (p < q).
 
-    lam: np.ndarray
-    T: float
-    value: float
-    roundoff: float  # size of the rounding error in value
-    moments: np.ndarray  # (M_P, M_Q)
-    grad: np.ndarray
-    hess: np.ndarray
+    One sweep of the 16-node graded rule on (0, 1] in log space, with
+    a = 1/(1 + e^-z) and phi(x) = a x^(p-1) + (1 - a) x^(q-1):
 
+        m_e      = 4 pi int x^(e-1) phi^(-c) (1 - phi^c) dx,
+        dm_e/dz  = -4 pi c (1 - a) int x^(e-1) phi^(-c) s (1 - x^(q-p)) dx,
 
-class _Dual:
-    """D, its gradient and its Hessian on the 16-node graded Gauss rule.
-
-    The rule's nodes scale with T, so the powers t^(e-1) are taken once on
-    the unit rule and every evaluation is one vectorized pass over the
-    nodes.  Since phi^gamma = phi * phi^(-1/(2 beta + 1)), one fractional
-    power per node serves u, D and the Hessian.
+    where s = a x^(p-1)/phi is the p-term's share of phi.  Each
+    x^(e-1) phi^(-c) is one exp of a sum of logs and the other factors lie
+    in [0, 1], so nothing overflows where x^(e-1) underflows.
     """
+    p, q, c = params.p, params.q, 1.0 / (2.0 * params.beta + 1.0)
+    x, w = _graded_rule(_PANELS, 16)
+    log_x = np.log(x)
+    powers = np.stack([(p - 1.0) * log_x, (q - 1.0) * log_x])
+    gap = -np.expm1((q - p) * log_x)  # 1 - x^(q-p)
+    e = np.array([p, q])
 
-    def __init__(self, params: ProblemParams):
-        self.params = params
-        self.e = np.array([params.p, params.q])
-        self.budget = np.array([params.A**params.p, params.B**params.q])
-        self.c = 1.0 / (2.0 * params.beta + 1.0)
-        self.gain = FOUR_PI / (2.0 * params.beta)
-        # As l1 -> 0 (canonical order) the moments move like l1^kappa,
-        # kappa = (p - (q-1)/(2 beta + 1))/(q - p): the l1 term matters only
-        # for t below (l1/l2)^(1/(q-p)).  Below 1 that is singular in l1 and
-        # regular in l1^kappa, the coordinate _advance steps in.
-        lead = params.p - (params.q - 1.0) * self.c
-        kappa = lead / (params.q - params.p) if lead > 0.0 else 1.0
-        self.kappa = np.array([min(kappa, 1.0), 1.0])
-        x, self.w = _graded_rule(_PANELS, 16)
-        self.powers = x[None, :] ** (self.e[:, None] - 1.0)
-
-    def __call__(self, lam: np.ndarray) -> _DualPoint:
-        T = find_T(lam[0], lam[1], self.params)
-        Te = T ** (self.e - 1.0)
-        # D = gain - spent + paid, the three terms of the module docstring.
+    def unit(z: float) -> tuple[float, float, float]:
+        log_a, log_b = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)  # log a, log(1 - a)
+        # A non-finite value is the Newton loop's SolverError, not a warning.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi = (lam * Te) @ self.powers
-            s = phi ** (-self.c)  # 1 + u/(4 pi)
-            wu = self.w * (FOUR_PI * np.maximum(s - 1.0, 0.0))
-            moments = self.e * T * Te * (self.powers @ wu)
-            gain = self.gain * T * (self.w @ (1.0 - phi * s))
-            spent = T * (wu @ phi)
-            paid = lam @ (self.budget / self.e)
-            kern = self.w * (FOUR_PI * self.c) * s / phi  # -du/dphi
-            hess = T * np.outer(Te, Te) * ((self.powers * kern) @ self.powers.T)
-        return _DualPoint(
-            lam=lam,
-            T=T,
-            value=gain - spent + paid,
-            roundoff=_DUAL_ROUNDOFF * (abs(gain) + abs(spent) + abs(paid)),
-            moments=moments,
-            grad=(self.budget - moments) / self.e,
-            hess=hess,
-        )
+            log_t1 = log_a + powers[0]
+            log_phi = np.logaddexp(log_t1, log_b + powers[1])
+            # 1 - phi^c and s (1 - x^(q-p)), each against both x^(e-1) phi^(-c)
+            kernels = np.stack([-np.expm1(c * log_phi), np.exp(log_t1 - log_phi) * gap])
+            moments, slopes = (w * kernels) @ np.exp(powers - c * log_phi).T
+            log_em = np.log(FOUR_PI * e * moments)  # log(e m_e)
+            log_R = log_em[1] / q - log_em[0] / p
+            rates = slopes / (e * moments)
+            slope = c * np.exp(log_b) * (rates[0] - rates[1])
+        return float(log_R), float(slope), float(log_em[0])
 
-    def residuals(self, point: _DualPoint) -> np.ndarray:
-        """Relative moment residuals |M - budget|/budget."""
-        return np.abs(point.moments - self.budget) / self.budget
+    return unit
 
 
-def _advance(lam: np.ndarray, d: np.ndarray, t: float, kappa: np.ndarray) -> np.ndarray:
-    """Multipliers a step t along the Newton direction d, kept positive.
+def _newton(unit: Callable, target: float) -> tuple[float, float, int, int]:
+    """Solve log R(z) = target by Newton in z, kept inside a sign bracket.
 
-    Each multiplier moves in the coordinate w = lam^kappa, by the
-    first-order change r w with r = kappa t d/lam.  Growth is a step in
-    log w (w e^r), since the moments fall like powers of the multipliers.
-    A cut is linear (w (1 + r)) while it keeps w above _FLOOR of its
-    value and exponential beyond, so a multiplier can fall by many
-    orders of magnitude in one step without changing sign.  The path is
-    C1 with velocity d at t = 0, so the slope of D along it is grad . d.
-    A multiplier that is exactly zero (the single-constraint start)
-    moves linearly.
+    log R increases with z, so every iterate tightens the bracket; a step
+    longer than _STEP_MAX is cut to it, and one that leaves the bracket
+    is replaced by its midpoint.  Stops at |log R - target| <=
+    _NEWTON_RTOL.  Returns z, log(p m_p) there, the iteration count and
+    the number of bisections.
     """
-    out = lam + t * d
-    moved = lam > 0.0
-    r = kappa[moved] * t * d[moved] / lam[moved]  # first-order relative change of w
-    log_grow = np.where(r > 0.0, r, np.log1p(np.maximum(r, _FLOOR - 1.0)))
-    past = r < _FLOOR - 1.0
-    log_grow[past] = math.log(_FLOOR) + (r[past] - _FLOOR + 1.0) / _FLOOR
-    # No single step needs to grow a multiplier by more than e^40; the cap
-    # keeps a wild trial step finite for the line search to reject.
-    out[moved] = lam[moved] * np.exp(np.minimum(log_grow / kappa[moved], 40.0))
-    return out
-
-
-def _newton(dual: _Dual, lam: np.ndarray) -> tuple[_DualPoint, int, int]:
-    """Minimise D from ``lam`` by damped Newton with Armijo backtracking.
-
-    D itself is the merit function.  Once the predicted decrease (half
-    the squared Newton decrement) falls below the rounding of D, Armijo
-    cannot tell a good step from a bad one, so full Newton steps are
-    taken while they keep lowering the residuals.  Returns the final
-    point, the iteration count and the number of trial evaluations.
-    """
-    point = dual(lam)
-    evaluations = 0
+    lo, hi, z = -math.inf, math.inf, 0.0
+    bisections = 0
     for iteration in range(_NEWTON_MAX):
-        if not (np.isfinite(point.value) and np.isfinite(point.hess).all()):
-            raise SolverError(
-                f"non-finite dual at lambda = {point.lam.tolist()!r}, T = {point.T!r}"
-            )
-        res = dual.residuals(point).max()
-        if res <= _NEWTON_RTOL:
-            return point, iteration, evaluations
-        (h11, h12), (_, h22) = point.hess
-        g1, g2 = point.grad
-        det = h11 * h22 - h12 * h12
-        if not det > 0.0:
-            raise SolverError(f"singular dual Hessian at lambda = {point.lam.tolist()!r}")
-        d = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / det
-        if np.any(d[point.lam == 0.0] <= 0.0):
-            raise SolverError(
-                f"dual Newton cannot move off lambda = {point.lam.tolist()!r}: a multiplier "
-                "is zero (underflow, or B/A on a threshold)"
-            )
-        slope = point.grad @ d
-        if -slope <= point.roundoff:
-            trial = dual(_advance(point.lam, d, 1.0, dual.kappa))
-            evaluations += 1
-            if not dual.residuals(trial).max() < res:
-                return point, iteration, evaluations
+        log_R, slope, log_pm = unit(z)
+        f = log_R - target
+        if not (math.isfinite(f) and math.isfinite(slope)):  # a non-finite log_pm spoils f
+            raise SolverError(f"non-finite log R = {log_R!r} or slope {slope!r} at z = {z!r}")
+        if abs(f) <= _NEWTON_RTOL:
+            return z, log_pm, iteration, bisections
+        if f < 0.0:
+            lo = z
         else:
-            t = 1.0
-            while True:
-                trial = dual(_advance(point.lam, d, t, dual.kappa))
-                evaluations += 1
-                if trial.value <= point.value + _ARMIJO * t * slope:
-                    break
-                t *= 0.5
-                if t < 1e-12:
-                    raise SolverError(
-                        f"line search found no decrease of the dual at "
-                        f"lambda = {point.lam.tolist()!r} (residual {res:.3e})"
-                    )
-        point = trial
+            hi = z
+        step = -f / slope if slope > 0.0 else math.copysign(_STEP_MAX, -f)
+        nxt = z + min(max(step, -_STEP_MAX), _STEP_MAX)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)  # both ends are finite: z is one of them
+            bisections += 1
+        z = nxt
     raise SolverError(
         f"dual Newton did not converge in {_NEWTON_MAX} iterations: "
-        f"lambda = {point.lam.tolist()!r}, residual {dual.residuals(point).max():.3e}"
+        f"z = {z!r}, |log R - log(B/A)| = {abs(f):.3e}"
     )
 
 
 def _single_solution(
     params: ProblemParams, consts: DerivedConstants, side: str
 ) -> tuple[closed_form.SingleConstraintResult, float]:
-    """The ``side``-constraint solution and its multiplier lam^-(e-1): the
-    optimum outside the dual window, and where the dual solve starts inside
-    it.  Raises :class:`SolverError` when the multiplier is out of the float range."""
+    """The ``side``-constraint solution and its multiplier lam^-(e-1), the
+    optimum outside the dual window.  Raises :class:`SolverError` when the
+    multiplier is out of the float range."""
     single = closed_form.single_bound(params, consts, side, enforce_regime=False)
     e = params.p if side == "P" else params.q
     log_seed = -(e - 1.0) * math.log(single.lam)
@@ -368,24 +295,29 @@ def _single_solution(
     return single, single.lam ** (-(e - 1.0))
 
 
-def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float]:
-    """The dual solve of an instance classified Dual, with its constants:
-    multipliers and the relative residuals (P, Q) of params."""
+def _solve(params: ProblemParams) -> tuple[Multipliers, float, float]:
+    """The dual solve of an instance classified Dual: multipliers and the
+    relative residuals (P, Q) of params."""
     work, swapped = canonical_order(params)
-    dual = _Dual(work)
-    # Start at work's p-constraint solution, where D is smooth; at the
-    # lambda1 = 0 end D's curvature in lambda1 is infinite when kappa < 1.
-    _, seed = _single_solution(params, consts, "Q" if swapped else "P")
-    point, iterations, evaluations = _newton(dual, np.array([seed, 0.0]))
+    p, q = work.p, work.q
+    z, log_pm, iterations, bisections = _newton(_unit_pass(work), math.log(work.ratio))
+    log_T = math.log(work.A) - log_pm / p
+    log_a, log_b = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    log_lam = (log_a + (1.0 - p) * log_T, log_b + (1.0 - q) * log_T)
+    if not all(_LOG_FLOAT_MIN <= v < _LOG_FLOAT_MAX for v in log_lam):
+        raise SolverError(
+            f"multipliers exp({log_lam[0]:.6g}), exp({log_lam[1]:.6g}) are out of the float "
+            f"range (z = {z!r})"
+        )
+    lam1, lam2 = (math.exp(v) for v in log_lam)
+    m = Multipliers(lam1, lam2, find_T(lam1, lam2, work))
     _log.debug(
-        "dual solve: %d Newton iterations, %d line-search evaluations, "
-        "relative residuals %.2e %.2e",
-        iterations, evaluations, *dual.residuals(point),
+        "dual solve: %d Newton iterations, %d bisections, z = log(a/(1 - a)) = %.17g",
+        iterations, bisections, z,
     )
-    m = Multipliers(*(float(v) for v in point.lam), T=point.T)
     # The quadrature-checked moments (16 against 8 nodes) certify the result.
-    res_p = abs(moment(m, work, "P") - work.A**work.p) / work.A**work.p
-    res_q = abs(moment(m, work, "Q") - work.B**work.q) / work.B**work.q
+    res_p = abs(moment(m, work, "P") - work.A**p) / work.A**p
+    res_q = abs(moment(m, work, "Q") - work.B**q) / work.B**q
     if not max(res_p, res_q) <= _RESIDUAL_GATE:
         raise SolverError(
             f"moment residuals {res_p:.3e}, {res_q:.3e} exceed {_RESIDUAL_GATE:g} "
@@ -399,14 +331,16 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
 def solve_multipliers(params: ProblemParams) -> Multipliers:
     """Solve the two moment equations for (lambda1, lambda2) in the dual regime.
 
-    Damped Newton on the convex Lagrangian dual D (see the module
-    docstring), in canonical order p < q and started from the
-    p-constraint solution (lambda2 = 0), with D as the merit function and
-    Armijo backtracking.  Each iterate costs one fused pass of the
-    16-node graded rule.  The final moments must pass the 16- against
-    8-node quadrature check, else :class:`QuadratureError`.  Raises
-    :class:`SolverError` if Newton does not converge, meets a non-finite
-    iterate, or ends with relative moment residuals above 1e-8.
+    In canonical order p < q, Newton solves log R(z) = log(B/A) for the
+    log-odds z of the crossover share a (see the module docstring),
+    bracketed by the signs seen so far and started at a = 1/2; each
+    iterate is one log-space pass of the 16-node graded rule.  The
+    multipliers follow as a T^(1-p) and (1 - a) T^(1-q), and T is then the
+    root of phi(T) = 1 (:func:`find_T`).  The final moments must pass the
+    16- against 8-node quadrature check, else :class:`QuadratureError`.
+    Raises :class:`SolverError` if Newton does not converge or meets a
+    non-finite value, if a multiplier is out of the float range, or if
+    the relative moment residuals exceed 1e-8.
     """
     consts = derive_constants(params)
     regime = classify_regime(params, consts)
@@ -415,7 +349,7 @@ def solve_multipliers(params: ProblemParams) -> Multipliers:
             f"solve_multipliers requires the dual regime, got {regime.tag} "
             f"at B/A = {params.ratio:.6g}"
         )
-    return _solve(params, consts)[0]
+    return _solve(params)[0]
 
 
 @dataclass(frozen=True)
@@ -451,16 +385,16 @@ def compute_bound(params: ProblemParams) -> BoundReport:
     """Classify the instance and evaluate the sharp bound for its regime.
 
     Single regimes use the closed form with the inactive multiplier
-    recorded as exactly zero; the dual regime runs the Newton solve of
-    the multipliers, whose checked moments give the residuals, and the
-    bound integral.
+    recorded as exactly zero; the dual regime runs the Newton solve in
+    the crossover share, whose checked moments give the residuals, and
+    the bound integral.
     """
     start = time.perf_counter()
     consts = derive_constants(params)
     regime = classify_regime(params, consts)
 
     if regime.tag == "Dual":
-        m, residual_p, residual_q = _solve(params, consts)
+        m, residual_p, residual_q = _solve(params)
         bound = bound_integral(m, params)
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:

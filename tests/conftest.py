@@ -34,6 +34,18 @@ def coarse_machine() -> CauchyTransform:
     )
 
 
+def _interior_ratio(rng: np.random.Generator, c: wl.DerivedConstants) -> float:
+    """A budget ratio strictly inside the dual window of constants c."""
+    if c.r2 is None:
+        lo, hi = 1.2 * c.r1, 5.0 * c.r1  # dual opens upward when r2 diverges
+    elif c.r1 is None:
+        lo, hi = 0.1 * c.r2, 0.9 * c.r2
+    else:
+        span = c.r2 - c.r1
+        lo, hi = c.r1 + 0.2 * span, c.r1 + 0.8 * span
+    return rng.uniform(lo, hi)
+
+
 def random_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
     """Sample an instance strictly inside the dual window."""
     while True:
@@ -44,15 +56,30 @@ def random_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
             continue
         probe = wl.ProblemParams(beta, p, q, 1.0, 1.0)
         c = wl.derive_constants(probe)
-        if c.r2 is None:
-            lo, hi = 1.2 * c.r1, 5.0 * c.r1  # dual opens upward when r2 diverges
-        elif c.r1 is None:
-            lo, hi = 0.1 * c.r2, 0.9 * c.r2
-        else:
-            span = c.r2 - c.r1
-            lo, hi = c.r1 + 0.2 * span, c.r1 + 0.8 * span
-        ratio = rng.uniform(lo, hi)
-        return wl.ProblemParams(beta, p, q, 1.0, ratio)
+        return wl.ProblemParams(beta, p, q, 1.0, _interior_ratio(rng, c))
+
+
+def band_dual_params(rng: np.random.Generator, near: bool) -> wl.ProblemParams:
+    """Sample a dual instance of the test-suite domain whose moment exponent
+    s = (p-1) - (q-1)/(2 beta + 1), in canonical order p < q, lies in
+    (-1.1, -0.6): inside the window as in random_dual_params, or with
+    ``near`` at r1 (1 + delta) or r2 (1 - delta), delta log-uniform in
+    [1e-7, 1e-2]."""
+    while True:
+        beta = rng.uniform(0.2, 2.0)
+        p = rng.uniform(1.3, 6.0)
+        q = rng.uniform(1.3, 6.0)
+        lo, hi = sorted((p, q))
+        if hi - lo < 0.2 or not -1.1 < (lo - 1.0) - (hi - 1.0) / (2.0 * beta + 1.0) < -0.6:
+            continue
+        c = wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0))
+        if not near:
+            return wl.ProblemParams(beta, p, q, 1.0, _interior_ratio(rng, c))
+        delta = 10.0 ** rng.uniform(-7.0, -2.0)
+        sides = [r * f for r, f in ((c.r1, 1.0 + delta), (c.r2, 1.0 - delta)) if r is not None]
+        params = wl.ProblemParams(beta, p, q, 1.0, sides[rng.integers(len(sides))])
+        if wl.classify_regime(params, c).tag == "Dual":
+            return params
 
 
 def random_single_params(rng: np.random.Generator) -> tuple[wl.ProblemParams, str]:

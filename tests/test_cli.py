@@ -12,7 +12,7 @@ import pytest
 import wavelock as wl
 from wavelock.cli import main
 from wavelock.verifier import FrequencyGrid
-from conftest import tiny_budget_dual_params, wide_dual_params
+from conftest import band_dual_params, tiny_budget_dual_params, wide_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_KEYS = [
@@ -199,22 +199,16 @@ class TestProfileCommand:
                 d, mag = float(r[0]), float(r[1])
                 assert mag == pytest.approx(lam * (1 - d) ** (1 / alpha), rel=1e-10)
 
-    def test_center_flag(self, capsys, tmp_path):
-        out_path = tmp_path / "c.csv"
-        code, _, _ = run_cli(
-            ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
-             "--samples", "50", "--out", str(out_path), "--center", "1.5,2.0"],
-            capsys,
-        )
-        assert code == 0
-
-    def test_bad_center_exit_2(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
-             "--out", str(tmp_path / "x.csv"), "--center", "nonsense"],
-            capsys,
-        )
-        assert code == 2
+    def test_removed_center_flag_exit_2(self, capsys, tmp_path):
+        # The profile's columns do not depend on the weight's centre.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
+                  "--out", str(tmp_path / "x.csv"), "--center", "0,1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --center 0,1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_io_error_exit_4(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -278,8 +272,6 @@ class TestVerifyCommand:
             ["verify", "--oracle-points", "50"],
             ["profile", "--samples", "0"],
             ["profile", "--samples", "-3"],
-            ["profile", "--center", "0,-1"],
-            ["profile", "--center", "nan,1"],
         ],
         ids=" ".join,
     )
@@ -474,6 +466,49 @@ class TestScanCommand:
         )
         assert code == 2
 
+    def test_q_sweep_through_p_reports_the_error_in_its_row(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--beta", "0.5", "--p", "2", "--A", "1", "--B", "0.45",
+             "--q-sweep", "4,2,8"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["q"] for r in rows] == ["4.0", "2.0", "8.0"]
+        assert rows[1]["error"].startswith("ParameterError: p and q must be distinct")
+        assert rows[1]["regime"] == rows[1]["bound"] == ""
+        assert rows[0]["error"] == rows[2]["error"] == ""
+
+    def test_q_sweep_not_numbers_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--beta", "0.5", "--p", "2", "--A", "1", "--B", "0.45", "--q-sweep", "2,x"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: --q-sweep expects comma-separated numbers")
+
+    def test_neither_sweep_exit_2(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: scan needs either a ratio range or --q-sweep")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--ratio-min", "0.3", "--ratio-max", "0.5"], "ratio sweeps need --q"),
+            (["--q-sweep", "4,8"], "q sweeps need --B"),
+        ],
+        ids=["ratio-without-q", "q-sweep-without-B"],
+    )
+    def test_sweep_without_its_flag_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--beta", "0.5", "--p", "2", "--A", "1", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     @pytest.mark.parametrize(
         "bounds",
         [
@@ -512,16 +547,32 @@ class TestWideDomainContract:
                 continue
             assert math.isfinite(report.bound) and report.bound > 0.0, params
             assert max(report.residual_p, report.residual_q) <= 1e-8, params
-        assert {wl.SolverError, wl.QuadratureError} <= set(failed)
-        for kind in (wl.SolverError, wl.QuadratureError):
-            P = failed[kind]
+        assert failed
+        for kind, P in failed.items():
             code, out, err = run_cli(
                 ["bound", "--beta", repr(P.beta), "--p", repr(P.p), "--q", repr(P.q),
                  "--A", repr(P.A), "--B", repr(P.B)],
                 capsys,
             )
-            assert code == 3 and out == "", P
-            assert err.startswith("solver error: "), err
+            prefix = "parameter error: " if kind is wl.ParameterError else "solver error: "
+            assert code == (2 if kind is wl.ParameterError else 3) and out == "", P
+            assert err.startswith(prefix), err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_band_draws_are_results_or_typed_errors(self):
+        # The band s in (-1.1, -0.6) of the test-suite domain, where the
+        # crossover of the two terms of phi can sink below the rule's
+        # deepest panel; no share is asserted.
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            params = band_dual_params(rng, near=i % 2 == 1)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            assert report.regime == "Dual", params
+            assert math.isfinite(report.bound) and report.bound > 0.0, params
+            assert max(report.residual_p, report.residual_q) <= 1e-8, params
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_budgets_are_results_or_typed_errors(self, capsys):

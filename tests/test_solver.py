@@ -281,33 +281,25 @@ UNREPRESENTABLE = (0.4344753046388565, 5.48591166754509, 2.402783507962045, 1.0,
 
 
 class TestNewtonDual:
-    def _dual_near_solution(self, params):
-        m = wl.solve_multipliers(params)
-        dual = solver._Dual(params)
-        return dual, np.array([1.3 * m.lambda1, 0.7 * m.lambda2])
-
     @pytest.mark.parametrize("params", [params_ref(), wl.ProblemParams(*GOLDEN_BOUNDS[-2][0])])
     def test_fused_pass_matches_finite_differences(self, params):
-        dual, lam = self._dual_near_solution(params)
-        point = dual(lam)
-        m = wl.multipliers(lam[0], lam[1], params)
-        moments = np.array([wl.moment(m, params, "P"), wl.moment(m, params, "Q")])
-        assert point.moments == pytest.approx(moments, rel=1e-12)
-        assert point.grad == pytest.approx((dual.budget - moments) / dual.e, rel=1e-12)
-
-        fd_grad = np.empty(2)
-        fd_hess = np.empty((2, 2))
-        for i in range(2):
-            h = np.zeros(2)
-            h[i] = 1e-5 * lam[i]
-            up, down = dual(lam + h), dual(lam - h)
-            fd_grad[i] = (up.value - down.value) / (2 * h[i])
-            fd_hess[:, i] = (up.grad - down.grad) / (2 * h[i])
-        scale = np.abs(point.grad).max()
-        assert np.abs(fd_grad - point.grad).max() <= 1e-6 * scale
-        assert point.hess[0, 1] == pytest.approx(point.hess[1, 0], rel=1e-14)
-        assert point.hess == pytest.approx(fd_hess, rel=1e-6)
-        assert np.linalg.eigvalsh(point.hess).min() > 0
+        # The unit pass at a fixed z against the checked moments of the
+        # multipliers that z gives, and its slope against log R itself.
+        p, q = params.p, params.q
+        unit = solver._unit_pass(params)
+        for z in (-3.0, -0.5, 2.0):
+            log_R, slope, log_pm = unit(z)
+            a = 1.0 / (1.0 + math.exp(-z))
+            T = params.A * math.exp(-log_pm / p)
+            m = wl.multipliers(a * T ** (1.0 - p), (1.0 - a) * T ** (1.0 - q), params)
+            assert m.T == pytest.approx(T, rel=1e-14)
+            log_qm = q * (log_R + log_pm / p)  # log(q m_q)
+            assert wl.moment(m, params, "P") == pytest.approx(math.exp(log_pm) * m.T**p, rel=1e-12)
+            assert wl.moment(m, params, "Q") == pytest.approx(math.exp(log_qm) * m.T**q, rel=1e-12)
+            h = 1e-5
+            fd = (unit(z + h)[0] - unit(z - h)[0]) / (2.0 * h)
+            assert slope > 0.0
+            assert slope == pytest.approx(fd, rel=1e-7)
 
     @pytest.mark.parametrize("instance, bound", GOLDEN_BOUNDS)
     def test_golden_bounds(self, instance, bound):
@@ -315,17 +307,6 @@ class TestNewtonDual:
         assert report.regime == "Dual"
         assert abs(report.bound - bound) <= 1e-12 * bound
         assert max(report.residual_p, report.residual_q) <= 1e-8
-
-    def test_step_stays_positive_with_velocity_d(self):
-        lam = np.array([1e-3, 2.0])
-        kappa = np.array([0.2, 1.0])
-        for d in (np.array([-0.02, 3.0]), np.array([-1e-3, -1.5]), np.array([2.0, -40.0])):
-            for t in (1.0, 0.5, 1e-3):
-                assert np.all(solver._advance(lam, d, t, kappa) > 0)
-            velocity = (solver._advance(lam, d, 1e-9, kappa) - lam) / 1e-9
-            assert velocity == pytest.approx(d, rel=1e-5)
-        start = np.array([0.5, 0.0])  # a zero multiplier moves linearly
-        assert solver._advance(start, np.array([0.1, 0.3]), 0.5, kappa)[1] == 0.15
 
     def test_one_debug_record_per_dual_solve(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="wavelock"):
@@ -335,7 +316,7 @@ class TestNewtonDual:
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         assert "Newton iterations" in records[0].getMessage()
-        assert "line-search evaluations" in records[0].getMessage()
+        assert "bisections" in records[0].getMessage()
 
     def test_silent_by_default(self, capfd):
         wl.compute_bound(params_ref())
@@ -356,9 +337,58 @@ class TestNewtonDual:
             wl.compute_bound(params_ref())
 
     def test_non_finite_iterate_is_a_solver_error(self, monkeypatch):
-        monkeypatch.setattr(solver, "find_T", lambda l1, l2, params: float("nan"))
-        with pytest.raises(wl.SolverError, match="non-finite"):
-            wl.solve_multipliers(params_ref())
+        real = solver._unit_pass
+        # A NaN log R at the first iterate, an infinite slope at the third.
+        for bad_call, spoil in ((0, lambda out: (math.nan, *out[1:])),
+                                (2, lambda out: (out[0], math.inf, out[2]))):
+            calls = []
+
+            def spoiled(params):
+                unit = real(params)
+
+                def evaluate(z):
+                    calls.append(z)
+                    out = unit(z)
+                    return spoil(out) if len(calls) == bad_call + 1 else out
+
+                return evaluate
+
+            monkeypatch.setattr(solver, "_unit_pass", spoiled)
+            with pytest.raises(wl.SolverError, match="non-finite"):
+                wl.solve_multipliers(params_ref())
+            assert len(calls) == bad_call + 1
+
+    @pytest.mark.parametrize("shallow_call", [0, 1])
+    def test_long_steps_are_capped_and_overshoots_bisected(self, shallow_call):
+        # One slope 1e6 times too shallow: at z = 0 its step is cut to
+        # _STEP_MAX; at the second iterate, inside a bracket, its step
+        # overshoots the bracket and is replaced by the midpoint.
+        params = params_ref()
+        unit = solver._unit_pass(params)
+        target = math.log(params.ratio)
+        calls = []
+
+        def shallow(z):
+            calls.append(z)
+            log_R, slope, log_pm = unit(z)
+            return log_R, slope * (1e-6 if len(calls) == shallow_call + 1 else 1.0), log_pm
+
+        z, _, _, bisections = solver._newton(shallow, target)
+        if shallow_call == 0:
+            assert calls[1] == -solver._STEP_MAX
+        else:
+            assert bisections == 1 and calls[2] == 0.5 * calls[1]
+        assert abs(unit(z)[0] - target) <= solver._NEWTON_RTOL
+        assert z == pytest.approx(solver._newton(unit, target)[0], abs=1e-12)
+
+    def test_certificate_failure_is_a_solver_error(self, monkeypatch):
+        def off_budget(m, params, which):
+            budget = params.A**params.p if which == "P" else params.B**params.q
+            return budget * (1.0 + 1e-6)
+
+        monkeypatch.setattr(solver, "moment", off_budget)
+        with pytest.raises(wl.SolverError, match="moment residuals"):
+            wl.compute_bound(params_ref())
 
     def test_iteration_cap_is_a_solver_error(self, monkeypatch):
         monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
