@@ -39,6 +39,9 @@ _EPILOG = """exit codes:
   3  solver failure (no convergence, quadrature breakdown or oracle failure)
   4  I/O error writing an output file
   5  verification tolerance breach
+
+A value that starts with "-" but is not a plain decimal (-1e308, -inf) reads
+as a flag unless it is joined to its own: --ratio-min=-1e308, --A=-1e-3.
 """
 
 

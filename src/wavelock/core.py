@@ -241,6 +241,14 @@ def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+@functools.lru_cache(maxsize=8)
+def _graded_log_nodes(panels: int, nodes: int) -> np.ndarray:
+    """log x at the nodes of :func:`_graded_rule`, taken once; read-only."""
+    log_x = np.log(_graded_rule(panels, nodes)[0])
+    log_x.flags.writeable = False
+    return log_x
+
+
 def _graded_gauss(f, upper: float, panels: int, nodes: int) -> float:
     """Integral of f over (0, upper] by the graded rule scaled to ``upper``.
 
@@ -256,8 +264,26 @@ def _checked_integral(f, upper: float, what: str) -> float:
     Raises :class:`QuadratureError` when the two differ by more than 100
     times (_ABS_TOL + _REL_TOL |value|), or either is not finite.
     """
-    value = _graded_gauss(f, upper, _PANELS, 16)
-    coarse = _graded_gauss(f, upper, _PANELS, 8)
+    return _checked(_graded_gauss(f, upper, _PANELS, 16), _graded_gauss(f, upper, _PANELS, 8), what)
+
+
+def _checked_log_integral(f, upper: float, what: str) -> float:
+    """:func:`_checked_integral` of an integrand given as a function of log t.
+
+    f is evaluated at log t = log(upper) + log x on the cached log nodes,
+    so no node's log is taken again and t itself is never formed.
+    """
+    log_upper = math.log(upper)
+
+    def rule_sum(nodes: int) -> float:
+        _, w = _graded_rule(_PANELS, nodes)
+        return upper * float(w @ f(log_upper + _graded_log_nodes(_PANELS, nodes)))
+
+    return _checked(rule_sum(16), rule_sum(8), what)
+
+
+def _checked(value: float, coarse: float, what: str) -> float:
+    """value, unless it and the coarse rule's sum differ by more than the tolerance."""
     err = abs(value - coarse)
     if not err <= 100.0 * (_ABS_TOL + _REL_TOL * abs(value)):
         raise QuadratureError(

@@ -43,7 +43,8 @@ from .core import (
     FOUR_PI,
     DerivedConstants,
     ProblemParams,
-    _checked_integral,
+    _checked_log_integral,
+    _graded_log_nodes,
     _graded_rule,
     canonical_order,
     classify_regime,
@@ -82,6 +83,16 @@ _ARRAY_OPS = _Ops(np.exp, np.log1p, np.maximum, np.minimum, np.all)
 _INVERT_MAX = 100
 
 
+def _log_sum_exp(a1, a2, ops: _Ops = _ARRAY_OPS):
+    """log(e^a1 + e^a2) as max(a1, a2) + log1p(exp(-|a1 - a2|)).
+
+    The formula of np.logaddexp, built from ufuncs that numpy vectorises
+    (it runs np.logaddexp itself as a scalar loop).  Nothing in it
+    overflows.  Plain floats go through ``_FLOAT_OPS``.
+    """
+    return ops.maximum(a1, a2) + ops.log1p(ops.exp(-abs(a1 - a2)))
+
+
 def _log_phi_inverse(log_c, lambda1: float, lambda2: float, p: float, q: float):
     """log t solving phi(t) = c, phi(t) = l1 t^(p-1) + l2 t^(q-1), given log c.
 
@@ -108,11 +119,9 @@ def _log_phi_inverse(log_c, lambda1: float, lambda2: float, p: float, q: float):
             f"at log c = {log_c!r}"
         )
     for _ in range(_INVERT_MAX):
-        a1, a2 = l1 + k1 * x, l2 + k2 * x  # the logs of the two terms
-        top = ops.maximum(a1, a2)
-        soft = ops.log1p(ops.exp(-abs(a1 - a2)))  # log phi - top
-        g = top + soft - log_c
-        nxt = x - g / (k1 + (k2 - k1) * ops.exp(a2 - top - soft))
+        a2 = l2 + k2 * x  # the log of the second term
+        log_phi = _log_sum_exp(l1 + k1 * x, a2, ops)
+        nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * ops.exp(a2 - log_phi))
         if ops.all(nxt >= x):
             return x
         x = ops.minimum(x, nxt)
@@ -162,10 +171,24 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
+def _log_phi(log_t, m: Multipliers, params: ProblemParams):
+    """log phi(t) = log(l1 t^(p-1) + l2 t^(q-1)) from log t, by the
+    log-sum-exp kernel; a zero multiplier drops its term."""
+    terms = [
+        math.log(lam) + (e - 1.0) * log_t
+        for lam, e in ((m.lambda1, params.p), (m.lambda2, params.q))
+        if lam > 0.0
+    ]
+    return _log_sum_exp(*terms) if len(terms) == 2 else terms[0]
+
+
 def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     """e * int_0^T t^(e-1) u(t) dt for e = p ("P") or q ("Q").
 
-    The integrand vanishes at the origin like t to the power
+    Evaluated in log t: the integrand is
+    4 pi e exp((e-1) log t - c log phi) max(1 - phi^c, 0), one exp of a
+    sum of logs times a factor in [0, 1], so nothing overflows where
+    t^(e-1) underflows.  It vanishes at the origin like t to the power
     (e-1) - (min(p,q)-1)/(2 beta + 1), which is positive for every
     admissible instance; the remaining fractional-power behaviour is
     absorbed by the geometric panel grading.
@@ -173,14 +196,16 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     if which not in ("P", "Q"):
         raise ValueError(f'which must be "P" or "Q", got {which!r}')
     e = params.p if which == "P" else params.q
+    c = 1.0 / (2.0 * params.beta + 1.0)
 
-    def f(t):
-        # Where t^(e-1) underflows and u overflows the product is nan, which
-        # the quadrature check turns into a QuadratureError.
-        with np.errstate(invalid="ignore"):
-            return e * t ** (e - 1.0) * u_eval(t, m, params)
+    def f(log_t):
+        c_log_phi = c * _log_phi(log_t, m, params)
+        return FOUR_PI * e * np.exp((e - 1.0) * log_t - c_log_phi) * np.maximum(-np.expm1(c_log_phi), 0.0)
 
-    return _checked_integral(f, m.T, f"moment {which}")
+    # An overflowing exp makes the sum infinite, which the quadrature check
+    # turns into a QuadratureError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _checked_log_integral(f, m.T, f"moment {which}")
 
 
 def bound_integral(m: Multipliers, params: ProblemParams) -> float:
@@ -188,16 +213,15 @@ def bound_integral(m: Multipliers, params: ProblemParams) -> float:
 
     On (0, T) the integrand collapses to 1 - phi(t)^(2 beta/(2 beta + 1))
     with phi = l1 t^(p-1) + l2 t^(q-1): bounded by 1, tending to 1 at the
-    origin, vanishing at T.
+    origin, vanishing at T.  It is evaluated in log t, as
+    max(-expm1(gamma log phi), 0).
     """
-    p, q, beta = params.p, params.q, params.beta
-    gamma = 2.0 * beta / (2.0 * beta + 1.0)
-
-    def f(t):
-        phi = m.lambda1 * t ** (p - 1.0) + m.lambda2 * t ** (q - 1.0)
-        return 1.0 - phi**gamma
-
-    return _checked_integral(f, m.T, "bound integral")
+    gamma = 2.0 * params.beta / (2.0 * params.beta + 1.0)
+    return _checked_log_integral(
+        lambda log_t: np.maximum(-np.expm1(gamma * _log_phi(log_t, m, params)), 0.0),
+        m.T,
+        "bound integral",
+    )
 
 
 _NEWTON_MAX = 50
@@ -215,31 +239,43 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
         m_e      = 4 pi int x^(e-1) phi^(-c) (1 - phi^c) dx,
         dm_e/dz  = -4 pi c (1 - a) int x^(e-1) phi^(-c) s (1 - x^(q-p)) dx,
 
-    where s = a x^(p-1)/phi is the p-term's share of phi.  Each
-    x^(e-1) phi^(-c) is one exp of a sum of logs and the other factors lie
-    in [0, 1], so nothing overflows where x^(e-1) underflows.
+    where s = a x^(p-1)/phi is the p-term's share of phi.  With
+    d = (q - p) log x - z, the log of the q-term over the p-term,
+    log phi = log a + (p - 1) log x + softplus(d) and s = exp(-softplus(d)).
+    Each x^(p-1) phi^(-c) is one exp of a sum of logs, its q-row is it
+    times x^(q-p), and the other factors lie in [0, 1], so nothing
+    overflows where x^(e-1) underflows.  The sums finish on floats.
     """
     p, q, c = params.p, params.q, 1.0 / (2.0 * params.beta + 1.0)
-    x, w = _graded_rule(_PANELS, 16)
-    log_x = np.log(x)
-    powers = np.stack([(p - 1.0) * log_x, (q - 1.0) * log_x])
-    gap = -np.expm1((q - p) * log_x)  # 1 - x^(q-p)
-    e = np.array([p, q])
+    _, w = _graded_rule(_PANELS, 16)
+    log_x = _graded_log_nodes(_PANELS, 16)
+    lift = (q - p) * log_x  # log x^(q-p)
+    rise = np.exp(lift)  # x^(q-p)
+    c_head = c * (p - 1.0) * log_x  # c log x^(p-1)
+    with np.errstate(divide="ignore"):  # zero weights and zero gaps at x = 1 have log -inf
+        log_row = np.log(w) + (1.0 - c) * (p - 1.0) * log_x  # log(w x^(p-1)) - c log x^(p-1)
+        log_gap = np.log(-np.expm1(lift))  # log(1 - x^(q-p))
 
     def unit(z: float) -> tuple[float, float, float]:
-        log_a, log_b = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)  # log a, log(1 - a)
+        # log a and log(1 - a) as -softplus(-z) and -softplus(z): no exp of z.
+        log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
+        log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
         # A non-finite value is the Newton loop's SolverError, not a warning.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_t1 = log_a + powers[0]
-            log_phi = np.logaddexp(log_t1, log_b + powers[1])
-            # 1 - phi^c and s (1 - x^(q-p)), each against both x^(e-1) phi^(-c)
-            kernels = np.stack([-np.expm1(c * log_phi), np.exp(log_t1 - log_phi) * gap])
-            moments, slopes = (w * kernels) @ np.exp(powers - c * log_phi).T
-            log_em = np.log(FOUR_PI * e * moments)  # log(e m_e)
-            log_R = log_em[1] / q - log_em[0] / p
-            rates = slopes / (e * moments)
-            slope = c * np.exp(log_b) * (rates[0] - rates[1])
-        return float(log_R), float(slope), float(log_em[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            soft = _log_sum_exp(lift - z, 0.0)  # softplus(d)
+            c_rest = c * soft + c * log_a  # c (log phi - log x^(p-1))
+            row = np.exp(log_row - c_rest)  # w x^(p-1) phi^(-c)
+            fall = np.expm1(c_head + c_rest)  # phi^c - 1
+            tilt = np.exp(log_gap - soft)  # s (1 - x^(q-p))
+            m_p, d_p = -float(row @ fall), float(row @ tilt)
+            row *= rise  # w x^(q-1) phi^(-c)
+            m_q, d_q = -float(row @ fall), float(row @ tilt)
+        if not (m_p > 0.0 and m_q > 0.0):  # a zero or NaN moment has no log
+            return math.nan, math.nan, math.nan
+        log_pm = math.log(FOUR_PI * p * m_p)  # log(p m_p)
+        log_R = math.log(FOUR_PI * q * m_q) / q - log_pm / p
+        slope = c * math.exp(log_b) * (d_p / (p * m_p) - d_q / (q * m_q))
+        return log_R, slope, log_pm
 
     return unit
 
@@ -302,7 +338,8 @@ def _solve(params: ProblemParams) -> tuple[Multipliers, float, float]:
     p, q = work.p, work.q
     z, log_pm, iterations, bisections = _newton(_unit_pass(work), math.log(work.ratio))
     log_T = math.log(work.A) - log_pm / p
-    log_a, log_b = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
+    log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
     log_lam = (log_a + (1.0 - p) * log_T, log_b + (1.0 - q) * log_T)
     if not all(_LOG_FLOAT_MIN <= v < _LOG_FLOAT_MAX for v in log_lam):
         raise SolverError(

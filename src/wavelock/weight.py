@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, _checked_integral
+from .core import FOUR_PI, ProblemParams, _checked_log_integral
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import RadialProfile, distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
-from .solver import BoundReport, Multipliers, _log_phi_inverse, u_eval
+from .solver import BoundReport, Multipliers, _log_phi_inverse, _log_sum_exp, u_eval
 
 # Beyond this d the double-precision map d/(1-d) saturates; the profile
 # value there is below any representable scale, so we return 0.
@@ -163,17 +163,16 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
     m = 1.0 / grade
     log_peak = math.log(w.peak)
 
-    def f(y):
-        log_y = np.log(y)
+    def f(log_y):
         log_t = log_peak + m * log_y
         logs = [log_lam + k * log_t for log_lam, k in terms]
-        log_phi = np.logaddexp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
+        log_phi = _log_sum_exp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
         slope = sum(k * np.exp(b - log_phi) for (_, k), b in zip(terms, logs))  # t phi'/phi
         log_psi = _log_phi_inverse(log_phi, *lams, params.p, params.q)
         # psi^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
         return c * m * slope * np.exp(e * log_psi + (a - c) * log_phi - log_y)
 
-    return _checked_integral(f, 1.0, what)
+    return _checked_log_integral(f, 1.0, what)
 
 
 def weight_norms(w: ExtremalWeight) -> tuple[float, float]:

@@ -530,14 +530,43 @@ class TestScanCommand:
         assert out == ""
 
 
+class TestNegativeValues:
+    def test_help_states_the_joined_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "--ratio-min=-1e308" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value, argv",
+        [
+            ("--A", "-1e-3", ["bound", "--beta", "0.5", "--p", "2", "--q", "4", "--B", "0.4"]),
+            ("--ratio-min", "-inf",
+             ["scan", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--ratio-max", "0.5"]),
+        ],
+        ids=["bound-budget", "scan-range"],
+    )
+    def test_joined_form_reaches_validation(self, flag, value, argv, capsys):
+        # Apart, argparse reads the value as a flag; joined, the program's
+        # own check rejects it.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        code, out, err = run_cli([*argv, f"{flag}={value}"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: "), err
+
+
 class TestWideDomainContract:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_draw_is_a_result_or_a_typed_error(self, capsys):
         # The documented outcomes on the wide domain: a bound within the
         # residual gate, or a typed error that the CLI maps to exit 2 or 3.
-        # Many draws fail today; this test fixes the contract, not a share.
+        # At least the 274 draws that solve with the log-space certificate
+        # must keep solving.
         rng = np.random.default_rng(7)
         failed = {}
+        solved = 0
         for _ in range(300):
             params = wide_dual_params(rng)
             try:
@@ -547,7 +576,8 @@ class TestWideDomainContract:
                 continue
             assert math.isfinite(report.bound) and report.bound > 0.0, params
             assert max(report.residual_p, report.residual_q) <= 1e-8, params
-        assert failed
+            solved += 1
+        assert solved >= 274
         for kind, P in failed.items():
             code, out, err = run_cli(
                 ["bound", "--beta", repr(P.beta), "--p", repr(P.p), "--q", repr(P.q),
@@ -576,9 +606,11 @@ class TestWideDomainContract:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_budgets_are_results_or_typed_errors(self, capsys):
-        # Tiny budgets at large exponents push the dual start's multiplier
-        # out of the float range; that must be a typed error, not a traceback.
+        # Tiny budgets at large exponents push a multiplier out of the float
+        # range; that must be a typed error, not a traceback.  At least the
+        # 317 draws that solve with the log-space certificate must keep solving.
         rng = np.random.default_rng(0)
+        solved = 0
         for _ in range(600):
             params = tiny_budget_dual_params(rng)
             try:
@@ -587,6 +619,8 @@ class TestWideDomainContract:
                 continue
             assert math.isfinite(report.bound) and report.bound > 0.0, params
             assert max(report.residual_p, report.residual_q) <= 1e-8, params
+            solved += 1
+        assert solved >= 317
         code, out, err = run_cli(
             ["bound", "--beta", "2.770300025191308", "--p", "34.87113477438095",
              "--q", "35.34012933752928", "--A", "7.561609926998425e-10",

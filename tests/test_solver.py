@@ -95,13 +95,24 @@ class TestMoment:
             )
             assert mine == pytest.approx(ref, rel=1e-9)
 
-    def test_nan_integrand_is_a_quadrature_error(self):
-        # At the dual start t^(p-1) underflows where u overflows; their nan
-        # product must end in a QuadratureError, with no RuntimeWarning.
+    def test_nan_integrand_is_a_quadrature_error(self, monkeypatch):
+        # Here t^(p-1) underflows where u overflows, which made the linear
+        # integrand's product nan; in log t the moments are finite.
         params = wl.ProblemParams(
             4.506108126611198, 14.545912456105732, 15.098453525992603,
             4.745634443856013e-22, 4.729355723705874e-22,
         )
+        report = wl.compute_bound(params)
+        assert max(report.residual_p, report.residual_q) <= 1e-8
+        # A nan in the integrand must still end in a QuadratureError, with no
+        # RuntimeWarning.
+        real = solver._log_phi
+
+        def spoiled(log_t, m, params):
+            out = real(log_t, m, params)
+            return np.where(np.arange(out.size) == out.size // 2, math.nan, out)
+
+        monkeypatch.setattr(solver, "_log_phi", spoiled)
         with pytest.raises(wl.QuadratureError, match="moment P"):
             wl.compute_bound(params)
 
@@ -284,10 +295,13 @@ class TestNewtonDual:
     @pytest.mark.parametrize("params", [params_ref(), wl.ProblemParams(*GOLDEN_BOUNDS[-2][0])])
     def test_fused_pass_matches_finite_differences(self, params):
         # The unit pass at a fixed z against the checked moments of the
-        # multipliers that z gives, and its slope against log R itself.
+        # multipliers that z gives, and its slope against log R itself.  At
+        # |z| = 12 one of a, 1 - a is 6e-6 and the slope falls to 1e-6-1e-7, so
+        # the difference is the five-point one with a step long enough that
+        # the rounding of log R stays below the tolerance.
         p, q = params.p, params.q
         unit = solver._unit_pass(params)
-        for z in (-3.0, -0.5, 2.0):
+        for z in (-12.0, -3.0, -0.5, 2.0, 12.0):
             log_R, slope, log_pm = unit(z)
             a = 1.0 / (1.0 + math.exp(-z))
             T = params.A * math.exp(-log_pm / p)
@@ -296,10 +310,37 @@ class TestNewtonDual:
             log_qm = q * (log_R + log_pm / p)  # log(q m_q)
             assert wl.moment(m, params, "P") == pytest.approx(math.exp(log_pm) * m.T**p, rel=1e-12)
             assert wl.moment(m, params, "Q") == pytest.approx(math.exp(log_qm) * m.T**q, rel=1e-12)
-            h = 1e-5
-            fd = (unit(z + h)[0] - unit(z - h)[0]) / (2.0 * h)
+            h = 0.03
+            fd = (8.0 * (unit(z + h)[0] - unit(z - h)[0]) - (unit(z + 2 * h)[0] - unit(z - 2 * h)[0])) / (12.0 * h)
             assert slope > 0.0
             assert slope == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "params, non_finite",
+        [(params_ref(), 0), (wl.ProblemParams(0.05, 1.01, 51.0, 1.0, 1.0), 2)],
+        ids=["reference", "wide"],
+    )
+    def test_extreme_iterates_are_values_not_warnings(self, params, non_finite):
+        # Newton's capped steps can carry z into the thousands.  There the
+        # pass neither raises nor warns, and a non-finite value it returns is
+        # the Newton loop's SolverError.
+        unit = solver._unit_pass(params)
+        seen = 0
+        for z in (-3000.0, -800.0, 800.0, 3000.0):
+            out = unit(z)
+            if all(math.isfinite(v) for v in out):
+                continue
+            seen += 1
+            with pytest.raises(wl.SolverError, match="non-finite"):
+                solver._newton(lambda _: out, 0.0)
+        assert seen == non_finite
+
+    def test_zero_moment_is_a_solver_error(self, monkeypatch):
+        # A zero moment has no log; the pass returns no value Newton can use.
+        x, w = solver._graded_rule(solver._PANELS, 16)
+        monkeypatch.setattr(solver, "_graded_rule", lambda panels, nodes: (x, np.zeros_like(w)))
+        with pytest.raises(wl.SolverError, match="non-finite"):
+            wl.solve_multipliers(params_ref())
 
     @pytest.mark.parametrize("instance, bound", GOLDEN_BOUNDS)
     def test_golden_bounds(self, instance, bound):
