@@ -212,7 +212,7 @@ class QuadratureError(RuntimeError):
 
 
 # _graded_rule halves its panels _PANELS times into each end of (0, 1]
-# (122 panels in all); the tolerances are those of _checked_integral.
+# (122 panels in all); the tolerances are those of _checked.
 _PANELS = 60
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
@@ -242,48 +242,31 @@ def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _graded_log_nodes(panels: int, nodes: int) -> np.ndarray:
-    """log x at the nodes of :func:`_graded_rule`, taken once; read-only."""
-    log_x = np.log(_graded_rule(panels, nodes)[0])
+def _graded_log_nodes(panels: int, *nodes: int) -> np.ndarray:
+    """log x at the nodes of :func:`_graded_rule`, for each count in ``nodes``
+    in turn, taken once; read-only."""
+    log_x = np.log(np.concatenate([_graded_rule(panels, n)[0] for n in nodes]))
     log_x.flags.writeable = False
     return log_x
 
 
-def _graded_gauss(f, upper: float, panels: int, nodes: int) -> float:
-    """Integral of f over (0, upper] by the graded rule scaled to ``upper``.
-
-    All panels go through one vectorized evaluation of f.
-    """
-    x, w = _graded_rule(panels, nodes)
-    return upper * float(w @ np.asarray(f(upper * x), dtype=float))
-
-
-def _checked_integral(f, upper: float, what: str) -> float:
-    """Integral of f over (0, upper], 16 Gauss nodes per panel checked against 8.
-
-    Raises :class:`QuadratureError` when the two differ by more than 100
-    times (_ABS_TOL + _REL_TOL |value|), or either is not finite.
-    """
-    return _checked(_graded_gauss(f, upper, _PANELS, 16), _graded_gauss(f, upper, _PANELS, 8), what)
-
-
 def _checked_log_integral(f, upper: float, what: str) -> float:
-    """:func:`_checked_integral` of an integrand given as a function of log t.
+    """Integral over (0, upper] of an integrand given as a function of log t,
+    16 Gauss nodes per panel checked against 8 (:func:`_checked`).
 
-    f is evaluated at log t = log(upper) + log x on the cached log nodes,
-    so no node's log is taken again and t itself is never formed.
+    f is evaluated once, at log t = log(upper) + log x on the cached log
+    nodes of both rules side by side, and the two weighted sums are split
+    from that one array; t itself is never formed.
     """
-    log_upper = math.log(upper)
-
-    def rule_sum(nodes: int) -> float:
-        _, w = _graded_rule(_PANELS, nodes)
-        return upper * float(w @ f(log_upper + _graded_log_nodes(_PANELS, nodes)))
-
-    return _checked(rule_sum(16), rule_sum(8), what)
+    values = f(math.log(upper) + _graded_log_nodes(_PANELS, 16, 8))
+    fine, coarse = (_graded_rule(_PANELS, nodes)[1] for nodes in (16, 8))
+    n = fine.size
+    return _checked(upper * float(fine @ values[:n]), upper * float(coarse @ values[n:]), what)
 
 
 def _checked(value: float, coarse: float, what: str) -> float:
-    """value, unless it and the coarse rule's sum differ by more than the tolerance."""
+    """value, unless it and the coarse rule's sum differ by more than 100 times
+    (_ABS_TOL + _REL_TOL |value|) or either is not finite (QuadratureError)."""
     err = abs(value - coarse)
     if not err <= 100.0 * (_ABS_TOL + _REL_TOL * abs(value)):
         raise QuadratureError(

@@ -20,8 +20,8 @@ equations become one equation in a,
 with T = A (p m_p(a))^(-1/p) in closed form.  R increases from r1
 (a -> 0) to r2 (a -> 1), so B/A has a root exactly in the dual window.
 :func:`solve_multipliers` solves log R = log(B/A) for z = log(a/(1 - a))
-by a bracketed Newton, one log-space pass of the graded rule per
-iterate, and takes l1 = a T^(1-p) and l2 = (1 - a) T^(1-q) from the root.
+by a bracketed Newton scaled to that window, one log-space pass of the
+graded rule per iterate, and takes l1 = a T^(1-p), l2 = (1 - a) T^(1-q).
 """
 
 from __future__ import annotations
@@ -239,12 +239,13 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
         m_e      = 4 pi int x^(e-1) phi^(-c) (1 - phi^c) dx,
         dm_e/dz  = -4 pi c (1 - a) int x^(e-1) phi^(-c) s (1 - x^(q-p)) dx,
 
-    where s = a x^(p-1)/phi is the p-term's share of phi.  With
-    d = (q - p) log x - z, the log of the q-term over the p-term,
-    log phi = log a + (p - 1) log x + softplus(d) and s = exp(-softplus(d)).
-    Each x^(p-1) phi^(-c) is one exp of a sum of logs, its q-row is it
-    times x^(q-p), and the other factors lie in [0, 1], so nothing
-    overflows where x^(e-1) underflows.  The sums finish on floats.
+    where s = a x^(p-1)/phi is the p-term's share of phi.  With d =
+    (q - p) log x - z, the log of the q-term over the p-term, log phi -
+    (p - 1) log x is log a + softplus(d) for z >= 0 and log(1 - a) + (q - p)
+    log x + softplus(-d) for z < 0, so that once one term alone counts log R
+    stops moving with z, to the last bit.  Each x^(p-1) phi^(-c) is one exp
+    of a sum of logs, its q-row is it times x^(q-p), and the other factors
+    lie in [0, 1], so nothing overflows where x^(e-1) underflows.
     """
     p, q, c = params.p, params.q, 1.0 / (2.0 * params.beta + 1.0)
     _, w = _graded_rule(_PANELS, 16)
@@ -262,11 +263,13 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
         log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
         # A non-finite value is the Newton loop's SolverError, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            soft = _log_sum_exp(lift - z, 0.0)  # softplus(d)
-            c_rest = c * soft + c * log_a  # c (log phi - log x^(p-1))
+            # log phi - log x^(p-1), built on the larger share: exact once one term counts.
+            rest = (_log_sum_exp(z - lift, 0.0) + lift + log_b if z < 0.0
+                    else _log_sum_exp(lift - z, 0.0) + log_a)
+            c_rest = c * rest
             row = np.exp(log_row - c_rest)  # w x^(p-1) phi^(-c)
             fall = np.expm1(c_head + c_rest)  # phi^c - 1
-            tilt = np.exp(log_gap - soft)  # s (1 - x^(q-p))
+            tilt = np.exp(log_gap + log_a - rest)  # s (1 - x^(q-p))
             m_p, d_p = -float(row @ fall), float(row @ tilt)
             row *= rise  # w x^(q-1) phi^(-c)
             m_q, d_q = -float(row @ fall), float(row @ tilt)
@@ -280,17 +283,25 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
     return unit
 
 
-def _newton(unit: Callable, target: float) -> tuple[float, float, int, int]:
+def _newton(
+    unit: Callable, target: float, window=(-math.inf, math.inf), spread=math.inf
+) -> tuple[float, float, int, int]:
     """Solve log R(z) = target by Newton in z, kept inside a sign bracket.
 
-    log R increases with z, so every iterate tightens the bracket; a step
-    longer than _STEP_MAX is cut to it, and one that leaves the bracket
-    is replaced by its midpoint.  Stops at |log R - target| <=
-    _NEWTON_RTOL.  Returns z, log(p m_p) there, the iteration count and
-    the number of bisections.
+    ``window`` = (log r1, log r2) holds the limits of log R at z = -inf and
+    +inf (infinite where a threshold is undefined), which log R nears
+    exponentially in z.  Inside it the step is Newton's on the window logit
+    F = log((log R - log r1)/(log r2 - log R)), linear in z at both ends;
+    elsewhere, or where F' is not positive, it is the plain step.  log R
+    increases with z, so every iterate tightens the bracket; a step longer
+    than _STEP_MAX is cut to it, and one that leaves the bracket is replaced
+    by its midpoint.  Stops at |log R - target| <= _NEWTON_RTOL; returns z,
+    log(p m_p), the iteration count and the bisections.  A log R that
+    repeats bit for bit while the crossover z/spread (spread = q - p) lies
+    below the rule's deepest node can move no further: SolverError.
     """
-    lo, hi, z = -math.inf, math.inf, 0.0
-    bisections = 0
+    log_r1, log_r2 = window
+    lo, hi, z, last, bisections = -math.inf, math.inf, 0.0, math.nan, 0
     for iteration in range(_NEWTON_MAX):
         log_R, slope, log_pm = unit(z)
         f = log_R - target
@@ -298,11 +309,21 @@ def _newton(unit: Callable, target: float) -> tuple[float, float, int, int]:
             raise SolverError(f"non-finite log R = {log_R!r} or slope {slope!r} at z = {z!r}")
         if abs(f) <= _NEWTON_RTOL:
             return z, log_pm, iteration, bisections
+        if log_R == last and z / spread < (deepest := _graded_log_nodes(_PANELS, 16).min()):
+            raise SolverError(
+                f"the crossover log x* = z/(q - p) = {z / spread:.6g} lies below the graded rule "
+                f"({_PANELS} panels deep, log x >= {deepest:.6g}): log R stopped {abs(f):.3e} from log(B/A)"
+            )
+        last = log_R
         if f < 0.0:
             lo = z
         else:
             hi = z
         step = -f / slope if slope > 0.0 else math.copysign(_STEP_MAX, -f)
+        if log_r1 < log_R < log_r2:  # Newton on F, with F(z) - F(root) formed from f
+            F_slope = slope * (1.0 / (log_R - log_r1) + 1.0 / (log_r2 - log_R))
+            if F_slope > 0.0:
+                step = (math.log1p(-f / (log_r2 - target)) - math.log1p(f / (target - log_r1))) / F_slope
         nxt = z + min(max(step, -_STEP_MAX), _STEP_MAX)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)  # both ends are finite: z is one of them
@@ -331,12 +352,15 @@ def _single_solution(
     return single, single.lam ** (-(e - 1.0))
 
 
-def _solve(params: ProblemParams) -> tuple[Multipliers, float, float]:
-    """The dual solve of an instance classified Dual: multipliers and the
-    relative residuals (P, Q) of params."""
+def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float]:
+    """The dual solve of an instance classified Dual by ``consts``:
+    multipliers and the relative residuals (P, Q) of params."""
     work, swapped = canonical_order(params)
     p, q = work.p, work.q
-    z, log_pm, iterations, bisections = _newton(_unit_pass(work), math.log(work.ratio))
+    log_r1 = -math.inf if consts.r1 is None else math.log(consts.r1)
+    log_r2 = math.inf if consts.r2 is None else math.log(consts.r2)
+    window = (-log_r2, -log_r1) if swapped else (log_r1, log_r2)  # of A/B after a swap
+    z, log_pm, iterations, bisections = _newton(_unit_pass(work), math.log(work.ratio), window, q - p)
     log_T = math.log(work.A) - log_pm / p
     log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
     log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
@@ -369,15 +393,14 @@ def solve_multipliers(params: ProblemParams) -> Multipliers:
     """Solve the two moment equations for (lambda1, lambda2) in the dual regime.
 
     In canonical order p < q, Newton solves log R(z) = log(B/A) for the
-    log-odds z of the crossover share a (see the module docstring),
-    bracketed by the signs seen so far and started at a = 1/2; each
-    iterate is one log-space pass of the 16-node graded rule.  The
-    multipliers follow as a T^(1-p) and (1 - a) T^(1-q), and T is then the
-    root of phi(T) = 1 (:func:`find_T`).  The final moments must pass the
-    16- against 8-node quadrature check, else :class:`QuadratureError`.
-    Raises :class:`SolverError` if Newton does not converge or meets a
-    non-finite value, if a multiplier is out of the float range, or if
-    the relative moment residuals exceed 1e-8.
+    log-odds z of the crossover share a (module docstring; :func:`_newton`)
+    from a = 1/2, one log-space pass of the 16-node graded rule per iterate.
+    The multipliers follow as a T^(1-p) and (1 - a) T^(1-q), and T is then
+    the root of phi(T) = 1 (:func:`find_T`).  The final moments must pass
+    the 16- against 8-node quadrature check, else :class:`QuadratureError`.
+    Raises :class:`SolverError` if Newton does not converge, stalls below
+    the rule or meets a non-finite value, if a multiplier is out of the
+    float range, or if the relative moment residuals exceed 1e-8.
     """
     consts = derive_constants(params)
     regime = classify_regime(params, consts)
@@ -386,7 +409,7 @@ def solve_multipliers(params: ProblemParams) -> Multipliers:
             f"solve_multipliers requires the dual regime, got {regime.tag} "
             f"at B/A = {params.ratio:.6g}"
         )
-    return _solve(params)[0]
+    return _solve(params, consts)[0]
 
 
 @dataclass(frozen=True)
@@ -431,20 +454,14 @@ def compute_bound(params: ProblemParams) -> BoundReport:
     regime = classify_regime(params, consts)
 
     if regime.tag == "Dual":
-        m, residual_p, residual_q = _solve(params)
+        m, residual_p, residual_q = _solve(params, consts)
         bound = bound_integral(m, params)
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:
         side = "P" if regime.tag == "SingleP" else "Q"
         single, seed = _single_solution(params, consts, side)
-        bound = single.bound
-        if side == "P":
-            lam1, lam2 = seed, 0.0
-            residual_p, residual_q = 0.0, None
-        else:
-            lam1, lam2 = 0.0, seed
-            residual_p, residual_q = None, 0.0
-        T = None
+        bound, T = single.bound, None
+        lam1, lam2, residual_p, residual_q = (seed, 0.0, 0.0, None) if side == "P" else (0.0, seed, None, 0.0)
 
     return BoundReport(
         params=params,

@@ -75,10 +75,33 @@ def band_dual_params(rng: np.random.Generator, near: bool) -> wl.ProblemParams:
         c = wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0))
         if not near:
             return wl.ProblemParams(beta, p, q, 1.0, _interior_ratio(rng, c))
-        delta = 10.0 ** rng.uniform(-7.0, -2.0)
-        sides = [r * f for r, f in ((c.r1, 1.0 + delta), (c.r2, 1.0 - delta)) if r is not None]
-        params = wl.ProblemParams(beta, p, q, 1.0, sides[rng.integers(len(sides))])
-        if wl.classify_regime(params, c).tag == "Dual":
+        params = _near_threshold(rng, beta, p, q, c)
+        if params is not None:
+            return params
+
+
+def _near_threshold(rng: np.random.Generator, beta, p, q, c: wl.DerivedConstants):
+    """The instance at r1 (1 + delta) or r2 (1 - delta), delta log-uniform in
+    [1e-7, 1e-2], or None when that ratio is not classified Dual."""
+    delta = 10.0 ** rng.uniform(-7.0, -2.0)
+    sides = [r * f for r, f in ((c.r1, 1.0 + delta), (c.r2, 1.0 - delta)) if r is not None]
+    params = wl.ProblemParams(beta, p, q, 1.0, sides[rng.integers(len(sides))])
+    return params if wl.classify_regime(params, c).tag == "Dual" else None
+
+
+def near_threshold_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
+    """Sample a dual instance of the test-suite domain next to a threshold,
+    as in _near_threshold, away from the band of band_dual_params: one
+    multiplier is close to 0 there."""
+    while True:
+        beta = rng.uniform(0.2, 2.0)
+        p = rng.uniform(1.3, 6.0)
+        q = rng.uniform(1.3, 6.0)
+        lo, hi = sorted((p, q))
+        if hi - lo < 0.2 or -1.1 < (lo - 1.0) - (hi - 1.0) / (2.0 * beta + 1.0) < -0.6:
+            continue
+        params = _near_threshold(rng, beta, p, q, wl.derive_constants(wl.ProblemParams(beta, p, q, 1.0, 1.0)))
+        if params is not None:
             return params
 
 

@@ -10,7 +10,8 @@ import time
 import numpy as np
 
 import wavelock as wl
-from wavelock.core import FOUR_PI, _graded_gauss
+from graded_quadrature import _graded_gauss
+from wavelock.core import FOUR_PI
 from wavelock.oracle import run_oracle
 from wavelock.verifier import (
     CauchyTransform,

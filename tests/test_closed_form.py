@@ -7,7 +7,8 @@ from scipy import integrate
 
 import wavelock as wl
 from wavelock.closed_form import _side_fields, disc_measure
-from wavelock.core import FOUR_PI, _checked_integral
+from graded_quadrature import _checked_integral
+from wavelock.core import FOUR_PI
 from conftest import random_single_params
 
 # Frozen from 50-digit mpmath evaluations of the closed forms.

@@ -6,9 +6,9 @@ import pytest
 from scipy import integrate
 
 import wavelock as wl
-from wavelock import solver
+from wavelock import core, solver
 from wavelock.core import FOUR_PI
-from conftest import random_dual_params
+from conftest import near_threshold_dual_params, random_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_Q_REF = 0.3620853651710456641018198367231578514
@@ -16,6 +16,24 @@ BOUND_Q_REF = 0.3620853651710456641018198367231578514
 
 def params_ref():
     return wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.4)
+
+
+def count_passes(monkeypatch) -> list:
+    """Make every unit pass of the dual Newton append its z to the list returned."""
+    passes = []
+    real = solver._unit_pass
+
+    def counting(params):
+        unit = real(params)
+
+        def evaluate(z):
+            passes.append(z)
+            return unit(z)
+
+        return evaluate
+
+    monkeypatch.setattr(solver, "_unit_pass", counting)
+    return passes
 
 
 class TestFindT:
@@ -115,6 +133,40 @@ class TestMoment:
         monkeypatch.setattr(solver, "_log_phi", spoiled)
         with pytest.raises(wl.QuadratureError, match="moment P"):
             wl.compute_bound(params)
+
+    def test_one_evaluation_gives_both_rules(self, monkeypatch):
+        # The checked integral evaluates its integrand once, on the 16- and
+        # 8-node log nodes side by side, and splits the two sums from it.
+        params = params_ref()
+        m = wl.solve_multipliers(params)
+        real_integral, real_checked = solver._checked_log_integral, core._checked
+        seen, sums = [], []
+
+        def spy(f, upper, what):
+            calls = []
+
+            def counted(log_t):
+                calls.append(log_t.size)
+                return f(log_t)
+
+            seen.append((f, upper, calls))
+            return real_integral(counted, upper, what)
+
+        def checked(value, coarse, what):
+            sums.append((value, coarse))
+            return real_checked(value, coarse, what)
+
+        monkeypatch.setattr(solver, "_checked_log_integral", spy)
+        monkeypatch.setattr(core, "_checked", checked)
+        for which in ("P", "Q"):
+            wl.moment(m, params, which)
+        assert len(seen) == len(sums) == 2
+        for (f, upper, calls), pair in zip(seen, sums):
+            assert calls == [core._graded_log_nodes(core._PANELS, 16, 8).size]
+            for nodes, value in zip((16, 8), pair):
+                _, w = core._graded_rule(core._PANELS, nodes)
+                alone = upper * float(w @ f(math.log(upper) + core._graded_log_nodes(core._PANELS, nodes)))
+                assert abs(value - alone) <= 1e-15 * abs(alone)
 
 
 class TestSolveMultipliers:
@@ -435,6 +487,49 @@ class TestNewtonDual:
         monkeypatch.setattr(solver, "_NEWTON_MAX", 2)
         with pytest.raises(wl.SolverError, match="did not converge in 2 iterations"):
             wl.solve_multipliers(params_ref())
+
+    def test_window_logit_step_is_exact_on_a_logistic(self):
+        # log R = tanh(z/2) runs from -1 to 1, and its window logit is z
+        # itself: from z = 0 one scaled step lands on the root at z = -30,
+        # where the plain step crawls about one unit per pass.
+        def unit(z):
+            return math.tanh(0.5 * z), 0.5 / math.cosh(0.5 * z) ** 2, 0.0
+
+        target = math.tanh(-15.0)
+        z, _, iterations, bisections = solver._newton(unit, target, (-1.0, 1.0))
+        assert iterations <= 2 and bisections == 0
+        z_plain, _, plain, _ = solver._newton(unit, target)
+        assert plain > 20
+        # There the slope is 2e-13, so the stop at |f| <= 1e-15 fixes z to 5e-3.
+        assert z == pytest.approx(-30.0, abs=1e-2) and z_plain == pytest.approx(z, abs=1e-2)
+
+    def test_near_threshold_duals_take_few_passes(self, monkeypatch):
+        # Next to a threshold log R nears its limit exponentially in z; on the
+        # window logit Newton needs no more passes there than inside.  Both
+        # orders of the exponents occur, so both windows are exercised.
+        passes = count_passes(monkeypatch)
+        rng = np.random.default_rng(17)
+        per_bound = []
+        for _ in range(300):
+            params = near_threshold_dual_params(rng)
+            passes.clear()
+            report = wl.compute_bound(params)
+            assert max(report.residual_p, report.residual_q) <= 1e-8, params
+            per_bound.append(len(passes))
+        assert np.mean(per_bound) <= 5.0 and max(per_bound) <= 8
+
+    def test_crossover_below_the_rule_fails_fast(self, monkeypatch):
+        # A band draw at r1 (1 + 5.2e-7): the crossover sinks below the rule's
+        # deepest node, log R stops moving short of log(B/A), and Newton
+        # stops as soon as it repeats instead of spending its 50 passes.
+        passes = count_passes(monkeypatch)
+        params = wl.ProblemParams(
+            0.8469417375807982, 2.0663671123811858, 5.9943716918722885, 1.0, 0.13735558739466927
+        )
+        with pytest.raises(wl.SolverError, match=r"crossover log x\* = z/\(q - p\) = -[0-9.]+ lies below "
+                           r"the graded rule \(60 panels deep"):
+            wl.compute_bound(params)
+        assert len(passes) <= 10
 
 
 # (beta, p, q), lambda1, lambda2 -> T, frozen from the bracketed brentq

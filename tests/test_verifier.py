@@ -7,7 +7,7 @@ import pytest
 import wavelock as wl
 from conftest import random_dual_params, random_single_params
 from wavelock import verifier
-from wavelock.core import _checked_integral
+from graded_quadrature import _checked_integral
 from wavelock.verifier import (
     CauchyTransform,
     FrequencyGrid,
