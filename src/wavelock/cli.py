@@ -15,11 +15,10 @@ import sys
 
 import numpy as np
 
-from .core import ParameterError, ProblemParams, QuadratureError
-from .oracle import OracleError
+# bound and scan need only these; verify and profile import their layers
+# when they run.
+from .core import OracleError, ParameterError, ProblemParams, QuadratureError
 from .solver import BoundReport, SolverError, compute_bound, u_eval
-from .verifier import run_verification
-from .weight import weight_from_report
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -130,6 +129,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .weight import weight_from_report
+
     params = _params_from(args)
     if not 1 <= args.samples <= _MAX_ARRAY:
         raise ParameterError(f"--samples must be between 1 and {_MAX_ARRAY}, got {args.samples}")
@@ -157,6 +158,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verifier import run_verification
+
     params = _params_from(args)
     # The oracle grid needs 100 nodes.
     if not 100 <= args.oracle_points <= _MAX_ARRAY:

@@ -33,6 +33,10 @@ class RegimeError(RuntimeError):
     """An operation was invoked outside the parameter regime it covers."""
 
 
+class OracleError(RuntimeError):
+    """The discrete solve failed to produce a usable feasible point."""
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """One problem instance: wavelet exponent, Lebesgue exponents and budgets.

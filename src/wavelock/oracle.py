@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, derive_constants, g_eval
-
-
-class OracleError(RuntimeError):
-    """The discrete solve failed to produce a usable feasible point."""
+from .core import FOUR_PI, OracleError, ProblemParams, derive_constants, g_eval
 
 
 _T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max

@@ -644,19 +644,38 @@ class TestEntryPoint:
         data = json.loads(proc.stdout)
         assert data["regime"] == "SingleP"
 
-    def test_import_pulls_in_no_scipy(self):
-        # scipy is a test dependency only; a cold start must not import it.
+    @staticmethod
+    def _fresh_interpreter(code):
         src = os.path.dirname(os.path.dirname(wl.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_import_pulls_in_no_scipy(self):
+        # scipy is a test dependency only; a cold start must not import it.
         code = (
             "import sys, wavelock.cli; "
             "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
+        proc = self._fresh_interpreter(code)
         assert proc.returncode == 0, proc.stderr
+
+    def test_bound_loads_only_what_it_runs(self):
+        # bound runs on core, closed_form and solver; verify loads the rest.
+        ref = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+        code = (
+            "import sys, wavelock.cli\n"
+            "later = {'wavelock.oracle', 'wavelock.verifier', 'wavelock.weight'}\n"
+            f"assert wavelock.cli.main(['bound', *{ref!r}, '--format', 'json']) == 0\n"
+            "assert not later & set(sys.modules), sorted(later & set(sys.modules))\n"
+            f"assert wavelock.cli.main(['verify', *{ref!r}]) == 0\n"
+            "assert later <= set(sys.modules)\n"
+        )
+        proc = self._fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[0])["regime"] == "Dual"
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
