@@ -12,12 +12,13 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 # bound and scan need only these; verify and profile import their layers
 # when they run.
-from .core import OracleError, ParameterError, ProblemParams, QuadratureError
+from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_columns
 from .solver import BoundReport, SolverError, compute_bound, u_eval
 
 EXIT_OK = 0
@@ -67,25 +68,10 @@ def _fmt_json(value) -> str:
 
 
 def _report_dict(report: BoundReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "beta": report.params.beta,
-        "p": report.params.p,
-        "q": report.params.q,
-        "A": report.params.A,
-        "B": report.params.B,
-        "regime": report.regime,
-        "boundary": report.boundary,
-        "bound": report.bound,
-        "r1": report.r1,
-        "r2": report.r2,
-        "lambda1": report.lambda1,
-        "lambda2": report.lambda2,
-        "T": report.T,
-        "residual_p": report.residual_p,
-        "residual_q": report.residual_q,
-        "wall_time_s": report.wall_time_s,
-    }
+    """The wavelock/1 record: the schema, the instance, then the report's
+    other fields in their declared order."""
+    rest = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "params"}
+    return {"schema": SCHEMA, **asdict(report.params), **rest}
 
 
 def _print_text(data: dict) -> None:
@@ -113,16 +99,11 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_bound(args) -> int:
-    params = _params_from(args)
-    report = compute_bound(params)
-    data = _report_dict(report)
+    data = _report_dict(compute_bound(_params_from(args)))
     if args.format == "json":
         print(_fmt_json(data))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        keys = [k for k in data if k != "schema"]
-        writer.writerow(keys)
-        writer.writerow([_csv_cell(data[k]) for k in keys])
+        _print_csv([k for k in data if k != "schema"], [data])
     else:
         _print_text(data)
     return EXIT_OK
@@ -134,25 +115,12 @@ def cmd_profile(args) -> int:
     params = _params_from(args)
     if not 1 <= args.samples <= _MAX_ARRAY:
         raise ParameterError(f"--samples must be between 1 and {_MAX_ARRAY}, got {args.samples}")
-    report = compute_bound(params)
-    w = weight_from_report(params, report)
-    prof = w.profile()
-
+    w = weight_from_report(params, compute_bound(params))
     n = args.samples
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
-    mags = prof(ds)
     ts = np.linspace(w.peak / n, w.peak, n)
     us = u_eval(ts, w.mults, params)
-
-    try:
-        with open(args.out, "w", newline="") as fh:
-            out = csv.writer(fh, lineterminator="\n")
-            out.writerow(["d", "magnitude", "t", "u"])
-            for d, mv, t, uv in zip(ds, mags, ts, us):
-                out.writerow([repr(float(d)), repr(float(mv)), repr(float(t)), repr(float(uv))])
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_columns(args.out, ("d", "magnitude", "t", "u"), ds, w.profile()(ds), ts, us)
     print(f"wrote {n} profile rows to {args.out}")
     return EXIT_OK
 
@@ -207,25 +175,23 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _scan_row(task) -> dict:
-    beta, p, q, A, B = task
-    row = {"ratio": float(B / A), "q": float(q)}
+def _print_csv(columns, rows) -> None:
+    """Write a header and one line per row dict to stdout; a missing key is empty."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(k)) for k in columns] for row in rows)
+
+
+_SCAN_COLUMNS = ("ratio", "q", "regime", "bound", "lambda1", "lambda2", "r1", "r2", "error")
+
+
+def _scan_row(beta, p, q, A, B) -> dict:
+    """One scan line: the instance's report record, or only its error."""
+    row = {"ratio": float(B / A), "q": float(q), "error": ""}
     try:
-        report = compute_bound(ProblemParams(beta=beta, p=p, q=q, A=A, B=B))
-        row.update(
-            regime=report.regime,
-            bound=report.bound,
-            lambda1=report.lambda1,
-            lambda2=report.lambda2,
-            r1=report.r1,
-            r2=report.r2,
-            error="",
-        )
+        row.update(_report_dict(compute_bound(ProblemParams(beta=beta, p=p, q=q, A=A, B=B))))
     except (ParameterError, SolverError, QuadratureError) as exc:
-        row.update(
-            regime="", bound=None, lambda1=None, lambda2=None, r1=None, r2=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
@@ -235,7 +201,6 @@ def cmd_scan(args) -> int:
     if args.ratio_min is None and not args.q_sweep:
         raise ParameterError("scan needs either a ratio range or --q-sweep")
 
-    tasks = []
     if args.ratio_min is not None:
         if not 1 <= args.steps <= _MAX_ARRAY:
             raise ParameterError(f"--steps must be between 1 and {_MAX_ARRAY}, got {args.steps}")
@@ -246,20 +211,14 @@ def cmd_scan(args) -> int:
                 f"got {args.ratio_min!r} and {args.ratio_max!r}"
             )
         ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps)
-        tasks = [(args.beta, args.p, args.q, args.A, args.A * r) for r in ratios]
+        rows = [_scan_row(args.beta, args.p, args.q, args.A, args.A * r) for r in ratios]
     else:
         try:
             qs = [float(v) for v in args.q_sweep.split(",")]
         except ValueError as exc:
             raise ParameterError("--q-sweep expects comma-separated numbers") from exc
-        tasks = [(args.beta, args.p, qv, args.A, args.B) for qv in qs]
-
-    rows = [_scan_row(t) for t in tasks]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    columns = ("ratio", "q", "regime", "bound", "lambda1", "lambda2", "r1", "r2", "error")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(k)) for k in columns])
+        rows = [_scan_row(args.beta, args.p, qv, args.A, args.B) for qv in qs]
+    _print_csv(_SCAN_COLUMNS, rows)
     return EXIT_OK
 
 

@@ -1,9 +1,10 @@
-"""Problem parameters, derived constants, the bound kernel G, regime logic
-and the graded Gauss rule every integral of the package uses.
+"""Problem parameters, derived constants, the bound kernel G, regime logic,
+the graded Gauss rule every integral of the package uses and the writer of
+every CSV export.
 
-Everything here is a pure function of its inputs; all values are plain
-floats, frozen dataclasses or read-only arrays and safe to share between
-threads.
+Apart from that writer, everything here is a pure function of its inputs;
+all values are plain floats, frozen dataclasses or read-only arrays and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -278,3 +279,14 @@ def _checked(value: float, coarse: float, what: str) -> float:
             f"(rel_tol={_REL_TOL:g}, abs_tol={_ABS_TOL:g})"
         )
     return value
+
+
+def _write_columns(path: str, header, *columns) -> None:
+    """Write equal-length columns to a CSV file under one header row, each
+    cell as repr(float(v)), with "\\n" line ends."""
+    import csv  # only the exporters write files
+
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([repr(float(v)) for v in row] for row in zip(*columns, strict=True))

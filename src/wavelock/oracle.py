@@ -19,13 +19,12 @@ gap between the lowest D and that point's objective.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, OracleError, ProblemParams, derive_constants, g_eval
+from .core import FOUR_PI, OracleError, ProblemParams, _write_columns, derive_constants, g_eval
 
 
 _T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max
@@ -330,11 +329,7 @@ def export_solution(
     prob: DiscreteProblem, sol: DiscreteSolution, path: str, u_analytic: np.ndarray
 ) -> None:
     """Write (t, v, u_analytic) rows as CSV."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["t", "v", "u_analytic"])
-        for t, v, u in zip(prob.t, sol.v, u_analytic, strict=True):
-            out.writerow([repr(float(t)), repr(float(v)), repr(float(u))])
+    _write_columns(path, ("t", "v", "u_analytic"), prob.t, sol.v, u_analytic)
 
 
 def truncation_note(prob: DiscreteProblem) -> str:

@@ -161,13 +161,16 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
     """The dual-regime distribution function u(t); zero for t >= T.
 
     Continuous and strictly decreasing on (0, T], with a power blow-up
-    at t -> 0 governed by the smaller exponent.
+    at t -> 0 governed by the smaller exponent.  Evaluated from log t, as
+    4 pi max(expm1(-c log phi), 0) with c = 1/(2 beta + 1), so neither phi
+    nor phi^(-c) is formed where they under- or overflow; u(0) is inf.
     """
-    p, q, beta = params.p, params.q, params.beta
     t_arr = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        phi = m.lambda1 * t_arr ** (p - 1.0) + m.lambda2 * t_arr ** (q - 1.0)
-        out = FOUR_PI * np.maximum(phi ** (-1.0 / (2.0 * beta + 1.0)) - 1.0, 0.0)
+    c = 1.0 / (2.0 * params.beta + 1.0)
+    # log 0 = -inf spoils log phi at t = 0 (set below); a huge u overflows to inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = FOUR_PI * np.maximum(np.expm1(-c * _log_phi(np.log(t_arr), m, params)), 0.0)
+    out = np.where(t_arr >= m.T, 0.0, np.where(t_arr == 0.0, math.inf, u))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 

@@ -14,13 +14,12 @@ nu({d < r}) = 4 pi r / (1 - r).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, _checked_log_integral
+from .core import FOUR_PI, ProblemParams, _checked_log_integral, _write_columns
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import RadialProfile, distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
@@ -238,12 +237,7 @@ def distribution_matches_solver(w: ExtremalWeight) -> tuple[bool, float]:
 def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:
     """Write (d, |F|) profile samples as CSV."""
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
-    mags = w.profile()(ds)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["d", "abs_F"])
-        for d, mv in zip(ds, mags):
-            out.writerow([repr(float(d)), repr(float(mv))])
+    _write_columns(path, ("d", "abs_F"), ds, w.profile()(ds))
 
 
 def hyperbolic_circle(z0: HalfPlanePoint, d: float, angles) -> np.ndarray:

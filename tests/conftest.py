@@ -165,3 +165,11 @@ def tiny_budget_dual_params(rng: np.random.Generator) -> wl.ProblemParams:
             continue
         if wl.classify_regime(params, wl.derive_constants(params)).tag == "Dual":
             return params
+
+
+def csv_text(header, *columns) -> str:
+    """The exact text of a wavelock CSV export: the header row, then one line
+    per row of the columns with every cell repr(float(v)), "\\n" line ends."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns, strict=True)]
+    return "".join(line + "\n" for line in lines)

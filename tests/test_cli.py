@@ -12,7 +12,7 @@ import pytest
 import wavelock as wl
 from wavelock.cli import main
 from wavelock.verifier import FrequencyGrid
-from conftest import band_dual_params, tiny_budget_dual_params, wide_dual_params
+from conftest import band_dual_params, csv_text, tiny_budget_dual_params, wide_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_KEYS = [
@@ -166,7 +166,9 @@ class TestBoundCommand:
 
 
 class TestProfileCommand:
-    def test_dual_profile_csv(self, capsys, tmp_path, ref_report):
+    def test_dual_profile_csv(self, capsys, tmp_path, ref_params, ref_report):
+        from wavelock.weight import weight_from_report
+
         out_path = tmp_path / "profile.csv"
         code, out, _ = run_cli(
             ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
@@ -180,6 +182,12 @@ class TestProfileCommand:
         mags = np.array([float(r[1]) for r in rows[1:]])
         assert mags[0] == pytest.approx(ref_report.T, rel=1e-10)
         assert np.all(np.diff(mags) <= 0)
+        w = weight_from_report(ref_params, ref_report)
+        ds = np.linspace(0.0, 1.0, 200, endpoint=False)
+        ts = np.linspace(w.peak / 200, w.peak, 200)
+        us = wl.u_eval(ts, w.mults, ref_params)
+        expected = csv_text(("d", "magnitude", "t", "u"), ds, w.profile()(ds), ts, us)
+        assert out_path.read_bytes() == expected.encode()
 
     def test_single_profile_matches_closed_form(self, capsys, tmp_path):
         for B, side in (("1", "P"), ("0.2", "Q")):
@@ -211,12 +219,29 @@ class TestProfileCommand:
         assert not (tmp_path / "x.csv").exists()
 
     def test_io_error_exit_4(self, capsys, tmp_path):
-        code, _, _ = run_cli(
+        target = tmp_path / "no_such_dir" / "x.csv"
+        code, out, err = run_cli(
             ["profile", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
-             "--out", str(tmp_path / "no_such_dir" / "x.csv")],
+             "--out", str(target)],
             capsys,
         )
         assert code == 4
+        assert out == ""
+        assert err.startswith("I/O error: ") and str(target) in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_budget_u_is_finite(self, capsys, tmp_path):
+        out_path = tmp_path / "profile.csv"
+        code, _, _ = run_cli(
+            ["profile", "--beta", "0.126811563241098", "--p", "53.15894611749433",
+             "--q", "53.8223256414798", "--A", "1.6860579765364995e-06",
+             "--B", "1.68276119823051e-06", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        us = np.array([float(r[3]) for r in list(csv.reader(out_path.open()))[1:]])
+        assert np.all(np.isfinite(us))
+        assert np.all(np.diff(us) <= 0) and us[-1] == 0.0
 
 
 class TestVerifyCommand:

@@ -14,7 +14,7 @@ from wavelock.oracle import (
     solve_discrete,
     truncation_note,
 )
-from conftest import random_dual_params, random_single_params
+from conftest import csv_text, random_dual_params, random_single_params
 
 
 def objective_of(prob: DiscreteProblem, v: np.ndarray) -> float:
@@ -380,6 +380,8 @@ class TestExport:
         assert len(lines) == 1 + prob.t.size
         t0, v0, u0 = (float(x) for x in lines[1].split(","))
         assert t0 == pytest.approx(prob.t[0])
+        expected = csv_text(("t", "v", "u_analytic"), prob.t, sol.v, u)
+        assert path.read_bytes() == expected.encode()
 
     def test_truncation_note_mentions_first_node(self, ref_solution):
         prob, _ = ref_solution

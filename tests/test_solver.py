@@ -8,7 +8,7 @@ from scipy import integrate
 import wavelock as wl
 from wavelock import core, solver
 from wavelock.core import FOUR_PI
-from conftest import near_threshold_dual_params, random_dual_params
+from conftest import near_threshold_dual_params, random_dual_params, tiny_budget_dual_params
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_Q_REF = 0.3620853651710456641018198367231578514
@@ -86,6 +86,32 @@ class TestUEval:
         ts = np.linspace(1e-6, m.T, 500)
         vals = wl.u_eval(ts, m, params)
         assert np.all(np.diff(vals) < 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_budgets_match_mpmath(self):
+        # Tiny budgets at large exponents put phi far below the float range
+        # inside (0, T); u must still be finite and accurate there.
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 6:
+            params = tiny_budget_dual_params(rng)
+            try:
+                m = wl.compute_bound(params).multipliers()
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            ts = m.T * np.arange(1, 8) / 8
+            got = wl.u_eval(ts, m, params)
+            with mp.workdps(40):
+                c = 1 / (2 * mp.mpf(params.beta) + 1)
+                for t, value in zip(ts, got):
+                    phi = (mp.mpf(m.lambda1) * mp.mpf(t) ** (params.p - 1)
+                           + mp.mpf(m.lambda2) * mp.mpf(t) ** (params.q - 1))
+                    exact = FOUR_PI * (phi ** -c - 1)
+                    assert abs(value - exact) <= 1e-12 * exact, (params, t)
+            ends = wl.u_eval(np.array([0.0, m.T, 2.0 * m.T]), m, params)
+            assert ends[0] == math.inf and ends[1] == 0.0 and ends[2] == 0.0
+            checked += 1
 
 
 class TestMoment:

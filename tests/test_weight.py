@@ -13,7 +13,7 @@ from wavelock.weight import (
     export_profile,
     hyperbolic_circle,
 )
-from conftest import random_dual_params, random_single_params
+from conftest import csv_text, random_dual_params, random_single_params
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,9 @@ class TestExports:
         mags = [float(r[1]) for r in rows[1:]]
         assert mags[0] == pytest.approx(dual_weight.peak, rel=1e-12)
         assert all(b <= a for a, b in zip(mags, mags[1:]))
+        ds = np.linspace(0.0, 1.0, 64, endpoint=False)
+        expected = csv_text(("d", "abs_F"), ds, dual_weight.profile()(ds))
+        assert path.read_bytes() == expected.encode()
 
 
 class TestValidation:
