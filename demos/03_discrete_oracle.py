@@ -3,9 +3,10 @@
 The discrete oracle maximizes the same objective over profiles sampled on
 a log grid, subject to the two discretized moment constraints.  It
 minimises the explicit Lagrangian dual of the discrete problem by Newton
-steps from constant seeds, and certifies the feasible point it reads off
-to a relative duality gap of 1e-6.  It shares no machinery with the
-analytic solution, so agreement is meaningful evidence.
+steps from constant seeds, in log mu where a step in mu would leave the
+quadrant, and certifies the feasible point it reads off to a relative
+duality gap of 1e-6.  It shares no machinery with the analytic solution,
+so agreement is meaningful evidence.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ print(f"analytic bound: {report.bound:.9f}")
 prob, sol = run_oracle(params, t_max=2.0 * report.T, n=2000)
 gap = (report.bound - sol.objective) / report.bound
 print(f"discrete objective ({prob.t.size} nodes): {sol.objective:.9f}")
-print(f"relative gap: {gap:+.5%} after {sol.iterations} dual Newton steps")
+print(f"relative gap: {gap:+.5%} after {sol.iterations} dual Newton steps "
+      f"({sol.diagnostics['dual_evaluations']} dual evaluations)")
 print(f"duality gap: {sol.diagnostics['duality_gap']:.2e} "
       f"(certified: {sol.converged}, dual value {sol.diagnostics['dual_value']:.9f})")
 print(f"constraint slack: p {sol.residual_p:+.2e}, q {sol.residual_q:+.2e}")

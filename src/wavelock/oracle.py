@@ -8,17 +8,20 @@ endpoint, no closed forms of the continuum problem, and constant seeds.
 
 The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
-and bounds every feasible objective from above.  Damped Newton minimises
-it, and each maximiser s(mu) it reaches meets both budgets to within the
-descent's residual.  Dividing s by its budget load, when that exceeds 1,
-makes it feasible; since G is concave with G(0) = 0, G(s/L) >= G(s)/L,
-so this costs at most that residual.  The best of these points is the
-discrete answer.  Convergence is certified, not assumed: by the relative
-gap between the lowest D and that point's objective.
+and bounds every feasible objective from above; each evaluation is one
+pass over the nodes against rows and prices formed once per problem.
+Damped Newton minimises it, stepping in log mu where the step in mu would
+leave the quadrant, and each maximiser s(mu) it reaches meets both budgets
+to within the descent's residual.  Dividing s by its budget load, when
+that exceeds 1, makes it feasible; since G is concave with G(0) = 0,
+G(s/L) >= G(s)/L, so this costs at most that residual.  The best of these
+points is the discrete answer.  Convergence is certified, not assumed: by
+the relative gap between the lowest D and that point's objective.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +39,8 @@ _COLLAPSE = 1e-30  # share of mu . caps below which a multiplier has collapsed t
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
 _MAX_EXPANSIONS = 3  # doublings of t_max while the support looks truncated
 _MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -112,30 +117,56 @@ class DiscreteSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _dual_terms(prob: DiscreteProblem) -> tuple:
+    """The arguments of ``_dual`` after mu, formed once per problem: the
+    stacked rows (a, b), their prices rows/(dt G'(0)), dt, the budgets and beta.
+
+    Raises OracleError where a row underflows to 0 at a node: no multiplier
+    prices that node, and s(mu) there would be infinite.
+    """
+    beta = prob.params.beta
+    rows = np.stack(prob.moment_vectors())
+    for name, row in zip("pq", rows):
+        under = ~(row > 0.0)
+        if under.any():
+            raise OracleError(
+                f"moment row {name} underflows to 0 at {np.count_nonzero(under)} of {row.size} "
+                f"grid nodes, up to t = {prob.t[under].max():.3e}; the dual cannot price them"
+            )
+    prices = rows / (prob.dt * (2.0 * beta / FOUR_PI))  # G'(0) = 2 beta/4pi
+    return rows, prices, prob.dt, np.array([prob.budget_p, prob.budget_q]), beta
+
+
 def _dual(
-    mu, a: np.ndarray, b: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
+    mu, rows: np.ndarray, prices: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Lagrangian dual D(mu), its gradient and Hessian, and the maximiser s(mu).
 
-    D(mu) = sum_i dt_i [G(s_i) - c_i s_i] + mu . caps with
-    c_i = (mu1 a_i + mu2 b_i)/dt_i, where s_i maximises G(s) - c_i s over
-    s >= 0.  With r_i = min(c_i/G'(0), 1) and x_i = r_i^(-1/(2 beta+1)) that
-    maximiser is s_i = 4pi (x_i - 1), exactly 0 where r_i = 1, and the
-    bracket collapses to 1 - r_i x_i - 2 beta r_i (x_i - 1), which stays
-    finite as r_i -> 0 and is exactly 0 at r_i = 1.  So every pass runs over
-    all nodes, and only the Hessian masks out r_i = 1.  Requires mu != 0.
+    ``rows`` stacks the constraint rows a, b and ``prices`` is rows/(dt G'(0)),
+    both from ``_dual_terms``.  D(mu) = sum_i dt_i [G(s_i) - c_i s_i]
+    + mu . caps with c_i = (mu1 a_i + mu2 b_i)/dt_i, where s_i maximises
+    G(s) - c_i s over s >= 0.  With r_i = min(mu . prices_i, 1) =
+    min(c_i/G'(0), 1) and x_i = r_i^(-1/(2 beta+1)) that maximiser is
+    s_i = 4pi (x_i - 1), exactly 0 where r_i = 1, and the bracket collapses to
+    1 - r_i x_i - 2 beta r_i (x_i - 1), which stays finite as r_i -> 0 and is
+    exactly 0 at r_i = 1.  So every pass runs over all nodes, and only the
+    Hessian masks out r_i = 1.  The gradient caps - rows s is one
+    matrix-vector product and the Hessian one product with the 2 x n rows.
+    Requires mu != 0.
     """
-    den = mu[0] * a + mu[1] * b
-    r = np.minimum(den / (dt * (2.0 * beta / FOUR_PI)), 1.0)  # G'(0) = 2 beta/4pi
+    rho = np.dot(mu, prices)  # c/G'(0)
+    r = np.minimum(rho, 1.0)
     x = r ** (-1.0 / (2.0 * beta + 1.0))
     s = FOUR_PI * (x - 1.0)
     value = float(dt @ (1.0 - r * x - 2.0 * beta * r * (x - 1.0)))
     value += float(mu[0] * caps[0] + mu[1] * caps[1])
-    grad = caps - np.array([a @ s, b @ s])
-    # x/den overflows where den underflows; a/den <= 1/mu1 and b/den <= 1/mu2.
-    k = np.where(r < 1.0, (FOUR_PI / (2.0 * beta + 1.0)) * x, 0.0)
-    wa, wb = k * (a / den), k * (b / den)
-    hess = np.array([[wa @ a, wa @ b], [wa @ b, wb @ b]])
+    grad = caps - rows @ s
+    k = (FOUR_PI / (2.0 * beta + 1.0)) * x
+    k[r == 1.0] = 0.0
+    # x/rho overflows where rho underflows; prices/rho = rows/(mu . rows) <= 1/mu.
+    weights = prices / rho
+    weights *= k
+    hess = weights @ rows.T
     return value, grad, hess, s
 
 
@@ -149,24 +180,49 @@ def _advance(m: float, d: float, t: float) -> float:
     return m * math.exp(t * d / m) if m > 0.0 else m + t * d
 
 
+def _log_newton(m1, m2, g1, g2, h11, h12, h22):
+    """Newton's step in eta = log mu for the positive multipliers, as a velocity in mu.
+
+    Its gradient is mu g and its Hessian diag(mu) H diag(mu) + diag(mu g); a
+    zero or held multiplier stays linear.  Returns None where that Hessian is
+    not positive definite.
+    """
+    s1, s2 = (m if m > 0.0 else 1.0 for m in (m1, m2))
+    e1, e2 = s1 * g1, s2 * g2
+    k11 = s1 * s1 * h11 + (e1 if m1 > 0.0 else 0.0)
+    k22 = s2 * s2 * h22 + (e2 if m2 > 0.0 else 0.0)
+    k12 = s1 * s2 * h12
+    det = k11 * k22 - k12 * k12
+    if not (k11 > 0.0 and det > 0.0):
+        return None
+    return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
+
+
 def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
     """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
 
     The others stay at zero.  The step runs on Python floats: the explicit
     2x2 Newton solve, with the identity in place of a held multiplier's
     Hessian row and 0 for its gradient, which leaves the 1x1 solve on a
-    face.  Each Newton direction is followed along ``_advance`` with the
-    first trial capped so that no multiplier moves by more than e^40, then
-    backtracked by Armijo over a fixed number of halvings rather than down
-    to a floor on the step: far from the optimum the quadratic model of D
-    overshoots by many orders of magnitude, and the capped first trial can
-    already be below 1e-12.  Once the predicted decrease is below the
-    rounding of D, full steps are taken while the relative moment residual
-    keeps falling.  The descent stops when a multiplier's share of mu . caps
-    collapses below 1e-30: the optimum then lies within rounding of the
-    face that the other seed descends, and further steps would only shrink
-    that multiplier toward underflow.  Returns the final multipliers, the
-    dual there (value, gradient, Hessian, maximiser) and the steps taken.
+    face.  Where that step would carry a positive multiplier to or past zero,
+    Newton's step in eta = log mu (``_log_newton``) replaces it: the path
+    below already moves those multipliers in eta, and Newton's method is
+    affine-invariant, so the step suits the path, whereas a step in mu that
+    leaves the quadrant says little about how far to go (Boyd & Vandenberghe
+    2004, section 9.5).  Each direction is followed along ``_advance`` with
+    the first trial capped so that no multiplier moves by more than e^40,
+    then backtracked by Armijo over a fixed number of halvings rather than
+    down to a floor on the step: far from the optimum the quadratic model of
+    D overshoots by many orders of magnitude, and the capped first trial can
+    already be below 1e-12.  A step in eta whose first trial passes is
+    expanded instead, doubling t up to the cap while D keeps falling.  Once
+    the predicted decrease is below the rounding of D, full steps are taken
+    while the relative moment residual keeps falling.  The descent stops
+    when a multiplier's share of mu . caps collapses below 1e-30: the
+    optimum then lies within rounding of the face that the other seed
+    descends, and further steps would only shrink that multiplier toward
+    underflow.  Returns the final multipliers, the dual there (value,
+    gradient, Hessian, maximiser) and the steps taken.
     """
     (f1, f2), (c1, c2) = free, caps.tolist()
 
@@ -181,8 +237,12 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
         g1, g2, h12 = g1 if f1 else 0.0, g2 if f2 else 0.0, h12 if f1 and f2 else 0.0
         h11, h22 = h11 if f1 else 1.0, h22 if f2 else 1.0
         det = h11 * h22 - h12 * h12
+        log_step = None
         if det > 0.0:
             d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+            if m1 + d1 <= 0.0 < m1 or m2 + d2 <= 0.0 < m2:
+                log_step = _log_newton(m1, m2, g1, g2, h11, h12, h22)
+                d1, d2 = log_step or (d1, d2)
         elif not hess.any():  # every node priced out: D = mu . caps
             d1, d2 = -_MAX_LOG_STEP * m1 * f1, -_MAX_LOG_STEP * m2 * f2
         else:
@@ -190,7 +250,8 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
         if (m1 == 0.0 and d1 < 0.0) or (m2 == 0.0 and d2 < 0.0):
             return mu, point, step
         moving = [(m, d) for m, d in ((m1, d1), (m2, d2)) if m > 0.0 and d != 0.0]
-        t = min([1.0] + [_MAX_LOG_STEP * m / abs(d) for m, d in moving])
+        cap = min((_MAX_LOG_STEP * m / abs(d) for m, d in moving), default=math.inf)
+        t = min(1.0, cap)
         slope = g1 * d1 + g2 * d2
         if -slope <= _ROUNDOFF * (abs(value) + m1 * c1 + m2 * c2):
             trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
@@ -198,7 +259,7 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
             if not residual(trial[1]) < residual(grad):
                 return mu, point, step
         else:
-            for _ in range(_HALVINGS):
+            for halving in range(_HALVINGS):
                 trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
                 trial = dual(trial_mu)
                 if trial[0] <= value + _ARMIJO * t * slope:
@@ -206,6 +267,13 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
                 t *= 0.5
             else:
                 return mu, point, step
+            while log_step and halving == 0 and t < cap:
+                t = min(2.0 * t, cap)
+                ahead_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
+                ahead = dual(ahead_mu)
+                if not ahead[0] < trial[0]:
+                    break
+                trial_mu, trial = ahead_mu, ahead
         mu, point = trial_mu, trial
         collapse = _COLLAPSE * (mu[0] * c1 + mu[1] * c2)
         if (f1 and mu[0] * c1 <= collapse) or (f2 and mu[1] * c2 <= collapse):
@@ -230,28 +298,30 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     near zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
-    evaluations of D, line-search trials included.
+    evaluations of D, line-search and expansion trials included.  The rows,
+    their prices and the budgets are formed once (``_dual_terms``), which
+    raises OracleError where a row underflows to 0.  One DEBUG record on the
+    ``wavelock.oracle`` logger gives the descents, the Newton steps of each,
+    the dual evaluations and the relative gap.
     """
-    beta = prob.params.beta
-    a, b = prob.moment_vectors()
-    dt = prob.dt
-    caps = np.array([prob.budget_p, prob.budget_q])
+    terms = _dual_terms(prob)
+    rows, _, dt, caps, beta = terms
     evaluations = 0
 
     def dual(m):
         nonlocal evaluations
         evaluations += 1
-        return _dual(m, a, b, dt, caps, beta)
+        return _dual(m, *terms)
 
     descents = [_descend(seed, (seed[0] > 0.0, seed[1] > 0.0), dual, caps, max_iter)
                 for seed in ((1.0, 0.0), (0.0, 1.0))]
     if all(point[1][1 - face] < 0.0 for face, (_, point, _) in enumerate(descents)):
         descents += [_descend(mu, (True, True), dual, caps, max_iter) for mu, _, _ in descents]
-    iterations = sum(steps for *_, steps in descents)
+    newton_steps = [steps for *_, steps in descents]
     mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
     obj = -np.inf
     for _, (*_, s), _ in descents:
-        load = max(float(a @ s) / prob.budget_p, float(b @ s) / prob.budget_q)
+        load = float(np.max(rows @ s / caps))
         z = s / load if load > 1.0 else s
         obj_z = float(g_eval(z, beta) @ dt)
         if obj_z > obj:
@@ -260,13 +330,17 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the excess
     # term absorbs the rounding that can leave the scaled point an ulp over
     # a budget.
-    excess = np.maximum(np.array([a @ v, b @ v]) - caps, 0.0)
+    used = rows @ v
+    excess = np.maximum(used - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
+    _log.debug(
+        "discrete dual solve: %d descents, Newton steps %s, %d dual evaluations, relative gap %.3e",
+        len(descents), newton_steps, evaluations, gap,
+    )
     if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
 
-    res_p = (float(a @ v) - prob.budget_p) / prob.budget_p
-    res_q = (float(b @ v) - prob.budget_q) / prob.budget_q
+    res_p, res_q = ((used - caps) / caps).tolist()
     tail = v[int(0.95 * v.size):]
     diagnostics = {
         "support_truncated": bool(np.max(tail) > 1e-8 * max(np.max(v), 1e-300)),
@@ -280,7 +354,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         objective=obj,
         residual_p=res_p,
         residual_q=res_q,
-        iterations=iterations,
+        iterations=sum(newton_steps),
         converged=gap <= _GAP_TOL,
         diagnostics=diagnostics,
     )

@@ -310,6 +310,19 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_oracle_row_exit_3(self, capsys):
+        # A tiny-budget draw that compute_bound solves; at p = 53 the oracle's
+        # row p t^(p-1) dt underflows to 0 at the grid's deep nodes.
+        code, out, err = run_cli(
+            ["verify", "--beta", "0.126811563241098", "--p", "53.15894611749433",
+             "--q", "53.8223256414798", "--A", "1.6860579765364995e-06",
+             "--B", "1.68276119823051e-06", "--format", "json"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("solver error: moment row p underflows to 0"), err
+
     def test_oracle_failure_exit_3(self, capsys, monkeypatch):
         from wavelock import verifier
         from wavelock.oracle import OracleError

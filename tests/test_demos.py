@@ -34,6 +34,7 @@ def test_demo_runs(path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     if path.stem == "03_discrete_oracle":
         assert "certified: True" in proc.stdout
+        assert "dual evaluations)" in proc.stdout
 
 
 def test_readme_quick_start_runs(tmp_path):

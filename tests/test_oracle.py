@@ -1,3 +1,5 @@
+import logging
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +16,7 @@ from wavelock.oracle import (
     solve_discrete,
     truncation_note,
 )
-from conftest import csv_text, random_dual_params, random_single_params
+from conftest import csv_text, random_dual_params, random_single_params, wide_dual_params
 
 
 def objective_of(prob: DiscreteProblem, v: np.ndarray) -> float:
@@ -56,6 +58,13 @@ CERTIFY_OBJECTIVES = [
     0.47978483832512187,
     0.0724175046066051,
 ]
+
+
+# A tiny-budget draw that compute_bound solves (tiny_budget_dual_params,
+# default_rng(0)): at p = 53 the row p t^(p-1) dt of the oracle's grid
+# underflows to 0 at its deep nodes.
+TINY_BUDGET = (0.126811563241098, 53.15894611749433, 53.8223256414798,
+               1.6860579765364995e-06, 1.68276119823051e-06)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +135,44 @@ class TestSolveDiscrete:
         assert sol.objective < float(np.sum(prob.dt))
         assert sol.objective == pytest.approx(float(np.sum(prob.dt)), rel=1e-10)
 
+    def test_face_descent_steps_in_log_mu(self, ref_params, ref_report, monkeypatch):
+        # From the seed (1, 0) the damped Newton step in mu is d = -75, which
+        # leaves the quadrant.  Followed along mu exp(t d/mu) it reached the
+        # e^40 cap, mu1 = 4.2e-18, and 20 evaluations climbed back to the face
+        # optimum mu1 = 0.0814; Newton's step in log mu lands near it instead.
+        seeds, seen = [], []
+        real_descend, real_dual = oracle._descend, oracle._dual
+
+        def descend(mu, *args):
+            seeds.append(mu)
+            return real_descend(mu, *args)
+
+        def dual(mu, *args):
+            seen.append((len(seeds), tuple(mu)))
+            return real_dual(mu, *args)
+
+        monkeypatch.setattr(oracle, "_descend", descend)
+        monkeypatch.setattr(oracle, "_dual", dual)
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        assert sol.converged
+        assert seeds[0] == (1.0, 0.0)
+        face = [mu for descent, mu in seen if descent == 1]
+        assert min(mu1 for mu1, _ in face) >= 1e-3
+        assert face[-1] == (pytest.approx(0.0814, rel=1e-3), 0.0)
+
+    def test_huge_budgets_certify_at_the_default_step_cap(self):
+        # D is close to mu . caps here, so Newton's step in log mu moves mu by
+        # only about e^-1; expanded along its path, it reaches the optimum
+        # well within the default 100 steps of each descent.
+        params = wl.ProblemParams(0.5, 2.0, 4.0, 1e6, 1e6)
+        prob = DiscreteProblem.log_spaced(params, t_max=1.0, n=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_discrete(prob)
+        assert sol.converged
+        assert sol.iterations < 100
+
     def test_step_cap_reports_no_certificate(self, ref_params, ref_report):
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob, max_iter=1)
@@ -148,15 +195,13 @@ class TestSolveDiscrete:
 class TestCertificate:
     def test_weak_duality_at_random_multipliers(self, ref_solution):
         prob, sol = ref_solution
-        a, b = prob.moment_vectors()
-        caps = np.array([prob.budget_p, prob.budget_q])
         scale = np.array(sol.diagnostics["dual_multipliers"])
         rng = np.random.default_rng(11)
         for k in range(20):
             mu = scale * np.exp(rng.uniform(-4.0, 4.0, size=2))
             if k < 4:
                 mu[k % 2] = 0.0  # one constraint priced at zero
-            value = _dual(mu, a, b, prob.dt, caps, prob.params.beta)[0]
+            value = _dual(mu, *oracle._dual_terms(prob))[0]
             assert value >= sol.objective
         assert sol.diagnostics["dual_value"] >= sol.objective * (1.0 - 1e-12)
 
@@ -177,7 +222,7 @@ class TestCertificate:
                 mu = scale * np.exp(rng.uniform(-4.0, 4.0, size=2))
                 if k < 4:
                     mu[k % 2] = 0.0
-                value, grad, hess, s = _dual(mu, a, b, dt, caps, beta)
+                value, grad, hess, s = _dual(mu, *oracle._dual_terms(prob))
                 c = (mu @ rows) / dt
                 expected = float(dt @ (wl.g_eval(s, beta) - c * s)) + float(mu @ caps)
                 assert value == pytest.approx(expected, rel=1e-12)
@@ -192,8 +237,8 @@ class TestCertificate:
                 for j in np.flatnonzero(mu):
                     step = np.zeros(2)
                     step[j] = 1e-6 * mu[j]
-                    plus = _dual(mu + step, a, b, dt, caps, beta)[1]
-                    minus = _dual(mu - step, a, b, dt, caps, beta)[1]
+                    plus = _dual(mu + step, *oracle._dual_terms(prob))[1]
+                    minus = _dual(mu - step, *oracle._dual_terms(prob))[1]
                     np.testing.assert_allclose(hess[:, j], (plus - minus) / (2.0 * step[j]), rtol=1e-6)
         assert priced_out_nodes > 0
 
@@ -257,6 +302,32 @@ class TestCertificate:
         assert sol.converged
         assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
+    def test_wide_draws_certify(self):
+        # The first 40 wide-domain draws that compute_bound solves: beta down
+        # to 0.05 and exponents up to 51.
+        rng = np.random.default_rng(7)
+        certified = 0
+        while certified < 40:
+            params = wide_dual_params(rng)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                _, sol = run_oracle(params, t_max=2.0 * report.T)
+            assert sol.converged, params
+            assert max(sol.residual_p, sol.residual_q) <= 1e-9, params
+            certified += 1
+
+    def test_underflowing_row_is_an_oracle_error(self):
+        params = wl.ProblemParams(*TINY_BUDGET)
+        t_max = 2.0 * wl.compute_bound(params).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OracleError, match="moment row p underflows to 0 at 1808 of 2000"):
+                run_oracle(params, t_max=t_max)
+
     def test_sweep_certifies_without_analytic_input(self):
         # With this seed one near-threshold draw certifies only because the
         # best D and the best feasible point are taken from different descents.
@@ -306,6 +377,28 @@ class TestCertificate:
             monkeypatch.setattr(wl, name, forbidden)
         _, sol = run_oracle(ref_params, t_max=t_max, n=500)
         assert sol.converged
+
+
+class TestLogging:
+    def test_one_debug_record_per_solve(self, ref_params, ref_report, caplog):
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        with caplog.at_level(logging.DEBUG, logger="wavelock"):
+            sol = solve_discrete(prob)
+        records = [r for r in caplog.records if r.name.startswith("wavelock")]
+        assert len(records) == 1
+        assert records[0].name == "wavelock.oracle"
+        assert records[0].levelno == logging.DEBUG
+        message = records[0].getMessage()
+        assert "4 descents" in message
+        steps = re.search(r"Newton steps \[([\d, ]+)\]", message).group(1)
+        assert sum(int(n) for n in steps.split(",")) == sol.iterations
+        assert f"{sol.diagnostics['dual_evaluations']} dual evaluations" in message
+        assert "relative gap" in message
+
+    def test_silent_by_default(self, ref_params, ref_report, capfd):
+        run_oracle(ref_params, t_max=2 * ref_report.T, n=500)
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == ""
 
 
 class TestMonotoneRestoration:
