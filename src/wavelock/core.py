@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,27 +134,26 @@ def derive_constants(params: ProblemParams) -> DerivedConstants:
     ratio above which only the p-constraint binds; r1 is the mirrored
     threshold below which only the q-constraint binds.  A threshold whose
     exponent condition fails (q <= alpha_p for r2, p <= alpha_q for r1) is
-    returned as ``None`` rather than any float sentinel.
+    returned as ``None`` rather than any float sentinel.  Raises
+    ParameterError where alpha or sigma rounds to 0 or a threshold
+    exceeds the float range.
     """
     beta, p, q = params.beta, params.p, params.q
     ap, aq = _alpha(p, beta), _alpha(q, beta)
     sp, sq = _sigma(p, beta), _sigma(q, beta)
+    if not all(v > 0.0 for v in (ap, aq, sp, sq)):
+        raise ParameterError(
+            f"alpha_p, alpha_q, sigma_p, sigma_q = {ap!r}, {aq!r}, {sp!r}, {sq!r} must be positive"
+        )
 
     pref = FOUR_PI ** (1.0 / q - 1.0 / p)
-    r1 = None
-    if p > aq:
-        r1 = pref * (aq / (p - aq)) ** (-1.0 / p) * sq ** (1.0 / q)
-    r2 = None
-    if q > ap:
-        r2 = pref * (ap / (q - ap)) ** (1.0 / q) * sp ** (-1.0 / p)
-
-    if r1 is not None and r2 is not None and not (r1 < r2):
-        # Not expected for any valid instance; surfaced, not fatal.
-        warnings.warn(
-            f"threshold ordering violated: r1={r1!r} >= r2={r2!r} for {params}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    try:
+        r1 = pref * (aq / (p - aq)) ** (-1.0 / p) * sq ** (1.0 / q) if p > aq else None
+        r2 = pref * (ap / (q - ap)) ** (1.0 / q) * sp ** (-1.0 / p) if q > ap else None
+    except (OverflowError, ZeroDivisionError) as exc:  # 0 ** -x is the power's overflow
+        raise ParameterError(
+            f"a threshold r1 or r2 exceeds the float range at beta = {beta!r}, p = {p!r}, q = {q!r}"
+        ) from exc
 
     return DerivedConstants(
         alpha_p=ap,
@@ -223,6 +221,16 @@ _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 
 
+def _gauss_panels(los: np.ndarray, his: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``nodes``-point Gauss-Legendre on each panel
+    [los[i], his[i]], concatenated panel by panel in the order given, which
+    fixes the order of every sum over them."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    mids = 0.5 * (los + his)
+    halfs = 0.5 * (his - los)
+    return (mids[:, None] + halfs[:, None] * x[None, :]).ravel(), (halfs[:, None] * w[None, :]).ravel()
+
+
 @functools.lru_cache(maxsize=8)
 def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the graded Gauss rule on (0, 1].
@@ -233,14 +241,10 @@ def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     resolves the boundary layer of width 1/max(p, q) that a large
     exponent carves there.  The arrays are shared, so they are read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
     down = 0.5 * 2.0 ** (-np.arange(panels + 1, dtype=float))
     los = np.concatenate([down[1:], [0.0], 1.0 - down])
     his = np.concatenate([down, 1.0 - down[1:], [1.0]])
-    mids = 0.5 * (los + his)
-    halfs = 0.5 * (his - los)
-    pts = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    wts = (halfs[:, None] * w[None, :]).ravel()
+    pts, wts = _gauss_panels(los, his, nodes)
     pts.flags.writeable = False
     wts.flags.writeable = False
     return pts, wts

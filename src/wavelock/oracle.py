@@ -152,9 +152,11 @@ def _dual(
     exactly 0 at r_i = 1.  So every pass runs over all nodes, and only the
     Hessian masks out r_i = 1.  The gradient caps - rows s is one
     matrix-vector product and the Hessian one product with the 2 x n rows.
-    Requires mu != 0.
+    Requires mu != 0.  Where mu . prices underflows to 0, every value is nan.
     """
     rho = np.dot(mu, prices)  # c/G'(0)
+    if not rho[0] > 0.0:  # the prices e t^(e-1)/G'(0) rise with t: node 0 underflows first
+        return math.nan, caps * math.nan, np.full((2, 2), math.nan), rho * math.nan
     r = np.minimum(rho, 1.0)
     x = r ** (-1.0 / (2.0 * beta + 1.0))
     s = FOUR_PI * (x - 1.0)
@@ -214,10 +216,11 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
     then backtracked by Armijo over a fixed number of halvings rather than
     down to a floor on the step: far from the optimum the quadratic model of
     D overshoots by many orders of magnitude, and the capped first trial can
-    already be below 1e-12.  A step in eta whose first trial passes is
-    expanded instead, doubling t up to the cap while D keeps falling.  Once
-    the predicted decrease is below the rounding of D, full steps are taken
-    while the relative moment residual keeps falling.  The descent stops
+    already be below 1e-12; a trial where D is not finite ends the descent.
+    A step in eta whose first trial passes is expanded instead, doubling t
+    up to the cap while D keeps falling.  Once the predicted decrease is
+    below the rounding of D, full steps are taken while the relative moment
+    residual keeps falling.  The descent stops
     when a multiplier's share of mu . caps collapses below 1e-30: the
     optimum then lies within rounding of the face that the other seed
     descends, and further steps would only shrink that multiplier toward
@@ -262,6 +265,8 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
             for halving in range(_HALVINGS):
                 trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
                 trial = dual(trial_mu)
+                if not math.isfinite(trial[0]):
+                    return mu, point, step
                 if trial[0] <= value + _ARMIJO * t * slope:
                     break
                 t *= 0.5

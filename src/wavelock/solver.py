@@ -93,31 +93,39 @@ def _log_sum_exp(a1, a2, ops: _Ops = _ARRAY_OPS):
     return ops.maximum(a1, a2) + ops.log1p(ops.exp(-abs(a1 - a2)))
 
 
-def _log_phi_inverse(log_c, lambda1: float, lambda2: float, p: float, q: float):
-    """log t solving phi(t) = c, phi(t) = l1 t^(p-1) + l2 t^(q-1), given log c.
+def _log_terms(lambda1: float, lambda2: float, params: ProblemParams) -> list[tuple[float, float]]:
+    """The terms of phi(t) = l1 t^(p-1) + l2 t^(q-1) as (log l, e - 1), one per
+    positive multiplier, in the order (l1, p), (l2, q): a zero multiplier drops
+    its term.  The one place the multipliers' logs are taken for phi."""
+    return [(math.log(lam), e - 1.0) for lam, e in ((lambda1, params.p), (lambda2, params.q)) if lam > 0.0]
 
-    Newton in x = log t on g(x) = log phi(e^x) - log c.  g is a
-    log-sum-exp of affine functions of x, so it is convex and increasing:
-    started at the smaller single-term root, where g >= 0, the iterates
-    fall monotonically onto the root, with no bracket.  Newton stops at
-    the first step that no longer lowers x, the rounding floor.  A float
-    ``log_c`` runs on plain floats, an array elementwise.  The multipliers
-    are nonnegative and not both zero.  Raises :class:`SolverError` on a
-    non-finite start (log c) or after _INVERT_MAX steps.
+
+def _log_phi(log_t, terms):
+    """log phi(t) from log t and phi's terms (:func:`_log_terms`), by the
+    log-sum-exp kernel."""
+    logs = [log_lam + k * log_t for log_lam, k in terms]
+    return _log_sum_exp(*logs) if len(logs) == 2 else logs[0]
+
+
+def _log_phi_inverse(log_c, terms):
+    """log t solving phi(t) = c, given log c and phi's terms (:func:`_log_terms`).
+
+    One term inverts in closed form.  For two, Newton in x = log t on
+    g(x) = log phi(e^x) - log c.  g is a log-sum-exp of affine functions of
+    x, so it is convex and increasing: started at the smaller single-term
+    root, where g >= 0, the iterates fall monotonically onto the root, with
+    no bracket.  Newton stops at the first step that no longer lowers x,
+    the rounding floor.  A float ``log_c`` runs on plain floats, an array
+    elementwise.  Raises :class:`SolverError` on a non-finite start (log c)
+    or after _INVERT_MAX steps.
     """
+    if len(terms) == 1:
+        return (log_c - terms[0][0]) / terms[0][1]
     ops = _FLOAT_OPS if isinstance(log_c, float) else _ARRAY_OPS
-    k1, k2 = p - 1.0, q - 1.0
-    if lambda2 == 0.0:
-        return (log_c - math.log(lambda1)) / k1
-    if lambda1 == 0.0:
-        return (log_c - math.log(lambda2)) / k2
-    l1, l2 = math.log(lambda1), math.log(lambda2)
+    (l1, k1), (l2, k2) = terms
     x = ops.minimum((log_c - l1) / k1, (log_c - l2) / k2)
     if not ops.all(abs(x) < math.inf):
-        raise SolverError(
-            f"non-finite start inverting phi for lambda = ({lambda1!r}, {lambda2!r}) "
-            f"at log c = {log_c!r}"
-        )
+        raise SolverError(f"non-finite start inverting phi with log terms {terms!r} at log c = {log_c!r}")
     for _ in range(_INVERT_MAX):
         a2 = l2 + k2 * x  # the log of the second term
         log_phi = _log_sum_exp(l1 + k1 * x, a2, ops)
@@ -125,10 +133,7 @@ def _log_phi_inverse(log_c, lambda1: float, lambda2: float, p: float, q: float):
         if ops.all(nxt >= x):
             return x
         x = ops.minimum(x, nxt)
-    raise SolverError(
-        f"inverting phi did not converge in {_INVERT_MAX} Newton steps "
-        f"for lambda = ({lambda1!r}, {lambda2!r})"
-    )
+    raise SolverError(f"inverting phi did not converge in {_INVERT_MAX} Newton steps for log terms {terms!r}")
 
 
 def find_T(lambda1: float, lambda2: float, params: ProblemParams) -> float:
@@ -143,7 +148,7 @@ def find_T(lambda1: float, lambda2: float, params: ProblemParams) -> float:
     """
     if lambda1 < 0 or lambda2 < 0 or (lambda1 == 0 and lambda2 == 0):
         raise ValueError("multipliers must be nonnegative and not both zero")
-    log_T = _log_phi_inverse(0.0, lambda1, lambda2, params.p, params.q)
+    log_T = _log_phi_inverse(0.0, _log_terms(lambda1, lambda2, params))
     T = math.exp(log_T) if log_T < _LOG_FLOAT_MAX else math.inf
     if not 0.0 < T < math.inf:
         raise SolverError(
@@ -167,22 +172,12 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
     """
     t_arr = np.asarray(t, dtype=float)
     c = 1.0 / (2.0 * params.beta + 1.0)
+    terms = _log_terms(m.lambda1, m.lambda2, params)
     # log 0 = -inf spoils log phi at t = 0 (set below); a huge u overflows to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = FOUR_PI * np.maximum(np.expm1(-c * _log_phi(np.log(t_arr), m, params)), 0.0)
+        u = FOUR_PI * np.maximum(np.expm1(-c * _log_phi(np.log(t_arr), terms)), 0.0)
     out = np.where(t_arr >= m.T, 0.0, np.where(t_arr == 0.0, math.inf, u))
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def _log_phi(log_t, m: Multipliers, params: ProblemParams):
-    """log phi(t) = log(l1 t^(p-1) + l2 t^(q-1)) from log t, by the
-    log-sum-exp kernel; a zero multiplier drops its term."""
-    terms = [
-        math.log(lam) + (e - 1.0) * log_t
-        for lam, e in ((m.lambda1, params.p), (m.lambda2, params.q))
-        if lam > 0.0
-    ]
-    return _log_sum_exp(*terms) if len(terms) == 2 else terms[0]
 
 
 def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
@@ -200,9 +195,10 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
         raise ValueError(f'which must be "P" or "Q", got {which!r}')
     e = params.p if which == "P" else params.q
     c = 1.0 / (2.0 * params.beta + 1.0)
+    terms = _log_terms(m.lambda1, m.lambda2, params)
 
     def f(log_t):
-        c_log_phi = c * _log_phi(log_t, m, params)
+        c_log_phi = c * _log_phi(log_t, terms)
         return FOUR_PI * e * np.exp((e - 1.0) * log_t - c_log_phi) * np.maximum(-np.expm1(c_log_phi), 0.0)
 
     # An overflowing exp makes the sum infinite, which the quadrature check
@@ -220,8 +216,9 @@ def bound_integral(m: Multipliers, params: ProblemParams) -> float:
     max(-expm1(gamma log phi), 0).
     """
     gamma = 2.0 * params.beta / (2.0 * params.beta + 1.0)
+    terms = _log_terms(m.lambda1, m.lambda2, params)
     return _checked_log_integral(
-        lambda log_t: np.maximum(-np.expm1(gamma * _log_phi(log_t, m, params)), 0.0),
+        lambda log_t: np.maximum(-np.expm1(gamma * _log_phi(log_t, terms)), 0.0),
         m.T,
         "bound integral",
     )
@@ -253,10 +250,11 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
     p, q, c = params.p, params.q, 1.0 / (2.0 * params.beta + 1.0)
     _, w = _graded_rule(_PANELS, 16)
     log_x = _graded_log_nodes(_PANELS, 16)
-    lift = (q - p) * log_x  # log x^(q-p)
-    rise = np.exp(lift)  # x^(q-p)
-    c_head = c * (p - 1.0) * log_x  # c log x^(p-1)
-    with np.errstate(divide="ignore"):  # zero weights and zero gaps at x = 1 have log -inf
+    # log 0 = -inf at zero weights and at x = 1; an overflow ends in Newton's SolverError.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lift = (q - p) * log_x  # log x^(q-p)
+        rise = np.exp(lift)  # x^(q-p)
+        c_head = c * (p - 1.0) * log_x  # c log x^(p-1)
         log_row = np.log(w) + (1.0 - c) * (p - 1.0) * log_x  # log(w x^(p-1)) - c log x^(p-1)
         log_gap = np.log(-np.expm1(lift))  # log(1 - x^(q-p))
 
@@ -343,8 +341,11 @@ def _single_solution(
 ) -> tuple[closed_form.SingleConstraintResult, float]:
     """The ``side``-constraint solution and its multiplier lam^-(e-1), the
     optimum outside the dual window.  Raises :class:`SolverError` when the
-    multiplier is out of the float range."""
-    single = closed_form.single_bound(params, consts, side, enforce_regime=False)
+    amplitude lam or the multiplier is out of the float range."""
+    try:
+        single = closed_form.single_bound(params, consts, side, enforce_regime=False)
+    except OverflowError as exc:  # lam = budget (4 pi sigma_e)^(-1/e)
+        raise SolverError("the single-constraint amplitude lam is out of the float range") from exc
     e = params.p if side == "P" else params.q
     log_seed = -(e - 1.0) * math.log(single.lam)
     if not _LOG_FLOAT_MIN <= log_seed < _LOG_FLOAT_MAX:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams
+from .core import FOUR_PI, ProblemParams, _gauss_panels
 from .oracle import run_oracle
 from .solver import compute_bound, u_eval
 from .weight import (
@@ -88,14 +88,8 @@ class FrequencyGrid:
         nodes_per_panel = 20 keeps e^{i x w} resolved for |x| up to ~30
         per unit panel; raise it together with the x half-width.
         """
-        xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
         edges = np.concatenate([[0.0, 1 / 16, 1 / 4, 1.0], np.arange(2.0, omega_max + 0.5)])
-        nodes, wts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes.append(mid + half * xg)
-            wts.append(half * wg)
-        return cls(np.concatenate(nodes), np.concatenate(wts))
+        return cls(*_gauss_panels(edges[:-1], edges[1:], nodes_per_panel))
 
     @property
     def size(self) -> int:

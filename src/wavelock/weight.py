@@ -23,7 +23,7 @@ from .core import FOUR_PI, ProblemParams, _checked_log_integral, _write_columns
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import RadialProfile, distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
-from .solver import BoundReport, Multipliers, _log_phi_inverse, _log_sum_exp, u_eval
+from .solver import BoundReport, Multipliers, _log_phi, _log_phi_inverse, _log_terms, u_eval
 
 # Beyond this d the double-precision map d/(1-d) saturates; the profile
 # value there is below any representable scale, so we return 0.
@@ -78,7 +78,7 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
     if np.any(s_arr < 0):
         raise ValueError("psi_inverse requires s >= 0")
     log_c = -(2.0 * params.beta + 1.0) * np.log1p(s_arr)
-    log_t = _log_phi_inverse(log_c, m.lambda1, m.lambda2, params.p, params.q)
+    log_t = _log_phi_inverse(log_c, _log_terms(m.lambda1, m.lambda2, params))
     out = np.minimum(np.exp(log_t), m.T)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
@@ -152,9 +152,8 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
     returned as inf.
     """
     params = w.params
-    lams = (w.mults.lambda1, w.mults.lambda2)
     c = 1.0 / (2.0 * params.beta + 1.0)
-    terms = [(math.log(lam), e0 - 1.0) for lam, e0 in zip(lams, (params.p, params.q)) if lam > 0.0]
+    terms = _log_terms(w.mults.lambda1, w.mults.lambda2, params)
     k0 = min(k for _, k in terms)
     grade = e - c * k0 + a * k0
     if grade <= 0.0:
@@ -164,10 +163,9 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
 
     def f(log_y):
         log_t = log_peak + m * log_y
-        logs = [log_lam + k * log_t for log_lam, k in terms]
-        log_phi = _log_sum_exp(*logs) if len(logs) == 2 else logs[0]  # -(1 + 2 beta) log(1 + s)
-        slope = sum(k * np.exp(b - log_phi) for (_, k), b in zip(terms, logs))  # t phi'/phi
-        log_psi = _log_phi_inverse(log_phi, *lams, params.p, params.q)
+        log_phi = _log_phi(log_t, terms)  # -(1 + 2 beta) log(1 + s)
+        slope = sum(k * np.exp(log_lam + k * log_t - log_phi) for log_lam, k in terms)  # t phi'/phi
+        log_psi = _log_phi_inverse(log_phi, terms)
         # psi^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
         return c * m * slope * np.exp(e * log_psi + (a - c) * log_phi - log_y)
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavelock as wl
 from wavelock.cli import main
@@ -667,6 +671,81 @@ class TestWideDomainContract:
         )
         assert code == 3 and out == ""
         assert err.startswith("solver error: "), err
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2 beta e + 1 overflows, so alpha and sigma round to 0.
+            ["bound", "--beta", "inf", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"],
+            ["bound", "--beta", "1e308", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"],
+            ["verify", "--beta", "1e300", "--p", "1e10", "--q", "4", "--A", "1", "--B", "1"],
+            # alpha and sigma are positive, but a threshold is beyond the float range.
+            ["bound", "--beta", "1e300", "--p", "1.0000000000000002", "--q", "50", "--A", "1", "--B", "2"],
+            ["bound", "--beta", "0.5", "--p", "1.7e308", "--q", "1.0000000000000002", "--A", "1", "--B", "1"],
+        ],
+        ids=["beta-inf", "beta-1e308", "verify-sigma-p", "r2-overflows", "r1-overflows"],
+    )
+    def test_constants_out_of_the_float_range_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("parameter error: "), err
+
+    def test_scan_reports_vanishing_constants_in_each_row(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "--beta", "1e308", "--p", "2", "--q", "4", "--A", "1",
+             "--ratio-min", "0.3", "--ratio-max", "0.5", "--steps", "2"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert all(r["error"].startswith("ParameterError: alpha_p, alpha_q, sigma_p, sigma_q") for r in rows)
+
+    def test_single_amplitude_out_of_the_float_range_exit_3(self, capsys):
+        # sigma_q = 1.1e-316 is positive, but lam = B (4 pi sigma_q)^(-1/q)
+        # overflows: a solver failure, like the multiplier lam^-(q-1).
+        code, out, err = run_cli(
+            ["bound", "--beta", "1e300", "--p", "2", "--q", "1.0000000000000002", "--A", "50", "--B", "1e-320"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("solver error: the single-constraint amplitude"), err
+
+    def test_overflowing_unit_pass_set_up_exit_3(self, capsys):
+        # (q - p) log x overflows in the unit pass's set-up; the non-finite
+        # value must reach Newton's SolverError, with no RuntimeWarning.
+        code, out, err = run_cli(
+            ["bound", "--beta", "1.2e-05", "--p", "1.7e308", "--q", "7", "--A", "1", "--B", "2.6e8"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("solver error: non-finite"), err
+
+
+_EXTREMES = [1e-320, 1e-300, 1e-10, 0.5, 1.0, 1.0000000000000002, 2.0, 7.0, 50.0, 1e10, 1e300, 1.7e308, math.inf]
+
+
+class TestErrorContract:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.sampled_from(_EXTREMES)] * 5))
+    def test_bound_is_a_result_or_a_typed_error(self, values):
+        # Every instance the flags can spell ends in exit 0 within the residual
+        # gate, or in exit 2 or 3; never a traceback or a RuntimeWarning.
+        argv = ["bound", "--format", "json"]
+        for flag, value in zip(("--beta", "--p", "--q", "--A", "--B"), values):
+            argv += [flag, repr(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        if code == 0:
+            data = json.loads(out.getvalue())
+            assert data["bound"] is not None, argv
+            assert all(data[k] is None or data[k] <= 1e-8 for k in ("residual_p", "residual_q")), argv
 
 
 class TestEntryPoint:

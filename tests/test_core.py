@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavelock as wl
+from wavelock.closed_form import single_bound
 from wavelock.core import FOUR_PI
 
 # Frozen from a 50-digit mpmath evaluation of the defining formulas at
@@ -111,6 +112,18 @@ class TestDerivedConstants:
             assert c.r1 is not None or c.r2 is not None
             if c.r1 is not None and c.r2 is not None:
                 assert c.r1 < c.r2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_thresholds_tied_by_rounding_are_silent(self):
+        # At |p - q| = 1e-13, r1 and r2 agree to rounding; the regime logic
+        # resolves the tie and the two single bounds meet there.
+        params = wl.ProblemParams(0.5, 2.0, 2.0000000000001, 1.0, 0.9)
+        c = wl.derive_constants(params)
+        assert c.r1 == pytest.approx(c.r2, rel=1e-12)
+        assert wl.compute_bound(params).regime == "SingleQ"
+        at = wl.ProblemParams(0.5, 2.0, 2.0000000000001, 1.0, c.r1)
+        single_p, single_q = (single_bound(at, c, side, enforce_regime=False).bound for side in "PQ")
+        assert single_p == pytest.approx(single_q, rel=1e-12)
 
 
 class TestRegime:

@@ -302,6 +302,24 @@ class TestCertificate:
         assert sol.converged
         assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
+    def test_descent_stops_at_an_underflowing_price(self):
+        # The (0, 1) face descent chases mu2 -> 0 here (B^q ~ 2.6e37), until
+        # mu . prices underflows to 0 at deep nodes and D is nan; that descent
+        # took 4 666 of 4 689 dual evaluations.  It now ends at the first such
+        # trial, with the same answer.
+        params = wl.ProblemParams(
+            0.06807039803611685, 21.923613374766816, 61.243458071553654,
+            2.6354074314180034, 4.083572726376347,
+        )
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always", RuntimeWarning)
+            _, sol = run_oracle(params)
+        assert sol.converged
+        assert sol.diagnostics["dual_evaluations"] <= 100
+        assert sol.objective == pytest.approx(1.5562883842545392, rel=1e-14)
+        messages = [str(w.message) for w in seen]
+        assert not [m for m in messages if "divide by zero" in m or "invalid value" in m], messages
+
     def test_wide_draws_certify(self):
         # The first 40 wide-domain draws that compute_bound solves: beta down
         # to 0.05 and exponents up to 51.

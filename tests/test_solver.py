@@ -152,8 +152,8 @@ class TestMoment:
         # RuntimeWarning.
         real = solver._log_phi
 
-        def spoiled(log_t, m, params):
-            out = real(log_t, m, params)
+        def spoiled(log_t, terms):
+            out = real(log_t, terms)
             return np.where(np.arange(out.size) == out.size // 2, math.nan, out)
 
         monkeypatch.setattr(solver, "_log_phi", spoiled)
@@ -623,7 +623,7 @@ class TestLogInversion:
         params = params_ref()
         lam1, lam2 = GOLDEN_T[0][1], GOLDEN_T[0][2]
         log_c = -2.0 * np.log1p(np.geomspace(1e-8, 1e8, 50))
-        x = solver._log_phi_inverse(log_c, lam1, lam2, params.p, params.q)
+        x = solver._log_phi_inverse(log_c, solver._log_terms(lam1, lam2, params))
         assert np.array_equal(x, iterates[-1])
         for before, after in zip(iterates, iterates[1:]):
             assert np.all(after <= before)
@@ -641,9 +641,9 @@ class TestLogInversion:
 
     def test_non_finite_target_is_a_solver_error(self):
         with pytest.raises(wl.SolverError, match="non-finite"):
-            solver._log_phi_inverse(math.nan, 0.4, 53.8, 2.0, 4.0)
+            solver._log_phi_inverse(math.nan, solver._log_terms(0.4, 53.8, params_ref()))
         with pytest.raises(wl.SolverError, match="non-finite"):
-            solver._log_phi_inverse(np.array([-1.0, -math.inf]), 0.4, 53.8, 2.0, 4.0)
+            solver._log_phi_inverse(np.array([-1.0, -math.inf]), solver._log_terms(0.4, 53.8, params_ref()))
 
     def test_single_term_out_of_range_is_a_solver_error(self):
         # T = 1e-5^(-1000) overflows; the float power raised OverflowError here.
