@@ -30,7 +30,6 @@ from .core import (
     classify_regime,
     derive_constants,
     g_eval,
-    g_prime,
 )
 from .closed_form import (
     RadialProfile,
@@ -85,7 +84,7 @@ def __getattr__(name):
 __all__ = [
     "FOUR_PI", "DerivedConstants", "OracleError", "ParameterError", "ProblemParams",
     "QuadratureError", "Regime", "RegimeError", "canonical_order", "classify_regime",
-    "derive_constants", "g_eval", "g_prime",
+    "derive_constants", "g_eval",
     "RadialProfile", "SingleConstraintResult", "disc_measure", "distribution_of_profile",
     "single_bound", "single_profile",
     "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",

@@ -9,7 +9,6 @@ error, 5 verification tolerance breach.  JSON output carries a top-level
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import asdict, fields
@@ -18,7 +17,7 @@ import numpy as np
 
 # bound and scan need only these; verify and profile import their layers
 # when they run.
-from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_columns
+from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_columns, _write_csv
 from .solver import BoundReport, SolverError, compute_bound, u_eval
 
 EXIT_OK = 0
@@ -103,7 +102,8 @@ def cmd_bound(args) -> int:
     if args.format == "json":
         print(_fmt_json(data))
     elif args.format == "csv":
-        _print_csv([k for k in data if k != "schema"], [data])
+        del data["schema"]
+        _write_csv(sys.stdout, data, [data.values()])
     else:
         _print_text(data)
     return EXIT_OK
@@ -167,21 +167,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _print_csv(columns, rows) -> None:
-    """Write a header and one line per row dict to stdout; a missing key is empty."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_csv_cell(row.get(k)) for k in columns] for row in rows)
-
-
 _SCAN_COLUMNS = ("ratio", "q", "regime", "bound", "lambda1", "lambda2", "r1", "r2", "error")
 
 
@@ -218,7 +203,7 @@ def cmd_scan(args) -> int:
         except ValueError as exc:
             raise ParameterError("--q-sweep expects comma-separated numbers") from exc
         rows = [_scan_row(args.beta, args.p, qv, args.A, args.B) for qv in qs]
-    _print_csv(_SCAN_COLUMNS, rows)
+    _write_csv(sys.stdout, _SCAN_COLUMNS, [[row.get(k) for k in _SCAN_COLUMNS] for row in rows])
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """Problem parameters, derived constants, the bound kernel G, regime logic,
 the graded Gauss rule every integral of the package uses and the writer of
-every CSV export.
+every CSV the package exports or prints.
 
 Apart from that writer, everything here is a pure function of its inputs;
 all values are plain floats, frozen dataclasses or read-only arrays and
@@ -198,18 +198,6 @@ def g_eval(s, beta: float):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def g_prime(s, beta: float):
-    """Derivative of G: (2 beta / 4pi) (1 + s/4pi)^(-2 beta - 1).
-
-    At s = 0 this equals beta/(2 pi), the Lipschitz constant of G.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise ValueError("g_prime requires s >= 0")
-    out = (2.0 * beta / FOUR_PI) * (1.0 + s_arr / FOUR_PI) ** (-2.0 * beta - 1.0)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-
 class QuadratureError(RuntimeError):
     """A quadrature failed to reach the tolerance of the graded rule."""
 
@@ -285,12 +273,23 @@ def _checked(value: float, coarse: float, what: str) -> float:
     return value
 
 
-def _write_columns(path: str, header, *columns) -> None:
-    """Write equal-length columns to a CSV file under one header row, each
-    cell as repr(float(v)), with "\\n" line ends."""
-    import csv  # only the exporters write files
+def _write_csv(out, header, rows) -> None:
+    """Write a header row and then one line per row to the text stream out as
+    CSV with "\\n" line ends: None is an empty cell, a float repr(float(v)),
+    anything else str(v)."""
+    import csv  # only the exporters and the csv outputs write it
 
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+         for v in row]
+        for row in rows
+    )
+
+
+def _write_columns(path: str, header, *columns) -> None:
+    """Write equal-length columns to a CSV file under one header row
+    (:func:`_write_csv`)."""
     with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows([repr(float(v)) for v in row] for row in zip(*columns, strict=True))
+        _write_csv(fh, header, zip(*columns, strict=True))

@@ -75,13 +75,22 @@ class DiscreteProblem:
         pass 2x that value.  The grid starts at t_min = 1e-6 t_max.  The
         mass omitted below t_min is bounded by t_min for the objective
         (G < 1) and by the vanishing integrands t^(e-1) u for the
-        constraints, both negligible.
+        constraints, both negligible.  Raises OracleError where that seed or
+        t_max is out of the float range.
         """
         if t_max is None:
             c = derive_constants(params)
-            T_p = params.A * (FOUR_PI * c.sigma_p) ** (-1.0 / params.p)
-            T_q = params.B * (FOUR_PI * c.sigma_q) ** (-1.0 / params.q)
+            try:
+                T_p = params.A * (FOUR_PI * c.sigma_p) ** (-1.0 / params.p)
+                T_q = params.B * (FOUR_PI * c.sigma_q) ** (-1.0 / params.q)
+            except OverflowError as exc:
+                raise OracleError(
+                    "a single-constraint support endpoint (4 pi sigma)^(-1/e) exceeds the float "
+                    f"range (sigma_p = {c.sigma_p!r}, sigma_q = {c.sigma_q!r})"
+                ) from exc
             t_max = 2.0 * max(T_p, T_q)
+        if not t_max < math.inf:
+            raise OracleError(f"the grid's end t_max = {t_max!r} is out of the float range")
         t = np.geomspace(_T_MIN_FACTOR * t_max, t_max, n)
         edges = np.empty(n + 1)
         edges[1:-1] = 0.5 * (t[1:] + t[:-1])
@@ -305,12 +314,13 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     the steps of all of them, and diagnostics["dual_evaluations"] the
     evaluations of D, line-search and expansion trials included.  The rows,
     their prices and the budgets are formed once (``_dual_terms``), which
-    raises OracleError where a row underflows to 0.  One DEBUG record on the
+    raises OracleError where a row underflows to 0; so does a solve whose
+    descents all end at a nan objective.  One DEBUG record on the
     ``wavelock.oracle`` logger gives the descents, the Newton steps of each,
     the dual evaluations and the relative gap.
     """
     terms = _dual_terms(prob)
-    rows, _, dt, caps, beta = terms
+    rows, prices, dt, caps, beta = terms
     evaluations = 0
 
     def dual(m):
@@ -331,6 +341,11 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         obj_z = float(g_eval(z, beta) @ dt)
         if obj_z > obj:
             v, obj = z, obj_z
+    if obj == -np.inf:
+        raise OracleError(
+            f"every descent ends at a nan objective; {np.count_nonzero(~np.isfinite(prices))} of "
+            f"{prices.size} prices rows/(dt G'(0)) are not finite"
+        )
 
     # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the excess
     # term absorbs the rounding that can leave the scaled point an ulp over

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, _gauss_panels
+from .core import FOUR_PI, OracleError, ProblemParams, _gauss_panels
 from .oracle import run_oracle
 from .solver import compute_bound, u_eval
 from .weight import (
@@ -325,10 +325,13 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
     from the endpoints when the instance is dual) and the operator check:
     the exact norm of the extremal weight's operator,
     :func:`~wavelock.weight.radial_operator_norm`, must match the bound to
-    1e-8 relative.
+    1e-8 relative.  A bound that underflows to 0 is an OracleError: no gap
+    relative to it is defined.
     """
     t0 = time.perf_counter()
     report = compute_bound(params)
+    if report.bound == 0.0:
+        raise OracleError(f"the bound underflows to 0.0, so no gap relative to it is defined ({params})")
     out = VerificationReport(params=params, regime=report.regime, bound=report.bound)
 
     t_max = 2.0 * report.T if report.T is not None else None

@@ -23,14 +23,7 @@ from .core import FOUR_PI, ProblemParams, _checked_log_integral, _write_columns
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import RadialProfile, distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
-from .solver import BoundReport, Multipliers, _log_phi, _log_phi_inverse, _log_terms, u_eval
-
-# Beyond this d the double-precision map d/(1-d) saturates; the profile
-# value there is below any representable scale, so we return 0.
-_D_CUTOFF = 1.0 - 1e-14
-
-_DISTRIBUTION_SAMPLES = 200
-_DISTRIBUTION_RTOL = 1e-4
+from .solver import BoundReport, Multipliers, _log_phi, _log_phi_inverse, _log_terms
 
 
 @dataclass(frozen=True)
@@ -110,10 +103,7 @@ class ExtremalWeight:
             d = np.asarray(d, dtype=float)
             if np.any((d < 0) | (d >= 1)):
                 raise ValueError("profile argument d must lie in [0, 1)")
-            inside = d <= _D_CUTOFF
-            dd = np.where(inside, d, 0.0)
-            vals = psi_inverse(dd / (1.0 - dd), self.mults, self.params)
-            return np.where(inside, vals, 0.0)
+            return psi_inverse(d / (1.0 - d), self.mults, self.params)
 
         return RadialProfile(fn)
 
@@ -212,24 +202,13 @@ def measured_distribution(w: ExtremalWeight, t):
     evaluates the profile once, which for a dual weight is one
     :func:`psi_inverse` solve over all levels.  This is the measurement
     route: it never touches the analytic distribution formula it is
-    checked against.
+    checked against.  Its range: 1 - r = 4 pi/(4 pi + u) is known to the
+    spacing of doubles below 1, so the result is within 1e-4 of u(t) only
+    while 1 - r keeps four digits, u(t) up to about 1e12.  On 137 wide-domain
+    weights (beta in [0.05, 10], p, q up to 51) 57 miss 1e-4 at some level
+    in [0.01 T, 0.99 T], each at u(t) >= 1.25e13 and none above 0.49 T.
     """
     return distribution_of_profile(w.profile())(t)
-
-
-def distribution_matches_solver(w: ExtremalWeight) -> tuple[bool, float]:
-    """Compare the measured distribution of a weight against u(t).
-
-    Samples 200 levels t over the interior of (0, T) and returns (all
-    within 1e-4 relative, worst relative deviation).
-    """
-    T = w.mults.T
-    ts = np.linspace(0.01 * T, 0.99 * T, _DISTRIBUTION_SAMPLES)
-    measured = measured_distribution(w, ts)
-    expected = u_eval(ts, w.mults, w.params)
-    rel = np.abs(measured - expected) / expected
-    worst = float(np.max(rel))
-    return worst <= _DISTRIBUTION_RTOL, worst
 
 
 def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavelock as wl
+from wavelock import cli
 from wavelock.cli import main
 from wavelock.verifier import FrequencyGrid
 from conftest import band_dual_params, csv_text, tiny_budget_dual_params, wide_dual_params
@@ -23,6 +24,11 @@ BOUND_KEYS = [
     "schema", "beta", "p", "q", "A", "B", "regime", "boundary", "bound", "r1", "r2",
     "lambda1", "lambda2", "T", "residual_p", "residual_q", "wall_time_s",
 ]
+
+
+def _cell(value) -> str:
+    """A float cell of the CSV outputs: the shortest repr of the double."""
+    return repr(float(value))
 
 
 def run_cli(argv, capsys):
@@ -104,6 +110,30 @@ class TestBoundCommand:
         assert header[header.index("regime")] == "regime"
         assert values[header.index("regime")] == "SingleP"
         assert values[header.index("T")] == ""  # null, never 0
+
+    @pytest.mark.parametrize("B", [0.4, 1.0], ids=["dual", "single"])
+    def test_csv_bytes(self, B, capsys, monkeypatch):
+        # One report serves the command, so wall_time_s is pinned too.
+        params = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, B)
+        r = wl.compute_bound(params)
+        monkeypatch.setattr(cli, "compute_bound", {params: r}.__getitem__)
+        code, out, err = run_cli(
+            ["bound", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", repr(B),
+             "--format", "csv"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        if r.regime == "Dual":
+            T, res_q = _cell(r.T), _cell(r.residual_q)
+        else:
+            assert r.T is None and r.residual_q is None and r.boundary is False
+            T = res_q = ""
+        values = [
+            "0.5", "2.0", "4.0", "1.0", repr(B), r.regime, "False", _cell(r.bound), _cell(r.r1),
+            _cell(r.r2), _cell(r.lambda1), _cell(r.lambda2), T, _cell(r.residual_p), res_q,
+            _cell(r.wall_time_s),
+        ]
+        assert out == ",".join(BOUND_KEYS[1:]) + "\n" + ",".join(values) + "\n"
 
     def test_equal_exponents_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -488,6 +518,32 @@ class TestScanCommand:
         r2s = [float(r["r2"]) for r in rows]
         assert abs(r2s[2] - r2_limit) < abs(r2s[0] - r2_limit)
 
+    def test_q_sweep_csv_bytes(self, capsys, monkeypatch):
+        reports = {}
+        for q in (8.0, 32.0, 200.0):
+            params = wl.ProblemParams(0.5, 2.0, q, 1.0, 0.45)
+            reports[params] = wl.compute_bound(params)
+        monkeypatch.setattr(cli, "compute_bound", reports.__getitem__)
+        code, out, err = run_cli(
+            ["scan", "--beta", "0.5", "--p", "2", "--A", "1", "--B", "0.45",
+             "--q-sweep", "8,32,200,2,1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        lines = ["ratio,q,regime,bound,lambda1,lambda2,r1,r2,error"]
+        for params, r in reports.items():
+            assert r.regime == "Dual" and r.r1 is None
+            lines.append(
+                f"0.45,{params.q!r},Dual,{_cell(r.bound)},{_cell(r.lambda1)},{_cell(r.lambda2)},"
+                f",{_cell(r.r2)},"
+            )
+        lines += [
+            "0.45,2.0,,,,,,,ParameterError: p and q must be distinct; "
+            "the two-constraint problem degenerates at p = q = 2.0",
+            '0.45,1.0,,,,,,,"ParameterError: q must exceed 1, got 1.0"',
+        ]
+        assert out == "\n".join(lines) + "\n"
+
     def test_rows_in_input_order(self, capsys):
         code, out, _ = run_cli(
             ["scan", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1",
@@ -723,6 +779,33 @@ class TestExtremeValues:
         assert code == 3 and out == ""
         assert err.startswith("solver error: non-finite"), err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The q row overflows, so every price of it is nan.
+            (["--beta", "1e300", "--p", "2", "--q", "7", "--A", "2", "--B", "7"],
+             "every descent ends at a nan objective"),
+            # sigma_q = 1.1e-316, so (4 pi sigma_q)^(-1/q) overflows.
+            (["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
+             "a single-constraint support endpoint"),
+            # B (4 pi sigma_q)^(-1/q) overflows to inf, the seed grid's t_max.
+            (["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
+             "the grid's end t_max = inf is out of the float range"),
+            (["--beta", "1e-10", "--p", "1.0000000000000002", "--q", "7", "--A", "1e-320",
+              "--B", "1.0000000000000002"],
+             "the bound underflows to 0.0"),
+        ],
+        ids=["nan-objective", "support-endpoint-overflows", "grid-end-overflows", "bound-underflows"],
+    )
+    def test_verify_failures_past_the_bound_exit_3(self, argv, message, capsys):
+        # The first instance's moment rows overflow with a RuntimeWarning
+        # (t^(q-1) at t ~ 1e150); the typed error is what is checked here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(["verify", "--format", "json", *argv], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"solver error: {message}"), err
+
 
 _EXTREMES = [1e-320, 1e-300, 1e-10, 0.5, 1.0, 1.0000000000000002, 2.0, 7.0, 50.0, 1e10, 1e300, 1.7e308, math.inf]
 
@@ -746,6 +829,24 @@ class TestErrorContract:
             data = json.loads(out.getvalue())
             assert data["bound"] is not None, argv
             assert all(data[k] is None or data[k] <= 1e-8 for k in ("residual_p", "residual_q")), argv
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.sampled_from(_EXTREMES)] * 5))
+    def test_verify_is_a_result_or_a_typed_error(self, values):
+        # Past compute_bound too, every instance ends in a report (exit 0 or
+        # 5) or a typed error (exit 2 or 3), never a traceback.  RuntimeWarnings
+        # are ignored here, not made errors: the oracle's dual Hessian still
+        # overflows on some of these instances, and that warning stays visible
+        # on purpose for test_wide_domain_hessian_stays_finite.
+        argv = ["verify", "--format", "json"]
+        for flag, value in zip(("--beta", "--p", "--q", "--A", "--B"), values):
+            argv += [flag, repr(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3, 5), (argv, err.getvalue())
 
 
 class TestEntryPoint:

@@ -228,7 +228,7 @@ class TestCertificate:
                 assert value == pytest.approx(expected, rel=1e-12)
                 load = rows @ s
                 assert np.all(np.abs(grad - (caps - load)) <= 1e-13 * (caps + load))
-                priced_out = c >= wl.g_prime(0.0, beta)
+                priced_out = c >= 2.0 * beta / wl.FOUR_PI  # G'(0) = beta/(2 pi)
                 assert np.all(s[priced_out] == 0.0)
                 priced_out_nodes += np.count_nonzero(priced_out)
                 # Only along positive multipliers: a central difference along a
@@ -369,7 +369,7 @@ class TestCertificate:
         params = wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0)
         prob, sol = run_oracle(params)
         a, _ = prob.moment_vectors()
-        assert np.min(a / prob.dt) > wl.g_prime(0.0, params.beta)
+        assert np.min(a / prob.dt) > 2.0 * params.beta / wl.FOUR_PI  # G'(0)
         assert sol.converged
         assert sol.diagnostics["duality_gap"] <= 1e-6
         assert max(sol.residual_p, sol.residual_q) <= 1e-9

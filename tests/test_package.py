@@ -1,6 +1,8 @@
 """The package's public surface: every name it exports, eager or loaded on use."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -11,7 +13,7 @@ EXPORTS = {
     "core": (
         "FOUR_PI", "DerivedConstants", "ParameterError", "ProblemParams", "QuadratureError",
         "Regime", "RegimeError", "canonical_order", "classify_regime", "derive_constants",
-        "g_eval", "g_prime",
+        "g_eval",
     ),
     "closed_form": (
         "RadialProfile", "SingleConstraintResult", "disc_measure", "distribution_of_profile",
@@ -36,6 +38,15 @@ EXPORTS = {
     ),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Public definitions that nothing in src/, the demos or perfbench/ refers to,
+# kept on purpose.
+UNUSED_ON_PURPOSE = {
+    "single_profile": "the closed-form reference of acceptance criterion 2",
+    "solve_multipliers": "the public dual entry point, which perfbench hooks by string",
+}
 
 
 def test_all_lists_every_export_once():
@@ -65,3 +76,34 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         wl.no_such_name
     assert not hasattr(wl, "no_such_name")
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name a node reads, as a bare name, an attribute or an import."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    # A top-level public function or class of a wavelock module must be read
+    # outside its own definition by some module other than __init__ (whose
+    # re-exports do not count), a demo or perfbench/; tests do not count.
+    modules = sorted(p for p in (ROOT / "src" / "wavelock").glob("*.py") if p.stem != "__init__")
+    callers = [*modules, *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert len(modules) == 7 and len(callers) > len(modules)
+    defined, read = [], set()
+    for path in callers:
+        for node in ast.parse(path.read_text()).body:
+            own = {node.name} if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else set()
+            if own and path in modules and not node.name.startswith("_"):
+                defined.append(f"{path.stem}.{node.name}")
+            read |= _names_read(node) - own
+    unused = {name for name in defined if name.split(".")[1] not in read}
+    assert {name.split(".")[1] for name in unused} == set(UNUSED_ON_PURPOSE), sorted(unused)
