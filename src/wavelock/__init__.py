@@ -32,7 +32,6 @@ from .core import (
     g_eval,
 )
 from .closed_form import (
-    RadialProfile,
     SingleConstraintResult,
     disc_measure,
     distribution_of_profile,
@@ -85,8 +84,8 @@ __all__ = [
     "FOUR_PI", "DerivedConstants", "OracleError", "ParameterError", "ProblemParams",
     "QuadratureError", "Regime", "RegimeError", "canonical_order", "classify_regime",
     "derive_constants", "g_eval",
-    "RadialProfile", "SingleConstraintResult", "disc_measure", "distribution_of_profile",
-    "single_bound", "single_profile",
+    "SingleConstraintResult", "disc_measure", "distribution_of_profile", "single_bound",
+    "single_profile",
     "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",
     "moment", "multipliers", "solve_multipliers", "u_eval",
     *_LAZY,

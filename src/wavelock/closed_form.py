@@ -3,7 +3,8 @@
 When the budget ratio leaves the dual window, the optimal weight is the
 one-constraint extremizer: a radial profile lam * (1 - d)^(1/alpha_e) in
 the squared pseudo-hyperbolic coordinate d.  This module evaluates the
-corresponding sharp bound, the profile and its distribution function.
+corresponding sharp bound, and the profile and its distribution function
+as vectorised functions that give a float at a scalar argument.
 
 Note on the profile exponent: the published display of the extremal weight
 carries the exponent -alpha_e, which grows toward the boundary and has a
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,23 +54,6 @@ class SingleConstraintResult:
     bound: float
     lam: float
     cross_norm: float
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """A nonincreasing scalar profile, evaluated on demand.
-
-    Used both for weight magnitudes as a function of the squared
-    pseudo-hyperbolic coordinate d in [0, 1) and for distribution
-    functions of t on [0, inf).
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        out = self.fn(x_arr)
-        return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
 def single_bound(
@@ -111,7 +94,7 @@ def single_bound(
     return SingleConstraintResult(bound=bound, lam=lam, cross_norm=cross)
 
 
-def single_profile(consts: DerivedConstants, lam: float, side: str) -> RadialProfile:
+def single_profile(consts: DerivedConstants, lam: float, side: str):
     """Extremal magnitude profile lam * (1 - d)^(1/alpha_e) on d in [0, 1)."""
     alpha = consts.alpha_p if side == "P" else consts.alpha_q
     if side not in _SIDES:
@@ -126,9 +109,10 @@ def single_profile(consts: DerivedConstants, lam: float, side: str) -> RadialPro
         d = np.asarray(d, dtype=float)
         if np.any((d < 0) | (d >= 1)):
             raise ValueError("profile argument d must lie in [0, 1)")
-        return lam * (1.0 - d) ** inv_alpha
+        out = lam * (1.0 - d) ** inv_alpha
+        return float(out) if d.ndim == 0 else out
 
-    return RadialProfile(fn)
+    return fn
 
 
 def disc_measure(d: float) -> float:
@@ -138,8 +122,8 @@ def disc_measure(d: float) -> float:
     return FOUR_PI * d / (1.0 - d)
 
 
-def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
-    """Distribution function t -> measure({profile > t}) of a radial profile.
+def distribution_of_profile(profile):
+    """Distribution function t -> measure({profile > t}) of a vectorised radial profile.
 
     The super-level set of a nonincreasing radial profile is the disc
     {d < r(t)} with r(t) = sup{d : profile(d) > t}, located by a bisection
@@ -149,8 +133,9 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
     step moves it (about 60 halvings on the extremal weights), and after
     120 halvings at most.  Levels with t >= profile(0) or
     t < profile(1 - 1e-15) have no bracket to close and do not hold it
-    open.  The result is nonincreasing and right-continuous, and
-    vanishes for t >= profile(0).
+    open; the ends are evaluated once each, as one-element arrays.  The
+    result is nonincreasing and right-continuous, and vanishes for
+    t >= profile(0).
     """
     top = 1.0 - 1e-15
 
@@ -159,8 +144,8 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
         t_arr = np.atleast_1d(t_in)
         if np.any(t_arr < 0):
             raise ValueError("distribution argument t must be nonnegative")
-        inside = profile(np.zeros_like(t_arr)) > t_arr
-        beyond = profile(np.full_like(t_arr, top)) > t_arr
+        inside = profile(np.zeros(1)) > t_arr
+        beyond = profile(np.full(1, top)) > t_arr
         bracketed = inside & ~beyond
         lo = np.zeros_like(t_arr)
         hi = np.full_like(t_arr, top)
@@ -177,8 +162,6 @@ def distribution_of_profile(profile: RadialProfile) -> RadialProfile:
         out = FOUR_PI * r / (1.0 - r)
         out = np.where(inside, out, 0.0)
         out = np.where(beyond, disc_measure(top), out)
-        if t_in.ndim == 0:
-            return np.float64(out[0])
-        return out.reshape(t_in.shape)
+        return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
 
-    return RadialProfile(fn)
+    return fn

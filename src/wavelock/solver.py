@@ -114,15 +114,16 @@ def _log_phi_inverse(log_c, terms):
     g(x) = log phi(e^x) - log c.  g is a log-sum-exp of affine functions of
     x, so it is convex and increasing: started at the smaller single-term
     root, where g >= 0, the iterates fall monotonically onto the root, with
-    no bracket.  Newton stops at the first step that no longer lowers x,
-    the rounding floor.  A float ``log_c`` runs on plain floats, an array
-    elementwise.  Raises :class:`SolverError` on a non-finite start (log c)
-    or after _INVERT_MAX steps.
+    no bracket.  With the smaller exponent first, g' = k1 + (k2 - k1) s2,
+    s2 the second term's share, is a sum of nonnegative parts.  Newton
+    stops at the first step that no longer lowers x, the rounding floor.  A
+    float ``log_c`` runs on plain floats, an array elementwise.  Raises
+    :class:`SolverError` on a non-finite start or after _INVERT_MAX steps.
     """
     if len(terms) == 1:
         return (log_c - terms[0][0]) / terms[0][1]
     ops = _FLOAT_OPS if isinstance(log_c, float) else _ARRAY_OPS
-    (l1, k1), (l2, k2) = terms
+    (l1, k1), (l2, k2) = sorted(terms, key=lambda term: term[1])
     x = ops.minimum((log_c - l1) / k1, (log_c - l2) / k2)
     if not ops.all(abs(x) < math.inf):
         raise SolverError(f"non-finite start inverting phi with log terms {terms!r} at log c = {log_c!r}")

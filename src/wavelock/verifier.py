@@ -1,7 +1,8 @@
 """Operator checks: the exact radial norm, and a grid transform with power iteration.
 
 :func:`run_verification` checks the extremal weight's operator norm
-through its exact value, :func:`~wavelock.weight.radial_operator_norm`.
+through its exact value, :func:`~wavelock.weight.radial_operator_norm`,
+one layer-cake integral of phi over the level that inverts nothing.
 The grid machinery below is a first-principles reference for that norm,
 which the acceptance suite and demo 04 drive directly; on the default
 grids power iteration reads about +0.26 % high on the reference instance,
@@ -324,8 +325,8 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
     objective within 1 percent, profile pointwise within 2 percent away
     from the endpoints when the instance is dual) and the operator check:
     the exact norm of the extremal weight's operator,
-    :func:`~wavelock.weight.radial_operator_norm`, must match the bound to
-    1e-8 relative.  A bound that underflows to 0 is an OracleError: no gap
+    :func:`~wavelock.weight.radial_operator_norm` (no inversion of phi),
+    must match the bound to 1e-8 relative.  A bound that underflows to 0 is an OracleError: no gap
     relative to it is defined.
     """
     t0 = time.perf_counter()

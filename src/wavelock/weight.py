@@ -7,9 +7,10 @@ t -> (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta + 1)) - 1 on (0, T].  In a
 single regime the inactive multiplier is zero, and psi is the closed-form
 power lam (1 - d)^(1/alpha_e) with lam = T.
 
-Everything is evaluated on demand; all norm and distribution checks
-reduce to one-dimensional integrals through the disc measure
-nu({d < r}) = 4 pi r / (1 - r).
+Everything is evaluated on demand.  The norms and the operator norm are
+layer-cake integrals of phi over the level t, on which |F| is t itself,
+so only pointwise evaluation inverts phi; the distribution check bisects
+through the disc measure nu({d < r}) = 4 pi r / (1 - r).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import FOUR_PI, ProblemParams, _checked_log_integral, _write_columns
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
-from .closed_form import RadialProfile, distribution_of_profile
+from .closed_form import distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
 from .solver import BoundReport, Multipliers, _log_phi, _log_phi_inverse, _log_terms
 
@@ -96,8 +97,8 @@ class ExtremalWeight:
         """Magnitude at the centre, the support endpoint T."""
         return self.mults.T
 
-    def profile(self) -> RadialProfile:
-        """Magnitude as a function of d in [0, 1)."""
+    def profile(self):
+        """Magnitude as a vectorised function of d in [0, 1), a float at a scalar d."""
 
         def fn(d):
             d = np.asarray(d, dtype=float)
@@ -105,7 +106,7 @@ class ExtremalWeight:
                 raise ValueError("profile argument d must lie in [0, 1)")
             return psi_inverse(d / (1.0 - d), self.mults, self.params)
 
-        return RadialProfile(fn)
+        return fn
 
 
 def weight_from_report(
@@ -131,15 +132,15 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
     Every extremal magnitude is |F| = psi(s), the inverse of the level map
     S(t) = phi(t)^(-c) - 1 on (0, peak], c = 1/(2 beta + 1),
     phi = l1 t^(p-1) + l2 t^(q-1), which has one term for a single
-    weight.  Through s = S(t) the factor (1 + s)^(-(2 beta + 1)) is
-    phi(t).  The nodes are placed through t = peak y^m,
+    weight.  As a layer-cake integral over the level t through s = S(t),
+    |F| = psi(S(t)) is t itself and (1 + s)^(-(2 beta + 1)) is phi(t), so
+    no node inverts phi.  The nodes are placed through t = peak y^m,
     m = 1/(e - alpha + a k0), with k0 = e0 - 1 for the smallest exponent
     e0 with a positive multiplier and alpha = c k0: the integrand in t
     behaves like t^(1/m - 1) at 0, so in y it tends to a constant however
     slowly |F|^e decays in s, and the checked graded Gauss rule on (0, 1]
-    evaluates it, in log space.  |F| at a node is the log-space inversion
-    of phi at its level.  The integral diverges when 1/m <= 0 and is
-    returned as inf.
+    evaluates it, in log space.  The integral diverges when 1/m <= 0 and
+    is returned as inf.
     """
     params = w.params
     c = 1.0 / (2.0 * params.beta + 1.0)
@@ -155,9 +156,8 @@ def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
         log_t = log_peak + m * log_y
         log_phi = _log_phi(log_t, terms)  # -(1 + 2 beta) log(1 + s)
         slope = sum(k * np.exp(log_lam + k * log_t - log_phi) for log_lam, k in terms)  # t phi'/phi
-        log_psi = _log_phi_inverse(log_phi, terms)
-        # psi^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
-        return c * m * slope * np.exp(e * log_psi + (a - c) * log_phi - log_y)
+        # t^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
+        return c * m * slope * np.exp(e * log_t + (a - c) * log_phi - log_y)
 
     return _checked_log_integral(f, 1.0, what)
 
@@ -166,8 +166,8 @@ def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
     Through the disc measure each norm is (4 pi int_0^inf |F|^e ds)^(1/e)
-    in s = d/(1 - d), one level-map integral (:func:`_level_integral`).
-    A norm with e <= alpha diverges and is returned as inf.
+    in s = d/(1 - d), one layer-cake integral of phi over the level
+    (:func:`_level_integral`).  A norm with e <= alpha diverges: inf.
     """
     return tuple(
         (FOUR_PI * _level_integral(w, e, 0.0, f"{e:g}-norm of the weight")) ** (1.0 / e)
@@ -184,8 +184,8 @@ def radial_operator_norm(w: ExtremalWeight) -> float:
     int_0^1 |F|(d) d^n (1 - d)^(2 beta - 1) dd.  They fall with n for a
     nonincreasing profile, so the norm is the top one,
     2 beta int_0^inf |F|(s) (1 + s)^(-(2 beta + 1)) ds in s = d/(1 - d),
-    one level-map integral (:func:`_level_integral`).  The constant
-    phase does not change the norm.
+    one layer-cake integral of phi over the level on the norms' graded
+    rule (:func:`_level_integral`).  The constant phase does not change it.
     """
     integral = _level_integral(w, 1.0, 1.0, "top eigenvalue of the localization operator")
     return 2.0 * w.params.beta * integral

@@ -808,6 +808,36 @@ class TestExtremeValues:
 
 
 _EXTREMES = [1e-320, 1e-300, 1e-10, 0.5, 1.0, 1.0000000000000002, 2.0, 7.0, 50.0, 1e10, 1e300, 1.7e308, math.inf]
+_EPS = 1.0000000000000002  # the double after 1: q - 1 = 2.2e-16
+
+
+def _run_quiet(argv, warning_filter):
+    """(exit code, stdout, stderr) of main(argv) under warning_filter(), with
+    the warnings filters restored afterwards."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warning_filter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _flags(values):
+    """--beta, --p, --q, --A and --B, each set to the repr of its value."""
+    return [arg for flag, value in zip(("--beta", "--p", "--q", "--A", "--B"), values) for arg in (flag, repr(value))]
+
+
+def _warnings_are_errors():
+    warnings.simplefilter("error", RuntimeWarning)
+
+
+def _library_warnings_are_errors():
+    # The oracle's dual Hessian still overflows on some extreme instances, and
+    # that warning stays visible on purpose for
+    # test_wide_domain_hessian_stays_finite, so only the solver's and the
+    # weight layer's RuntimeWarnings are errors here.
+    warnings.simplefilter("ignore", RuntimeWarning)
+    warnings.filterwarnings("error", category=RuntimeWarning, module=r"wavelock\.(solver|weight)")
 
 
 class TestErrorContract:
@@ -816,37 +846,69 @@ class TestErrorContract:
     def test_bound_is_a_result_or_a_typed_error(self, values):
         # Every instance the flags can spell ends in exit 0 within the residual
         # gate, or in exit 2 or 3; never a traceback or a RuntimeWarning.
-        argv = ["bound", "--format", "json"]
-        for flag, value in zip(("--beta", "--p", "--q", "--A", "--B"), values):
-            argv += [flag, repr(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2, 3), (argv, err.getvalue())
+        argv = ["bound", "--format", "json", *_flags(values)]
+        code, out, err = _run_quiet(argv, _warnings_are_errors)
+        assert code in (0, 2, 3), (argv, err)
         if code == 0:
-            data = json.loads(out.getvalue())
+            data = json.loads(out)
             assert data["bound"] is not None, argv
             assert all(data[k] is None or data[k] <= 1e-8 for k in ("residual_p", "residual_q")), argv
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.tuples(*[st.sampled_from(_EXTREMES)] * 5))
+    def test_profile_is_a_result_or_a_typed_error(self, values):
+        # profile runs no oracle, so, as for bound, a RuntimeWarning is an error.
+        argv = ["profile", "--out", os.devnull, *_flags(values)]
+        code, _, err = _run_quiet(argv, _warnings_are_errors)
+        assert code in (0, 2, 3, 4), (argv, err)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (_EPS, 50.0, _EPS, 1.0, _EPS),
+            (1e-320, 7.0, _EPS, 0.5, 1.0),
+            (0.5, 50.0, _EPS, 2.0, 2.0),
+            (2.0, 50.0, _EPS, 50.0, 2.0),
+            (1e-10, 50.0, _EPS, 1.0, 1.0),
+            (1.0, 50.0, _EPS, 2.0, 7.0),
+            (0.5, 7.0, _EPS, 1.0, 7.0),
+        ],
+    )
+    def test_profile_next_to_q_1_exits_0(self, values, tmp_path):
+        # With q - 1 = 2.2e-16 the q term can hold all of phi; Newton's slope
+        # in the inversion of phi must not cancel to 0 there.
+        out_path = tmp_path / "profile.csv"
+        code, _, err = _run_quiet(["profile", "--out", str(out_path), *_flags(values)], _warnings_are_errors)
+        assert code == 0, err
+        mags = np.array([float(r[1]) for r in list(csv.reader(out_path.open()))[1:]])
+        assert np.all(np.isfinite(mags)) and np.all(mags >= 0.0)
+        assert np.all(np.diff(mags) <= 0.0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.sampled_from(_EXTREMES)] * 5))
     def test_verify_is_a_result_or_a_typed_error(self, values):
         # Past compute_bound too, every instance ends in a report (exit 0 or
-        # 5) or a typed error (exit 2 or 3), never a traceback.  RuntimeWarnings
-        # are ignored here, not made errors: the oracle's dual Hessian still
-        # overflows on some of these instances, and that warning stays visible
-        # on purpose for test_wide_domain_hessian_stays_finite.
-        argv = ["verify", "--format", "json"]
-        for flag, value in zip(("--beta", "--p", "--q", "--A", "--B"), values):
-            argv += [flag, repr(value)]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 2, 3, 5), (argv, err.getvalue())
+        # 5) or a typed error (exit 2 or 3), never a traceback.
+        argv = ["verify", "--format", "json", *_flags(values)]
+        code, _, err = _run_quiet(argv, _library_warnings_are_errors)
+        assert code in (0, 2, 3, 5), (argv, err)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ((_EPS, 50.0, _EPS, 1.0, _EPS), 0),
+            ((0.5, 50.0, _EPS, 2.0, 2.0), 0),
+            ((2.0, 50.0, _EPS, 50.0, 2.0), 0),
+            ((1.0, 50.0, _EPS, 2.0, 7.0), 0),
+            ((0.5, 7.0, _EPS, 1.0, 7.0), 0),
+            # The bound is subnormal, and the oracle cannot certify it.
+            ((1e-300, 7.0, _EPS, 1e-10, 1e10), 5),
+        ],
+    )
+    def test_verify_next_to_q_1(self, values, expected):
+        code, out, err = _run_quiet(["verify", "--format", "json", *_flags(values)], _library_warnings_are_errors)
+        assert code == expected, err
+        assert json.loads(out)["bound"] > 0.0
 
 
 class TestEntryPoint:

@@ -113,8 +113,7 @@ class TestSingleProfile:
 
 class TestDistribution:
     def test_zero_profile(self):
-        zero = wl.RadialProfile(fn=lambda d: np.zeros_like(np.asarray(d, float)))
-        v = wl.distribution_of_profile(zero)
+        v = wl.distribution_of_profile(lambda d: np.zeros_like(np.asarray(d, float)))
         assert v(0.5) == 0.0
         assert np.all(v(np.linspace(0, 3, 7)) == 0.0)
 
@@ -138,7 +137,7 @@ class TestDistribution:
             d = np.asarray(d, dtype=float)
             return np.where(d < r0, t0, 0.0)
 
-        v = wl.distribution_of_profile(wl.RadialProfile(fn=fn))
+        v = wl.distribution_of_profile(fn)
         expected = FOUR_PI * r0 / (1.0 - r0)
         assert v(0.5) == pytest.approx(expected, rel=1e-10)
         assert v(1.99) == pytest.approx(expected, rel=1e-10)
@@ -186,7 +185,7 @@ def _bisected_120(profile, t):
 
 
 def _indicator(t0=2.0, r0=0.3):
-    return wl.RadialProfile(fn=lambda d: np.where(np.asarray(d, dtype=float) < r0, t0, 0.0))
+    return lambda d: np.where(np.asarray(d, dtype=float) < r0, t0, 0.0)
 
 
 def _test_profiles(ref_params, ref_report):
@@ -206,7 +205,7 @@ def _test_profiles(ref_params, ref_report):
         regimes.append(report.regime)
     assert regimes == ["Dual", "SingleP", "SingleQ"]
     out.append((_indicator(), 2.0))
-    out.append((wl.RadialProfile(fn=lambda d: np.zeros_like(np.asarray(d, float))), 0.0))
+    out.append((lambda d: np.zeros_like(np.asarray(d, float)), 0.0))
     return out
 
 
@@ -225,7 +224,7 @@ class _CountingProfile:
         """Halvings distribution_of_profile runs at levels t: all its
         profile calls but the two at the ends of the bracket."""
         self.calls = 0
-        wl.distribution_of_profile(wl.RadialProfile(fn=self))(t)
+        wl.distribution_of_profile(self)(t)
         return self.calls - 2
 
 
@@ -260,7 +259,7 @@ class TestBisectionFixedPoint:
     def test_levels_without_a_bracket_take_no_halving(self):
         counter = _CountingProfile(_indicator())
         assert counter.halvings(np.array([2.0, 3.0, 1e300])) == 0
-        zero = _CountingProfile(wl.RadialProfile(fn=lambda d: np.zeros_like(d)))
+        zero = _CountingProfile(lambda d: np.zeros_like(d))
         assert zero.halvings(np.array([0.0, 1.0])) == 0
 
 

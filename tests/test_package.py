@@ -16,8 +16,8 @@ EXPORTS = {
         "g_eval",
     ),
     "closed_form": (
-        "RadialProfile", "SingleConstraintResult", "disc_measure", "distribution_of_profile",
-        "single_bound", "single_profile",
+        "SingleConstraintResult", "disc_measure", "distribution_of_profile", "single_bound",
+        "single_profile",
     ),
     "solver": (
         "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",

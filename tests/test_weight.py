@@ -12,7 +12,17 @@ from wavelock.weight import (
     export_profile,
     hyperbolic_circle,
 )
-from conftest import csv_text, random_dual_params, random_single_params
+from conftest import (
+    csv_text,
+    near_threshold_dual_params,
+    random_dual_params,
+    random_single_params,
+    wide_dual_params,
+)
+
+# phi = l1 t^49 + l2 t^(2.2e-16): the second term holds nearly all of phi
+# below 0.9 T.
+Q_NEXT_TO_1 = wl.ProblemParams(0.5, 50.0, 1.0000000000000002, 2.0, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +79,36 @@ class TestPsiInverse:
         assert np.allclose(s_back, [forward(t) for t in ts[:10]], rtol=1e-10, atol=1e-10)
         t_back = wl.psi_inverse(np.array([forward(t) for t in ts]), m, ref_params)
         assert np.allclose(t_back, ts, rtol=1e-10)
+        # psi(S(t)) = t from 1e-6 T up to T, S = u/(4 pi) the level map, on
+        # 16 draws of each of four samplers, single-regime weights included.
+        rng = np.random.default_rng(5)
+        draws = [
+            sample(rng) for sample in (
+                random_dual_params, lambda g: random_single_params(g)[0],
+                near_threshold_dual_params, wide_dual_params,
+            ) for _ in range(16)
+        ]
+        for params in draws:
+            try:
+                m = wl.compute_bound(params).multipliers()
+            except wl.QuadratureError:
+                continue  # a wide draw's typed failure, counted by its own contract test
+            t = m.T * np.logspace(-6.0, 0.0, 200, endpoint=False)
+            t_back = wl.psi_inverse(wl.u_eval(t, m, params) / FOUR_PI, m, params)
+            assert np.all(np.abs(t_back - t) <= 1e-12 * t), params
+
+    def test_q_next_to_1(self):
+        # Newton's slope in the inversion of phi, taken in (p, q) order as
+        # 49 + (2.2e-16 - 49) times the second term's share, rounded to 0.
+        m = wl.compute_bound(Q_NEXT_TO_1).multipliers()
+        t = m.T * np.logspace(-6.0, 0.0, 200, endpoint=False)
+        s = wl.u_eval(t, m, Q_NEXT_TO_1) / FOUR_PI
+        t_back = wl.psi_inverse(s, m, Q_NEXT_TO_1)
+        # Below 0.9 T the level map is flat to 1e-15, so t is checked through it.
+        assert np.all(np.abs(wl.u_eval(t_back, m, Q_NEXT_TO_1) / FOUR_PI - s) <= 1e-12 * s)
+        near_peak = t >= 0.9 * m.T
+        assert np.all(np.abs(t_back - t)[near_peak] <= 1e-12 * t[near_peak])
+        assert wl.psi_inverse(float(s[-1]), m, Q_NEXT_TO_1) == pytest.approx(t[-1], rel=1e-12)
 
     def test_monotone_decreasing(self, ref_params):
         m = wl.solve_multipliers(ref_params)
