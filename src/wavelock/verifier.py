@@ -230,15 +230,32 @@ def operator_norm(F: np.ndarray, machine: CauchyTransform) -> PowerIterationResu
     return PowerIterationResult(lam_prev, _POWER_MAX_ITER, False, history)
 
 
+# Grid nodes per block of whole x-rows in sample_weight, so that a block's
+# temporaries stay in cache; of 4 096, 8 192 and 16 384, 8 192 was fastest.
+_SAMPLE_BLOCK = 8192
+
+
 def sample_weight(w: ExtremalWeight, pgrid: PlaneGrid) -> np.ndarray:
     """|F| on the plane grid, read straight off the radial profile.
 
     The magnitude depends on z only through d(z, centre), so the constant
     phase never enters: the samples are the profile at the grid's
-    pseudo-hyperbolic distances, whatever the phase.
+    pseudo-hyperbolic distances, whatever the phase.  The grid is walked
+    in blocks of whole x-rows, about 8 192 nodes each, so that no
+    temporary spans the full grid.  The result is bit-identical to one
+    pass over the mesh: d and the profile are elementwise, the broadcast
+    x + i y equals the meshed one exactly, and in the Newton inversion of
+    phi a converged element is a fixed point, so stopping per block
+    changes no value.
     """
-    X, Y = pgrid.mesh()
-    return w.profile()(pseudo_hyperbolic(X + 1j * Y, w.center))
+    nx, ny = pgrid.x.size, pgrid.y.size
+    rows = max(1, _SAMPLE_BLOCK // max(ny, 1))
+    profile = w.profile()
+    out = np.empty((nx, ny))
+    for i in range(0, nx, rows):
+        z = pgrid.x[i : i + rows, None] + 1j * pgrid.y[None, :]
+        out[i : i + rows] = profile(pseudo_hyperbolic(z, w.center))
+    return out
 
 
 def grid_lebesgue_norm(F: np.ndarray, pgrid: PlaneGrid, e: float) -> float:
@@ -253,7 +270,7 @@ def feasible_perturbation(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """A non-radial bounded modulation of |F|, rescaled inside both budgets."""
-    X, _ = pgrid.mesh()
+    X = pgrid.x[:, None]
     c1 = rng.uniform(0.2, 0.45)
     c2 = rng.uniform(0.2, 0.45)
     k = rng.uniform(0.8, 2.5)
@@ -270,8 +287,7 @@ def feasible_perturbation(
 def indicator_disc(pgrid: PlaneGrid, measure: float) -> np.ndarray:
     """Indicator of the hyperbolic disc about i with given nu-measure."""
     r = measure / (FOUR_PI + measure)  # invert 4 pi r/(1-r)
-    X, Y = pgrid.mesh()
-    Z = X + 1j * Y
+    Z = pgrid.x[:, None] + 1j * pgrid.y[None, :]
     d = np.abs((Z - 1j) / (Z + 1j)) ** 2
     return (d < r).astype(float)
 

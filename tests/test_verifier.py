@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from wavelock.verifier import (
     sample_weight,
     wavelet_normalization,
 )
-from wavelock.weight import weight_from_report
+from wavelock.weight import HalfPlanePoint, weight_from_report
 
 
 def wavelet_norm_check(beta: float) -> float:
@@ -284,6 +285,37 @@ class TestSampleWeight:
             assert F.shape == X.shape
             assert np.array_equal(F, np.abs(wl.eval_weight(w, X + 1j * Y)))
             assert np.array_equal(sample_weight(replace(w, phase=1.3), pgrid), F)
+
+    # Grids against the row blocks: smaller than one block, nx not a multiple
+    # of the rows per block, and rows longer than a block (one row each).
+    @pytest.mark.parametrize("nx, ny", [(81, 72), (59, 280), (3, 9000)])
+    @pytest.mark.parametrize("center", [None, HalfPlanePoint(0.7, 2.5)])
+    def test_blocks_match_one_pass(self, ref_params, ref_report, nx, ny, center):
+        rows = max(1, verifier._SAMPLE_BLOCK // ny)
+        assert (nx * ny < verifier._SAMPLE_BLOCK) or (nx % rows != 0) or (ny > verifier._SAMPLE_BLOCK)
+        pgrid = PlaneGrid.default(nx=nx, ny=ny)
+        X, Y = pgrid.mesh()
+        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)
+        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
+            w = weight_from_report(params, report, center)
+            one_pass = w.profile()(wl.pseudo_hyperbolic(X + 1j * Y, w.center))
+            assert np.array_equal(sample_weight(w, pgrid), one_pass)
+
+    def test_traced_memory_stays_within_a_few_blocks(self, ref_params, ref_report):
+        # The result alone is 0.64 MiB; one pass over the mesh peaked at
+        # 8.4 MiB on the reference weight and 5.2 MiB on the single one.
+        pgrid = PlaneGrid.default()
+        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)
+        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
+            w = weight_from_report(params, report)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sample_weight(w, pgrid)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (params, peak)
 
 
 def _rayleigh_at_wavelet(machine, F) -> float:
