@@ -1,8 +1,9 @@
 """Reconstructing the extremal weight on the upper half-plane.
 
-The weight that attains the dual-regime bound is radial about its centre
-in the pseudo-hyperbolic coordinate: F(z) = e^{i theta} psi(d/(1-d)) with
-psi the inverse of the two-multiplier profile map.  This script rebuilds
+The weight that attains the dual-regime bound is radial about its centre:
+F(z) = e^{i theta} psi(s) with s = |z - z0|^2/(4 Im z Im z0), which is
+d/(1 - d) for the squared pseudo-hyperbolic distance d, and psi the inverse
+of the two-multiplier profile map.  This script rebuilds
 it, checks that both norms sit exactly on their budgets, and verifies that
 its measured distribution function reproduces the solver's u(t).
 """
@@ -43,10 +44,11 @@ for t, vm, ue in zip(levels, measured, expected):
 print(f"worst relative deviation: {np.max(np.abs(measured - expected) / expected):.2e}")
 print()
 
-# Magnitudes are constant on hyperbolic circles about the centre.
+# Magnitudes are constant on hyperbolic circles about the centre; s = 1 is
+# the circle d = 1/2.
 from wavelock.weight import hyperbolic_circle
 
-circle = hyperbolic_circle(weight.center, 0.5, np.linspace(0, 2 * np.pi, 9))
+circle = hyperbolic_circle(weight.center, 1.0, np.linspace(0, 2 * np.pi, 9))
 mags = np.abs(wl.eval_weight(weight, circle))
 print(f"magnitude spread along a hyperbolic circle: {np.ptp(mags):.2e}")
 

@@ -33,7 +33,6 @@ from .core import (
 )
 from .closed_form import (
     SingleConstraintResult,
-    disc_measure,
     distribution_of_profile,
     single_bound,
     single_profile,
@@ -58,8 +57,7 @@ _LAZY = {
     for module, names in {
         "weight": (
             "ExtremalWeight", "HalfPlanePoint", "eval_weight", "measured_distribution",
-            "pseudo_hyperbolic", "psi_inverse", "radial_operator_norm", "weight_from_report",
-            "weight_norms",
+            "psi_inverse", "radial_operator_norm", "radial_s", "weight_from_report", "weight_norms",
         ),
         "oracle": (
             "DiscreteProblem", "DiscreteSolution", "check_monotone_restoration", "run_oracle",
@@ -84,8 +82,7 @@ __all__ = [
     "FOUR_PI", "DerivedConstants", "OracleError", "ParameterError", "ProblemParams",
     "QuadratureError", "Regime", "RegimeError", "canonical_order", "classify_regime",
     "derive_constants", "g_eval",
-    "SingleConstraintResult", "disc_measure", "distribution_of_profile", "single_bound",
-    "single_profile",
+    "SingleConstraintResult", "distribution_of_profile", "single_bound", "single_profile",
     "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",
     "moment", "multipliers", "solve_multipliers", "u_eval",
     *_LAZY,

@@ -120,7 +120,7 @@ def cmd_profile(args) -> int:
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
     ts = np.linspace(w.peak / n, w.peak, n)
     us = u_eval(ts, w.mults, params)
-    _write_columns(args.out, ("d", "magnitude", "t", "u"), ds, w.profile()(ds), ts, us)
+    _write_columns(args.out, ("d", "magnitude", "t", "u"), ds, w.profile()(ds / (1.0 - ds)), ts, us)
     print(f"wrote {n} profile rows to {args.out}")
     return EXIT_OK
 

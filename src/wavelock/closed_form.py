@@ -1,18 +1,20 @@
 """Closed forms for the single-active-constraint regime.
 
 When the budget ratio leaves the dual window, the optimal weight is the
-one-constraint extremizer: a radial profile lam * (1 - d)^(1/alpha_e) in
-the squared pseudo-hyperbolic coordinate d.  This module evaluates the
-corresponding sharp bound, and the profile and its distribution function
-as vectorised functions that give a float at a scalar argument.
+one-constraint extremizer: a radial profile lam * (1 + s)^(-1/alpha_e) in
+s = d/(1 - d), d the squared pseudo-hyperbolic distance to its centre, so
+that the disc {s < sigma} has hyperbolic measure 4 pi sigma.  This module
+evaluates the corresponding sharp bound, and the profile and its
+distribution function as vectorised functions that give a float at a
+scalar argument.
 
 Note on the profile exponent: the published display of the extremal weight
 carries the exponent -alpha_e, which grows toward the boundary and has a
 divergent own-norm.  The distribution-function computation, the
 nonincreasing-profile requirement and the vanishing-second-multiplier
-limit of the dual reconstruction all force (1 - d)^(+1/alpha_e); that is
-the form implemented here, and the one every numeric check below is
-consistent with.
+limit of the dual reconstruction all force (1 - d)^(+1/alpha_e), which is
+(1 + s)^(-1/alpha_e); that is the form implemented here, and the one every
+numeric check below is consistent with.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
 )
 
 _SIDES = ("P", "Q")
-_BISECT_STEPS = 120
 
 
 def _side_fields(params: ProblemParams, consts: DerivedConstants, side: str):
@@ -95,7 +96,7 @@ def single_bound(
 
 
 def single_profile(consts: DerivedConstants, lam: float, side: str):
-    """Extremal magnitude profile lam * (1 - d)^(1/alpha_e) on d in [0, 1)."""
+    """Extremal magnitude profile lam * (1 + s)^(-1/alpha_e) on s >= 0."""
     alpha = consts.alpha_p if side == "P" else consts.alpha_q
     if side not in _SIDES:
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
@@ -105,63 +106,54 @@ def single_profile(consts: DerivedConstants, lam: float, side: str):
         raise ValueError(f"lam must be positive, got {lam}")
     inv_alpha = 1.0 / alpha
 
-    def fn(d):
-        d = np.asarray(d, dtype=float)
-        if np.any((d < 0) | (d >= 1)):
-            raise ValueError("profile argument d must lie in [0, 1)")
-        out = lam * (1.0 - d) ** inv_alpha
-        return float(out) if d.ndim == 0 else out
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        if not np.all(s >= 0):
+            raise ValueError("profile argument s must be nonnegative")
+        out = lam * (1.0 + s) ** -inv_alpha
+        return float(out) if s.ndim == 0 else out
 
     return fn
 
 
-def disc_measure(d: float) -> float:
-    """Hyperbolic area of the disc {d(z, z0) < d}: 4 pi d / (1 - d)."""
-    if not 0.0 <= d < 1.0:
-        raise ValueError(f"d must lie in [0, 1), got {d}")
-    return FOUR_PI * d / (1.0 - d)
+# The bisection's top: the largest s whose disc measure 4 pi s is finite.
+_S_TOP = np.finfo(float).max / FOUR_PI
 
 
 def distribution_of_profile(profile):
     """Distribution function t -> measure({profile > t}) of a vectorised radial profile.
 
-    The super-level set of a nonincreasing radial profile is the disc
-    {d < r(t)} with r(t) = sup{d : profile(d) > t}, located by a bisection
-    run simultaneously for all requested levels; its measure is
-    4 pi r/(1 - r).  The bisection stops once every bracket is two
-    adjacent doubles, where the midpoint equals an end and no further
-    step moves it (about 60 halvings on the extremal weights), and after
-    120 halvings at most.  Levels with t >= profile(0) or
-    t < profile(1 - 1e-15) have no bracket to close and do not hold it
-    open; the ends are evaluated once each, as one-element arrays.  The
-    result is nonincreasing and right-continuous, and vanishes for
-    t >= profile(0).
+    The super-level set of a nonincreasing radial profile in s is the disc
+    {s < sigma(t)}, of measure 4 pi sigma(t).  sigma is located by a
+    bisection run simultaneously for all requested levels over the bit
+    patterns of the doubles in [0, float max/(4 pi)]: nonnegative doubles
+    order like their int64 patterns, so every bracket closes to two
+    adjacent doubles in at most 63 halvings, and its upper end is taken.
+    Levels with t >= profile(0) or t < profile(float max/(4 pi)) have no
+    bracket to close and do not hold it open; the ends are evaluated once
+    each, as one-element arrays.  The result is nonincreasing and
+    right-continuous, vanishes for t >= profile(0), and is inf where the
+    disc outgrows the float range, t < profile(float max/(4 pi)).
     """
-    top = 1.0 - 1e-15
 
     def fn(t):
         t_in = np.asarray(t, dtype=float)
         t_arr = np.atleast_1d(t_in)
-        if np.any(t_arr < 0):
+        if not np.all(t_arr >= 0):
             raise ValueError("distribution argument t must be nonnegative")
         inside = profile(np.zeros(1)) > t_arr
-        beyond = profile(np.full(1, top)) > t_arr
+        beyond = profile(np.full(1, _S_TOP)) > t_arr
         bracketed = inside & ~beyond
-        lo = np.zeros_like(t_arr)
-        hi = np.full_like(t_arr, top)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            # lo stays above t and hi at or below it, so a midpoint equal to
-            # either end maps (lo, hi) to itself: every later step is void.
-            if not np.any(bracketed & (mid != lo) & (mid != hi)):
-                break
-            above = profile(mid) > t_arr
+        # lo stays above t and hi at or below it, as bit patterns of s.
+        lo = np.zeros(t_arr.shape, dtype=np.int64)
+        hi = np.full(t_arr.shape, _S_TOP.view(np.int64))
+        while np.any(bracketed & (hi - lo > 1)):
+            mid = lo + (hi - lo) // 2
+            above = profile(mid.view(np.float64)) > t_arr
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        r = 0.5 * (lo + hi)
-        out = FOUR_PI * r / (1.0 - r)
-        out = np.where(inside, out, 0.0)
-        out = np.where(beyond, disc_measure(top), out)
+        out = np.where(inside, FOUR_PI * hi.view(np.float64), 0.0)
+        out = np.where(beyond, np.inf, out)
         return float(out[0]) if t_in.ndim == 0 else out.reshape(t_in.shape)
 
     return fn

@@ -46,8 +46,8 @@ from .solver import compute_bound, u_eval
 from .weight import (
     ExtremalWeight,
     eval_weight,  # noqa: F401  (perfbench's tracer hooks verifier.eval_weight)
-    pseudo_hyperbolic,
     radial_operator_norm,
+    radial_s,
     weight_from_report,
 )
 
@@ -238,15 +238,15 @@ _SAMPLE_BLOCK = 8192
 def sample_weight(w: ExtremalWeight, pgrid: PlaneGrid) -> np.ndarray:
     """|F| on the plane grid, read straight off the radial profile.
 
-    The magnitude depends on z only through d(z, centre), so the constant
-    phase never enters: the samples are the profile at the grid's
-    pseudo-hyperbolic distances, whatever the phase.  The grid is walked
-    in blocks of whole x-rows, about 8 192 nodes each, so that no
-    temporary spans the full grid.  The result is bit-identical to one
-    pass over the mesh: d and the profile are elementwise, the broadcast
-    x + i y equals the meshed one exactly, and in the Newton inversion of
-    phi a converged element is a fixed point, so stopping per block
-    changes no value.
+    The magnitude depends on z only through s(z, centre), so the constant
+    phase never enters: the samples are the profile at the grid's radial
+    coordinates :func:`~wavelock.weight.radial_s`, whatever the phase.
+    The grid is walked in blocks of whole x-rows, about 8 192 nodes each,
+    so that no temporary spans the full grid.  The result is bit-identical
+    to one pass over the mesh: s and the profile are elementwise, the
+    broadcast x + i y equals the meshed one exactly, and in the Newton
+    inversion of phi a converged element is a fixed point, so stopping per
+    block changes no value.
     """
     nx, ny = pgrid.x.size, pgrid.y.size
     rows = max(1, _SAMPLE_BLOCK // max(ny, 1))
@@ -254,7 +254,7 @@ def sample_weight(w: ExtremalWeight, pgrid: PlaneGrid) -> np.ndarray:
     out = np.empty((nx, ny))
     for i in range(0, nx, rows):
         z = pgrid.x[i : i + rows, None] + 1j * pgrid.y[None, :]
-        out[i : i + rows] = profile(pseudo_hyperbolic(z, w.center))
+        out[i : i + rows] = profile(radial_s(z, w.center))
     return out
 
 
@@ -285,11 +285,9 @@ def feasible_perturbation(
 
 
 def indicator_disc(pgrid: PlaneGrid, measure: float) -> np.ndarray:
-    """Indicator of the hyperbolic disc about i with given nu-measure."""
-    r = measure / (FOUR_PI + measure)  # invert 4 pi r/(1-r)
+    """Indicator of the hyperbolic disc about i with given nu-measure 4 pi s."""
     Z = pgrid.x[:, None] + 1j * pgrid.y[None, :]
-    d = np.abs((Z - 1j) / (Z + 1j)) ** 2
-    return (d < r).astype(float)
+    return (radial_s(Z, 1j) < measure / FOUR_PI).astype(float)
 
 
 def default_test_vectors(fgrid: FrequencyGrid) -> list[np.ndarray]:

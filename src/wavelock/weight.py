@@ -1,16 +1,19 @@
 """Extremal weights on the upper half-plane.
 
-A weight is radial about its centre z0 in the squared pseudo-hyperbolic
-coordinate d(z, z0) = |z - z0|^2 / |z - conj(z0)|^2, carries a constant
-phase, and its magnitude profile is psi(d/(1 - d)), where psi inverts
+A weight is radial about its centre z0 in the coordinate
+s(z, z0) = |z - z0|^2 / (4 Im z Im z0), which is d/(1 - d) for the squared
+pseudo-hyperbolic distance d = |z - z0|^2 / |z - conj(z0)|^2, since
+|z - conj(z0)|^2 - |z - z0|^2 = 4 Im z Im z0; it is formed directly, so no
+digits are lost as d -> 1.  The weight carries a constant phase, and its
+magnitude is psi(s), where psi inverts
 t -> (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta + 1)) - 1 on (0, T].  In a
 single regime the inactive multiplier is zero, and psi is the closed-form
-power lam (1 - d)^(1/alpha_e) with lam = T.
+power lam (1 + s)^(-1/alpha_e) with lam = T.
 
 Everything is evaluated on demand.  The norms and the operator norm are
 layer-cake integrals of phi over the level t, on which |F| is t itself,
 so only pointwise evaluation inverts phi; the distribution check bisects
-through the disc measure nu({d < r}) = 4 pi r / (1 - r).
+s through the disc measure nu({s < sigma}) = 4 pi sigma.
 """
 
 from __future__ import annotations
@@ -45,18 +48,19 @@ class HalfPlanePoint:
         return complex(self.x, self.y)
 
 
-def pseudo_hyperbolic(z, z0) -> float | np.ndarray:
-    """d(z, z0) = |z - z0|^2 / |z - conj(z0)|^2, in [0, 1).
+def radial_s(z, z0) -> float | np.ndarray:
+    """s(z, z0) = |z - z0|^2 / (4 Im z Im z0) = d/(1 - d), in [0, inf).
 
-    Symmetric, zero exactly at z = z0.  Accepts HalfPlanePoint, complex
-    scalars or complex arrays (upper half-plane assumed for arrays).
+    Symmetric, zero exactly at z = z0; the disc {s < sigma} about z0 has
+    hyperbolic measure 4 pi sigma.  Accepts HalfPlanePoint, complex
+    scalars or complex arrays.
     """
     zc = z.z if isinstance(z, HalfPlanePoint) else np.asarray(z, dtype=complex)
     z0c = z0.z if isinstance(z0, HalfPlanePoint) else complex(z0)
     if np.any(np.imag(zc) <= 0) or np.imag(z0c) <= 0:
-        raise ValueError("pseudo_hyperbolic is defined on the open upper half-plane")
-    d = np.abs(zc - z0c) ** 2 / np.abs(zc - np.conj(z0c)) ** 2
-    return float(d) if np.ndim(d) == 0 else d
+        raise ValueError("radial_s is defined on the open upper half-plane")
+    s = np.abs(zc - z0c) ** 2 / (4.0 * np.imag(zc) * z0c.imag)
+    return float(s) if np.ndim(s) == 0 else s
 
 
 def psi_inverse(s, m: Multipliers, params: ProblemParams):
@@ -69,7 +73,7 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
     The result is capped at T, the value at s = 0.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
+    if not np.all(s_arr >= 0):
         raise ValueError("psi_inverse requires s >= 0")
     log_c = -(2.0 * params.beta + 1.0) * np.log1p(s_arr)
     log_t = _log_phi_inverse(log_c, _log_terms(m.lambda1, m.lambda2, params))
@@ -81,10 +85,10 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
 class ExtremalWeight:
     """A reconstructed extremal weight: centre, multipliers and phase.
 
-    The magnitude is the inverse profile psi of ``mults`` in s = d/(1 - d),
-    d = d(z, centre), for every regime: a single-regime weight carries its
-    inactive multiplier as zero.  The phase is a global unimodular
-    constant.
+    The magnitude is the inverse profile psi of ``mults`` at
+    s = radial_s(z, centre), for every regime: a single-regime weight
+    carries its inactive multiplier as zero.  The phase is a global
+    unimodular constant.
     """
 
     params: ProblemParams
@@ -98,15 +102,8 @@ class ExtremalWeight:
         return self.mults.T
 
     def profile(self):
-        """Magnitude as a vectorised function of d in [0, 1), a float at a scalar d."""
-
-        def fn(d):
-            d = np.asarray(d, dtype=float)
-            if np.any((d < 0) | (d >= 1)):
-                raise ValueError("profile argument d must lie in [0, 1)")
-            return psi_inverse(d / (1.0 - d), self.mults, self.params)
-
-        return fn
+        """Magnitude psi as a vectorised function of s >= 0, a float at a scalar s."""
+        return lambda s: psi_inverse(s, self.mults, self.params)
 
 
 def weight_from_report(
@@ -121,13 +118,12 @@ def weight_from_report(
 
 def eval_weight(w: ExtremalWeight, z):
     """Value of the weight at z (complex scalar/array or HalfPlanePoint)."""
-    d = pseudo_hyperbolic(z, w.center)
-    mag = w.profile()(d)
+    mag = w.profile()(radial_s(z, w.center))
     return np.exp(1j * w.phase) * mag
 
 
 def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
-    """int_0^inf |F|^e (1 + s)^(-a (2 beta + 1)) ds in s = d/(1 - d).
+    """int_0^inf |F|^e (1 + s)^(-a (2 beta + 1)) ds over s = radial_s.
 
     Every extremal magnitude is |F| = psi(s), the inverse of the level map
     S(t) = phi(t)^(-c) - 1 on (0, peak], c = 1/(2 beta + 1),
@@ -166,7 +162,7 @@ def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
     Through the disc measure each norm is (4 pi int_0^inf |F|^e ds)^(1/e)
-    in s = d/(1 - d), one layer-cake integral of phi over the level
+    in s, one layer-cake integral of phi over the level
     (:func:`_level_integral`).  A norm with e <= alpha diverges: inf.
     """
     return tuple(
@@ -194,39 +190,37 @@ def radial_operator_norm(w: ExtremalWeight) -> float:
 def measured_distribution(w: ExtremalWeight, t):
     """Distribution function of |w| measured geometrically from its profile.
 
-    For each level t the super-level set {|w| > t} is a disc {d < r}, and
-    :func:`~wavelock.closed_form.distribution_of_profile` finds r by a
-    bisection on the monotone profile, run simultaneously for all
-    requested levels until every bracket is two adjacent doubles, and
-    converts it through the disc measure 4 pi r/(1 - r).  Each halving
-    evaluates the profile once, which for a dual weight is one
-    :func:`psi_inverse` solve over all levels.  This is the measurement
-    route: it never touches the analytic distribution formula it is
-    checked against.  Its range: 1 - r = 4 pi/(4 pi + u) is known to the
-    spacing of doubles below 1, so the result is within 1e-4 of u(t) only
-    while 1 - r keeps four digits, u(t) up to about 1e12.  On 137 wide-domain
-    weights (beta in [0.05, 10], p, q up to 51) 57 miss 1e-4 at some level
-    in [0.01 T, 0.99 T], each at u(t) >= 1.25e13 and none above 0.49 T.
+    For each level t the super-level set {|w| > t} is a disc {s < sigma},
+    and :func:`~wavelock.closed_form.distribution_of_profile` finds sigma
+    by a bisection on the monotone profile, run simultaneously for all
+    requested levels until every bracket is two adjacent doubles (63
+    halvings), and returns the disc measure 4 pi sigma.  Each halving
+    evaluates the profile once, which is one :func:`psi_inverse` solve
+    over all levels.  This is the measurement route: it never touches the
+    analytic distribution formula it is checked against.  sigma is a
+    double like any other, so the result keeps its relative accuracy at
+    every level: on 137 wide-domain weights (beta in [0.05, 10], p, q up
+    to 51) it is within 1e-12 of u(t) at 200 levels in [0.01 T, 0.99 T].
     """
     return distribution_of_profile(w.profile())(t)
 
 
 def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:
-    """Write (d, |F|) profile samples as CSV."""
+    """Write (d, |F|) profile samples as CSV, on n equispaced d in [0, 1)."""
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
-    _write_columns(path, ("d", "abs_F"), ds, w.profile()(ds))
+    _write_columns(path, ("d", "abs_F"), ds, w.profile()(ds / (1.0 - ds)))
 
 
-def hyperbolic_circle(z0: HalfPlanePoint, d: float, angles) -> np.ndarray:
-    """Points z with d(z, z0) = d, parameterized by angle via the Cayley map.
+def hyperbolic_circle(z0: HalfPlanePoint, s: float, angles) -> np.ndarray:
+    """Points z with s(z, z0) = s, parameterized by their Euclidean angle.
 
-    Useful for isometry-invariance checks: the weight magnitude must be
-    constant along each such circle.
+    |z - z0|^2 = 4 s Im z Im z0 is the Euclidean circle about
+    x0 + i y0 (1 + 2 s) of radius 2 y0 sqrt(s (1 + s)).  Useful for
+    isometry-invariance checks: the weight magnitude must be constant
+    along each such circle.
     """
-    if not 0.0 <= d < 1.0:
-        raise ValueError(f"d must lie in [0, 1), got {d}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"s must be finite and nonnegative, got {s}")
     angles = np.asarray(angles, dtype=float)
-    # Cayley transform centred at z0: w = (z - z0)/(z - conj(z0)), |w|^2 = d.
-    wv = math.sqrt(d) * np.exp(1j * angles)
-    z0c = z0.z
-    return (z0c - wv * np.conj(z0c)) / (1.0 - wv)
+    centre = complex(z0.x, z0.y * (1.0 + 2.0 * s))
+    return centre + 2.0 * z0.y * math.sqrt(s * (1.0 + s)) * np.exp(1j * angles)

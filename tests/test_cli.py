@@ -220,7 +220,7 @@ class TestProfileCommand:
         ds = np.linspace(0.0, 1.0, 200, endpoint=False)
         ts = np.linspace(w.peak / 200, w.peak, 200)
         us = wl.u_eval(ts, w.mults, ref_params)
-        expected = csv_text(("d", "magnitude", "t", "u"), ds, w.profile()(ds), ts, us)
+        expected = csv_text(("d", "magnitude", "t", "u"), ds, w.profile()(ds / (1.0 - ds)), ts, us)
         assert out_path.read_bytes() == expected.encode()
 
     def test_single_profile_matches_closed_form(self, capsys, tmp_path):

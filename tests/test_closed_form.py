@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import wavelock as wl
-from wavelock.closed_form import _side_fields, disc_measure
+from wavelock.closed_form import _S_TOP, _side_fields
 from graded_quadrature import _checked_integral
 from wavelock.core import FOUR_PI
 from conftest import random_single_params
@@ -90,9 +90,9 @@ class TestSingleProfile:
         _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
         prof = wl.single_profile(consts, 2.5, "P")
         assert prof(0.0) == pytest.approx(2.5, rel=1e-15)
-        assert prof(1.0 - 1e-12) < 1e-5
-        ds = np.linspace(0.0, 0.999, 300)
-        vals = prof(ds)
+        assert prof(1e12) < 1e-5
+        ss = np.linspace(0.0, 999.0, 300)
+        vals = prof(ss)
         assert np.all(np.diff(vals) < 0)
 
     def test_rejects_alpha_zero(self):
@@ -106,14 +106,14 @@ class TestSingleProfile:
         _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
         prof = wl.single_profile(consts, 1.0, "P")
         with pytest.raises(ValueError):
-            prof(1.0)
-        with pytest.raises(ValueError):
             prof(-0.1)
+        with pytest.raises(ValueError):
+            prof(np.array([1.0, -np.inf]))
 
 
 class TestDistribution:
     def test_zero_profile(self):
-        v = wl.distribution_of_profile(lambda d: np.zeros_like(np.asarray(d, float)))
+        v = wl.distribution_of_profile(lambda s: np.zeros_like(np.asarray(s, float)))
         assert v(0.5) == 0.0
         assert np.all(v(np.linspace(0, 3, 7)) == 0.0)
 
@@ -131,61 +131,53 @@ class TestDistribution:
         assert v(1.7) == 0.0
 
     def test_indicator_profile(self):
-        t0, r0 = 2.0, 0.3
+        t0, s0 = 2.0, 0.3 / 0.7
 
-        def fn(d):
-            d = np.asarray(d, dtype=float)
-            return np.where(d < r0, t0, 0.0)
+        def fn(s):
+            s = np.asarray(s, dtype=float)
+            return np.where(s < s0, t0, 0.0)
 
         v = wl.distribution_of_profile(fn)
-        expected = FOUR_PI * r0 / (1.0 - r0)
+        expected = FOUR_PI * s0
         assert v(0.5) == pytest.approx(expected, rel=1e-10)
         assert v(1.99) == pytest.approx(expected, rel=1e-10)
         assert v(t0) == 0.0
 
     def test_against_grid_measure(self):
         # Brute force: sum the hyperbolic area element 4 pi/(1-d)^2 dd over
-        # the super-level set on a fine d-grid.
+        # the super-level set on a fine grid in d, where s = d/(1 - d).
         _, consts = make(0.8, 3.0, 2.0, 1.0, 1.0)
         prof = wl.single_profile(consts, 1.7, "Q")
         v = wl.distribution_of_profile(prof)
         d_grid = np.linspace(0.0, 1.0 - 1e-7, 400_001)
         mids = 0.5 * (d_grid[1:] + d_grid[:-1])
         areas = FOUR_PI / (1.0 - mids) ** 2 * np.diff(d_grid)
-        vals = prof(mids)
+        vals = prof(mids / (1.0 - mids))
         for t in (0.3, 0.9, 1.4):
             brute = float(np.sum(areas[vals > t]))
             assert v(t) == pytest.approx(brute, rel=2e-4)
 
-    def test_disc_measure(self):
-        assert disc_measure(0.0) == 0.0
-        assert disc_measure(0.5) == pytest.approx(FOUR_PI, rel=1e-15)
-        with pytest.raises(ValueError):
-            disc_measure(1.0)
 
-
-def _bisected_120(profile, t):
-    """distribution_of_profile as it ran before it stopped at the fixed
-    point: always 120 halvings, with the same top 1 - 1e-15."""
-    top = 1.0 - 1e-15
+def _bisected_63(profile, t):
+    """distribution_of_profile without its stop: always 63 halvings of the
+    bit patterns of s, with the same top."""
     t_in = np.asarray(t, dtype=float)
     t_arr = np.atleast_1d(t_in)
-    lo = np.zeros_like(t_arr)
-    hi = np.full_like(t_arr, top)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        above = profile(mid) > t_arr
+    lo = np.zeros(t_arr.shape, dtype=np.int64)
+    hi = np.full(t_arr.shape, np.float64(_S_TOP).view(np.int64))
+    for _ in range(63):
+        mid = lo + (hi - lo) // 2
+        above = profile(mid.view(np.float64)) > t_arr
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
-    r = 0.5 * (lo + hi)
-    out = FOUR_PI * r / (1.0 - r)
+    out = FOUR_PI * hi.view(np.float64)
     out = np.where(profile(np.zeros_like(t_arr)) > t_arr, out, 0.0)
-    out = np.where(profile(np.full_like(t_arr, top)) > t_arr, disc_measure(top), out)
+    out = np.where(profile(np.full_like(t_arr, _S_TOP)) > t_arr, np.inf, out)
     return out.reshape(t_in.shape)
 
 
-def _indicator(t0=2.0, r0=0.3):
-    return lambda d: np.where(np.asarray(d, dtype=float) < r0, t0, 0.0)
+def _indicator(t0=2.0, s0=0.3 / 0.7):
+    return lambda s: np.where(np.asarray(s, dtype=float) < s0, t0, 0.0)
 
 
 def _test_profiles(ref_params, ref_report):
@@ -205,7 +197,7 @@ def _test_profiles(ref_params, ref_report):
         regimes.append(report.regime)
     assert regimes == ["Dual", "SingleP", "SingleQ"]
     out.append((_indicator(), 2.0))
-    out.append((lambda d: np.zeros_like(np.asarray(d, float)), 0.0))
+    out.append((lambda s: np.zeros_like(np.asarray(s, float)), 0.0))
     return out
 
 
@@ -216,9 +208,9 @@ class _CountingProfile:
         self.calls = 0
         self.profile = profile
 
-    def __call__(self, d):
+    def __call__(self, s):
         self.calls += 1
-        return self.profile(d)
+        return self.profile(s)
 
     def halvings(self, t) -> int:
         """Halvings distribution_of_profile runs at levels t: all its
@@ -229,7 +221,7 @@ class _CountingProfile:
 
 
 class TestBisectionFixedPoint:
-    def test_equals_the_120_halving_loop(self, ref_params, ref_report):
+    def test_equals_the_63_halving_loop(self, ref_params, ref_report):
         for profile, peak in _test_profiles(ref_params, ref_report):
             levels = np.concatenate([
                 [0.0, 5e-324, 1e-300, 1e-12 * peak],
@@ -237,11 +229,11 @@ class TestBisectionFixedPoint:
                 [peak, np.nextafter(peak, np.inf), 1.5 * peak + 1.0, 1e300],
             ])
             v = wl.distribution_of_profile(profile)
-            assert np.array_equal(v(levels), _bisected_120(profile, levels))
+            assert np.array_equal(v(levels), _bisected_63(profile, levels))
             for t in (0.0, 0.37 * peak, peak):
                 got = v(t)
                 assert np.ndim(got) == 0
-                assert got == _bisected_120(profile, t)
+                assert got == _bisected_63(profile, t)
 
     def test_stops_within_64_halvings(self, ref_params, ref_report):
         single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
@@ -259,7 +251,7 @@ class TestBisectionFixedPoint:
     def test_levels_without_a_bracket_take_no_halving(self):
         counter = _CountingProfile(_indicator())
         assert counter.halvings(np.array([2.0, 3.0, 1e300])) == 0
-        zero = _CountingProfile(lambda d: np.zeros_like(d))
+        zero = _CountingProfile(lambda s: np.zeros_like(s))
         assert zero.halvings(np.array([0.0, 1.0])) == 0
 
 

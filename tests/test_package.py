@@ -16,8 +16,7 @@ EXPORTS = {
         "g_eval",
     ),
     "closed_form": (
-        "SingleConstraintResult", "disc_measure", "distribution_of_profile", "single_bound",
-        "single_profile",
+        "SingleConstraintResult", "distribution_of_profile", "single_bound", "single_profile",
     ),
     "solver": (
         "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",
@@ -25,8 +24,7 @@ EXPORTS = {
     ),
     "weight": (
         "ExtremalWeight", "HalfPlanePoint", "eval_weight", "measured_distribution",
-        "pseudo_hyperbolic", "psi_inverse", "radial_operator_norm", "weight_from_report",
-        "weight_norms",
+        "psi_inverse", "radial_operator_norm", "radial_s", "weight_from_report", "weight_norms",
     ),
     "oracle": (
         "DiscreteProblem", "DiscreteSolution", "OracleError", "check_monotone_restoration",

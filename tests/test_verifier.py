@@ -298,8 +298,34 @@ class TestSampleWeight:
         single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)
         for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
             w = weight_from_report(params, report, center)
-            one_pass = w.profile()(wl.pseudo_hyperbolic(X + 1j * Y, w.center))
+            one_pass = w.profile()(wl.radial_s(X + 1j * Y, w.center))
             assert np.array_equal(sample_weight(w, pgrid), one_pass)
+
+    def test_boundary_nodes_match_a_30_digit_psi(self, ref_params):
+        # On the grid's edges s reaches 1.1e7 at (x, y) = (-30, 2.2e-5): formed
+        # there through d = |z - i|^2/|z + i|^2, s = d/(1 - d) was off by 8.6e-9.
+        mp = pytest.importorskip("mpmath")
+        pgrid = PlaneGrid.default()
+        nx, ny = pgrid.x.size, pgrid.y.size
+        edges = [(i, j) for i in (0, nx - 1) for j in range(ny)]
+        edges += [(i, j) for j in (0, ny - 1) for i in range(1, nx - 1)]
+        for params in (ref_params, wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2)):
+            w = weight_from_report(params, wl.compute_bound(params))
+            m = w.mults
+            F = sample_weight(w, pgrid)
+            with mp.workdps(30):
+                lam1, lam2, T = mp.mpf(m.lambda1), mp.mpf(m.lambda2), mp.mpf(m.T)
+                for i, j in edges:
+                    x, y = mp.mpf(pgrid.x[i]), mp.mpf(pgrid.y[j])
+                    # psi(s) solves log phi(t) = -(2 beta + 1) log(1 + s), in log t.
+                    level = -(2 * mp.mpf(params.beta) + 1) * mp.log1p((x**2 + (y - 1) ** 2) / (4 * y))
+
+                    def log_phi(u):
+                        phi = lam1 * mp.exp((params.p - 1) * u) + lam2 * mp.exp((params.q - 1) * u)
+                        return mp.log(phi) - level
+
+                    exact = min(mp.exp(mp.findroot(log_phi, mp.log(T) + level)), T)
+                    assert abs(F[i, j] - exact) <= 1e-13 * exact, (params, pgrid.x[i], pgrid.y[j])
 
     def test_traced_memory_stays_within_a_few_blocks(self, ref_params, ref_report):
         # The result alone is 0.64 MiB; one pass over the mesh peaked at

@@ -32,24 +32,25 @@ def dual_weight(ref_params, ref_report):
 
 class TestPseudoHyperbolic:
     def test_examples(self):
+        # s = d/(1 - d) at the squared pseudo-hyperbolic distances d = 1/9 and 1/5.
         i = HalfPlanePoint(0.0, 1.0)
-        assert wl.pseudo_hyperbolic(i, i) == 0.0
-        assert wl.pseudo_hyperbolic(HalfPlanePoint(0.0, 2.0), i) == pytest.approx(1 / 9, rel=1e-15)
-        assert wl.pseudo_hyperbolic(HalfPlanePoint(1.0, 1.0), i) == pytest.approx(1 / 5, rel=1e-15)
+        assert wl.radial_s(i, i) == 0.0
+        assert wl.radial_s(HalfPlanePoint(0.0, 2.0), i) == 1 / 8
+        assert wl.radial_s(HalfPlanePoint(1.0, 1.0), i) == 1 / 4
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             z = complex(rng.normal(), rng.uniform(0.01, 10))
             z0 = complex(rng.normal(), rng.uniform(0.01, 10))
-            d1 = wl.pseudo_hyperbolic(z, z0)
-            d2 = wl.pseudo_hyperbolic(z0, z)
-            assert d1 == pytest.approx(d2, rel=1e-12)
-            assert 0.0 <= d1 < 1.0
+            s1 = wl.radial_s(z, z0)
+            s2 = wl.radial_s(z0, z)
+            assert s1 == pytest.approx(s2, rel=1e-12)
+            assert 0.0 <= s1 < math.inf
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
-            wl.pseudo_hyperbolic(complex(0, -1), complex(0, 1))
+            wl.radial_s(complex(0, -1), complex(0, 1))
 
 
 class TestPsiInverse:
@@ -125,13 +126,13 @@ class TestEvalWeight:
         assert dual_weight.peak == pytest.approx(ref_report.T, rel=1e-12)
 
     def test_vanishes_toward_the_boundary(self, dual_weight):
-        # d/(1-d) is finite for every double d < 1, so deep in the tail the
-        # magnitude still follows psi: with p = 2 < q the p term of phi rules,
-        # and psi(s) -> (1 + s)^-(2 beta + 1)/lambda1; the q term is ~1e-55 of it.
+        # Deep in the tail the magnitude still follows psi: with p = 2 < q the
+        # p term of phi rules, and psi(s) -> (1 + s)^-(2 beta + 1)/lambda1;
+        # the q term is ~1e-55 of it.
         z = complex(0.0, 1e-15)
-        d = wl.pseudo_hyperbolic(z, dual_weight.center)
+        s = wl.radial_s(z, dual_weight.center)
         beta, lam1 = dual_weight.params.beta, dual_weight.mults.lambda1
-        tail = (1.0 + d / (1.0 - d)) ** -(2.0 * beta + 1.0) / lam1
+        tail = (1.0 + s) ** -(2.0 * beta + 1.0) / lam1
         assert abs(wl.eval_weight(dual_weight, z)) == pytest.approx(tail, rel=1e-12)
         assert abs(wl.eval_weight(dual_weight, complex(0.0, 1e-13))) < 1e-20
         assert abs(wl.eval_weight(dual_weight, complex(0.0, 1e-4))) < 1e-3
@@ -147,15 +148,17 @@ class TestEvalWeight:
 
     def test_magnitude_constant_on_hyperbolic_circles(self, dual_weight):
         rng = np.random.default_rng(5)
-        for d in (0.1, 0.5, 0.9):
-            zs = hyperbolic_circle(dual_weight.center, d, rng.uniform(0, 2 * math.pi, 40))
+        for s in (1 / 9, 1.0, 9.0):
+            zs = hyperbolic_circle(dual_weight.center, s, rng.uniform(0, 2 * math.pi, 40))
+            assert np.allclose(wl.radial_s(zs, dual_weight.center), s, rtol=1e-12, atol=0.0)
             mags = np.abs(wl.eval_weight(dual_weight, zs))
             assert np.max(np.abs(mags / mags[0] - 1.0)) < 1e-10
 
     def test_magnitude_nonincreasing_in_d(self, dual_weight):
+        # s = d/(1 - d) increases with d.
         prof = dual_weight.profile()
-        ds = np.linspace(0.0, 0.999999, 1000)
-        vals = prof(ds)
+        ss = np.linspace(0.0, 999999.0, 1000)
+        vals = prof(ss)
         assert np.all(np.diff(vals) <= 0)
 
     def test_off_center_weight(self, ref_params, ref_report):
@@ -202,7 +205,7 @@ class TestDistribution:
             ts = np.linspace(0.01 * w.peak, 0.99 * w.peak, 200)
             expected = wl.u_eval(ts, w.mults, w.params)
             worst = np.max(np.abs(wl.measured_distribution(w, ts) - expected) / expected)
-            assert worst <= 1e-4, f"worst relative deviation {worst:.3e}"
+            assert worst <= 1e-12, f"worst relative deviation {worst:.3e}"
 
     def test_levels_above_peak_measure_zero(self, dual_weight, ref_report):
         assert wl.measured_distribution(dual_weight, ref_report.T * 1.0001) == 0.0
@@ -220,7 +223,7 @@ class TestExports:
         assert mags[0] == pytest.approx(dual_weight.peak, rel=1e-12)
         assert all(b <= a for a, b in zip(mags, mags[1:]))
         ds = np.linspace(0.0, 1.0, 64, endpoint=False)
-        expected = csv_text(("d", "abs_F"), ds, dual_weight.profile()(ds))
+        expected = csv_text(("d", "abs_F"), ds, dual_weight.profile()(ds / (1.0 - ds)))
         assert path.read_bytes() == expected.encode()
 
 
@@ -340,27 +343,60 @@ class TestWeightNormsAgainstQuad:
         assert modes == {"Dual", "SingleP", "SingleQ"}
 
 
-def _bisected_distribution(w, t, steps=120):
-    """The bisection measured_distribution ran on the weight profile before
-    it became a call to distribution_of_profile."""
-    cutoff = 1.0 - 1e-14
-    prof = w.profile()
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, cutoff)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        above = prof(mid) > t
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    r = 0.5 * (lo + hi)
-    return np.where(prof(0.0) > t, FOUR_PI * r / (1.0 - r), 0.0)
+def _worst_against_u(w, levels) -> float:
+    expected = wl.u_eval(levels, w.mults, w.params)
+    return float(np.max(np.abs(wl.measured_distribution(w, levels) - expected) / expected))
 
 
 class TestMeasuredDistribution:
-    def test_matches_the_former_bisection(self, ref_params, ref_report):
-        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
-        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
-            w = wl.weight_from_report(params, report)
+    def test_matches_u_eval(self, ref_params):
+        # The reference, both single regimes, and 60 draws each of random,
+        # near-threshold and single-regime weights: 183 in all.
+        rng = np.random.default_rng(19)
+        instances = [ref_params] + [wl.ProblemParams(0.5, 2.0, 4.0, 1.0, B) for B in (1.0, 0.2)]
+        instances += [random_dual_params(rng) for _ in range(60)]
+        instances += [near_threshold_dual_params(rng) for _ in range(60)]
+        instances += [random_single_params(rng)[0] for _ in range(60)]
+        for params in instances:
+            w = wl.weight_from_report(params, wl.compute_bound(params))
             levels = np.linspace(0.01, 0.99, 60) * w.peak
-            got = wl.measured_distribution(w, levels)
-            assert got == pytest.approx(_bisected_distribution(w, levels), rel=1e-12)
+            worst = _worst_against_u(w, levels)
+            assert worst <= 1e-12, (params, worst)
+
+    def test_wide_domain(self):
+        # The first 137 solved draws of the wide sampler (of its first 150
+        # draws).  A bisection in d = s/(1 + s) missed 1e-4 on 57 of them,
+        # wherever u(t) passed about 1e12 and 1 - d lost its digits.
+        rng = np.random.default_rng(7)
+        solved = 0
+        while solved < 137:
+            params = wide_dual_params(rng)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            solved += 1
+            w = wl.weight_from_report(params, report)
+            levels = np.linspace(0.01, 0.99, 200) * w.peak
+            worst = _worst_against_u(w, levels)
+            assert worst <= 1e-12, (params, worst)
+
+
+SINGLE_P = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda s: wl.psi_inverse(s, wl.Multipliers(1.0, 0.5, 1.0), SINGLE_P),
+        lambda s: wl.single_profile(wl.derive_constants(SINGLE_P), 1.0, "P")(s),
+        lambda t: wl.distribution_of_profile(lambda s: np.exp(-s))(t),
+    ],
+    ids=["psi_inverse", "single_profile", "distribution_of_profile"],
+)
+@pytest.mark.parametrize(
+    "arg", [math.nan, np.array([0.5, math.nan]), -1.0], ids=["nan", "nan in array", "negative"]
+)
+def test_nan_and_negative_arguments_are_value_errors(evaluate, arg):
+    with pytest.raises(ValueError):
+        evaluate(arg)
