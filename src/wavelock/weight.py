@@ -12,12 +12,14 @@ power lam (1 + s)^(-1/alpha_e) with lam = T.
 
 Everything is evaluated on demand.  The norms and the operator norm are
 layer-cake integrals of phi over the level t, on which |F| is t itself,
-so only pointwise evaluation inverts phi; the distribution check bisects
-s through the disc measure nu({s < sigma}) = 4 pi sigma.
+so only pointwise evaluation inverts phi; the distribution check brackets
+s by a safeguarded secant search on the profile, through the disc measure
+nu({s < sigma}) = 4 pi sigma.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,13 +55,18 @@ def radial_s(z, z0) -> float | np.ndarray:
 
     Symmetric, zero exactly at z = z0; the disc {s < sigma} about z0 has
     hyperbolic measure 4 pi sigma.  Accepts HalfPlanePoint, complex
-    scalars or complex arrays.
+    scalars or complex arrays, with finite parts (ValueError otherwise);
+    an s beyond the float range is inf.
     """
     zc = z.z if isinstance(z, HalfPlanePoint) else np.asarray(z, dtype=complex)
     z0c = z0.z if isinstance(z0, HalfPlanePoint) else complex(z0)
+    if not (np.all(np.isfinite(zc)) and cmath.isfinite(z0c)):
+        raise ValueError("radial_s needs finite points")
     if np.any(np.imag(zc) <= 0) or np.imag(z0c) <= 0:
         raise ValueError("radial_s is defined on the open upper half-plane")
-    s = np.abs(zc - z0c) ** 2 / (4.0 * np.imag(zc) * z0c.imag)
+    # s past the float range, far out or near the real axis, is inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.abs(zc - z0c) ** 2 / (4.0 * np.imag(zc) * z0c.imag)
     return float(s) if np.ndim(s) == 0 else s
 
 
@@ -70,14 +77,20 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
     monotone form phi(t) = (1 + s)^(-(2 beta + 1)), by the solver's
     vectorized log-space Newton inversion.  It takes log c =
     -(2 beta + 1) log1p(s), since c itself underflows to 0 for large s.
-    The result is capped at T, the value at s = 0.
+    The result is capped at T, the value at s = 0.  At s = inf it is
+    psi's limit 0; only the finite s are inverted.
     """
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr >= 0):
         raise ValueError("psi_inverse requires s >= 0")
-    log_c = -(2.0 * params.beta + 1.0) * np.log1p(s_arr)
-    log_t = _log_phi_inverse(log_c, _log_terms(m.lambda1, m.lambda2, params))
-    out = np.minimum(np.exp(log_t), m.T)
+    finite = s_arr < math.inf
+    if np.all(finite):
+        log_c = -(2.0 * params.beta + 1.0) * np.log1p(s_arr)
+        log_t = _log_phi_inverse(log_c, _log_terms(m.lambda1, m.lambda2, params))
+        out = np.minimum(np.exp(log_t), m.T)
+    else:
+        out = np.zeros(s_arr.shape)
+        out[finite] = psi_inverse(s_arr[finite], m, params)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
@@ -192,11 +205,13 @@ def measured_distribution(w: ExtremalWeight, t):
 
     For each level t the super-level set {|w| > t} is a disc {s < sigma},
     and :func:`~wavelock.closed_form.distribution_of_profile` finds sigma
-    by a bisection on the monotone profile, run simultaneously for all
-    requested levels until every bracket is two adjacent doubles (63
-    halvings), and returns the disc measure 4 pi sigma.  Each halving
+    by a safeguarded bracketing search on the monotone profile, run
+    simultaneously for all requested levels until every bracket is two
+    adjacent doubles, and returns the disc measure 4 pi sigma.  Each step
     evaluates the profile once, which is one :func:`psi_inverse` solve
-    over all levels.  This is the measurement route: it never touches the
+    over all levels: 120 levels in [0.01 T, 0.99 T] take about 20 where
+    a bisection took 65, and no call takes more than 2 * 63 + 2.  This is
+    the measurement route: it consults only the profile, never the
     analytic distribution formula it is checked against.  sigma is a
     double like any other, so the result keeps its relative accuracy at
     every level: on 137 wide-domain weights (beta in [0.05, 10], p, q up

@@ -9,7 +9,7 @@ import wavelock as wl
 from wavelock.closed_form import _S_TOP, _side_fields
 from graded_quadrature import _checked_integral
 from wavelock.core import FOUR_PI
-from conftest import random_single_params
+from conftest import random_single_params, wide_dual_params
 
 # Frozen from 50-digit mpmath evaluations of the closed forms.
 BOUND_P_REF = 0.1628675039676399738621282076127823349  # = 1/sqrt(12 pi)
@@ -212,8 +212,8 @@ class _CountingProfile:
         self.calls += 1
         return self.profile(s)
 
-    def halvings(self, t) -> int:
-        """Halvings distribution_of_profile runs at levels t: all its
+    def steps(self, t) -> int:
+        """Search steps distribution_of_profile takes at levels t: all its
         profile calls but the two at the ends of the bracket."""
         self.calls = 0
         wl.distribution_of_profile(self)(t)
@@ -235,24 +235,70 @@ class TestBisectionFixedPoint:
                 assert np.ndim(got) == 0
                 assert got == _bisected_63(profile, t)
 
-    def test_stops_within_64_halvings(self, ref_params, ref_report):
-        single = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
-        for params, report in ((ref_params, ref_report), (single, wl.compute_bound(single))):
-            w = wl.weight_from_report(params, report)
-            counter = _CountingProfile(w.profile())
-            interior = np.linspace(0.01, 0.99, 120) * w.peak
-            halvings = counter.halvings(interior)
-            assert 40 <= halvings <= 64
+    def test_closes_within_24_steps(self, ref_params, ref_report):
+        # The reference dual, a SingleP and a SingleQ weight, at the levels
+        # of the benchmark's weights workload; the bisection took 63 steps.
+        for profile, peak in _test_profiles(ref_params, ref_report)[:3]:
+            counter = _CountingProfile(profile)
+            interior = np.linspace(0.01, 0.99, 120) * peak
+            steps = counter.steps(interior)
+            assert steps <= 24
             # Levels at and above the peak are overwritten, so they must not
             # hold the loop open.
-            beyond = np.concatenate([interior, [w.peak, 2.0 * w.peak, 1e300]])
-            assert counter.halvings(beyond) <= halvings
+            beyond = np.concatenate([interior, [peak, 2.0 * peak, 1e300]])
+            assert counter.steps(beyond) <= steps
+
+    def test_pathological_levels_within_130_calls(self, ref_params, ref_report):
+        # Twice the 65 calls of the bisection, at levels where
+        # v = log profile - log t is infinite or coarse (0 and the subnormals),
+        # far down the tail, and just above the peak.
+        for profile, peak in _test_profiles(ref_params, ref_report):
+            counter = _CountingProfile(profile)
+            levels = np.array([0.0, 5e-324, 1e-300, 1e-12 * peak, np.nextafter(peak, np.inf)])
+            assert counter.steps(levels) + 2 <= 130
+
+    def test_jump_that_defeats_the_secant_within_126_steps(self):
+        # A drop by 300 decades at s = 1e-100: secant steps across it barely
+        # move the bracket, and the bisection after each stalled step caps
+        # the search at 2 * 63 steps.
+        def jump(s):
+            return np.where(np.asarray(s, dtype=float) < 1e-100, 1.0, 1e-300)
+
+        levels = np.array([0.5, 0.41, 0.9])
+        assert _CountingProfile(jump).steps(levels) <= 2 * 63
+        assert np.array_equal(wl.distribution_of_profile(jump)(levels), _bisected_63(jump, levels))
+
+    def test_wide_domain_brackets(self):
+        # psi_inverse is not monotone at the last bit on some wide weights, so
+        # the search and the bisection may close different brackets there; each
+        # must be valid and the two must agree to a few ulps.
+        rng = np.random.default_rng(7)
+        solved = 0
+        while solved < 40:
+            params = wide_dual_params(rng)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            solved += 1
+            profile = wl.weight_from_report(params, report).profile()
+            levels = np.linspace(0.01, 0.99, 200) * report.T
+            got = wl.distribution_of_profile(profile)(levels)
+            assert np.all(np.abs(got / _bisected_63(profile, levels) - 1.0) <= 1e-14), params
+            # got is 4 pi sigma; every double rounding to it is tried as sigma.
+            near = (got / FOUR_PI).view(np.int64)
+            valid = np.zeros(levels.shape, dtype=bool)
+            for k in (-1, 0, 1):
+                sigma = (near + k).view(np.float64)
+                below = np.nextafter(sigma, 0.0)
+                valid |= (FOUR_PI * sigma == got) & (profile(below) > levels) & (profile(sigma) <= levels)
+            assert np.all(valid), params
 
     def test_levels_without_a_bracket_take_no_halving(self):
         counter = _CountingProfile(_indicator())
-        assert counter.halvings(np.array([2.0, 3.0, 1e300])) == 0
+        assert counter.steps(np.array([2.0, 3.0, 1e300])) == 0
         zero = _CountingProfile(lambda s: np.zeros_like(s))
-        assert zero.halvings(np.array([0.0, 1.0])) == 0
+        assert zero.steps(np.array([0.0, 1.0])) == 0
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,39 @@ class TestPseudoHyperbolic:
         with pytest.raises(ValueError):
             wl.radial_s(complex(0, -1), complex(0, 1))
 
+    @pytest.mark.parametrize(
+        "z, z0",
+        [
+            (complex(math.nan, 1.0), 1j),
+            (complex(0.0, math.inf), 1j),
+            (np.array([1j, complex(1.0, math.nan)]), 1j),
+            (1j, complex(0.0, math.inf)),
+        ],
+        ids=["nan x", "inf y", "nan in array", "infinite centre"],
+    )
+    def test_rejects_non_finite_points(self, z, z0):
+        with pytest.raises(ValueError, match="finite"):
+            wl.radial_s(z, z0)
+
+    def test_overflow_is_inf(self):
+        # |z - z0|^2 = 1e400 overflows at these finite points; pytest turns
+        # the overflow warning into an error.
+        assert wl.radial_s(1e200 + 1e-200j, 1j) == math.inf
+        assert np.array_equal(wl.radial_s(np.array([1e200 + 1j, 2j]), 1j), [math.inf, 1 / 8])
+
 
 class TestPsiInverse:
     def test_at_zero_is_T(self, ref_params):
         m = wl.solve_multipliers(ref_params)
         assert wl.psi_inverse(0.0, m, ref_params) == pytest.approx(m.T, rel=1e-12)
+
+    def test_infinite_argument_is_the_limit_zero(self, ref_params):
+        dual = wl.solve_multipliers(ref_params)
+        single = wl.multipliers(1.0, 0.0, ref_params)
+        for m in (dual, single):
+            assert wl.psi_inverse(math.inf, m, ref_params) == 0.0
+            got = wl.psi_inverse(np.array([0.0, 1.0, math.inf]), m, ref_params)
+            assert got[2] == 0.0 and got[0] == pytest.approx(m.T, rel=1e-12) and 0.0 < got[1] < got[0]
 
     def test_single_multiplier_example(self):
         # forward(t) = t^(-1/2) - 1 at (beta, p, l1, l2) = (1/2, 2, 1, 0),
@@ -124,6 +152,12 @@ class TestEvalWeight:
         val = wl.eval_weight(dual_weight, dual_weight.center)
         assert abs(val) == pytest.approx(ref_report.T, rel=1e-12)
         assert dual_weight.peak == pytest.approx(ref_report.T, rel=1e-12)
+
+    def test_zero_where_s_overflows(self, dual_weight):
+        # A finite half-plane point whose s is inf: the weight's limit 0.
+        assert wl.eval_weight(dual_weight, 1e200 + 1e-200j) == 0.0
+        vals = wl.eval_weight(dual_weight, np.array([1e200 + 1e-200j, dual_weight.center.z]))
+        assert vals[0] == 0.0 and abs(vals[1]) == pytest.approx(dual_weight.peak, rel=1e-12)
 
     def test_vanishes_toward_the_boundary(self, dual_weight):
         # Deep in the tail the magnitude still follows psi: with p = 2 < q the
