@@ -1,4 +1,4 @@
-"""Dual-constraint solver: multipliers, moments and the bound integral.
+"""Dual-constraint solver: multipliers, moments and the bound.
 
 In the dual regime the extremal distribution function is
 
@@ -22,6 +22,10 @@ with T = A (p m_p(a))^(-1/p) in closed form.  R increases from r1
 :func:`solve_multipliers` solves log R = log(B/A) for z = log(a/(1 - a))
 by a bracketed Newton scaled to that window, one log-space pass of the
 graded rule per iterate, and takes l1 = a T^(1-p), l2 = (1 - a) T^(1-q).
+The bound int_0^T (1 - phi^(2 beta/(2 beta + 1))) dt follows by parts in
+closed form from the last pass's m_p and m_q (:func:`_solve`);
+:func:`bound_integral` is the same integral by quadrature, its independent
+check.
 """
 
 from __future__ import annotations
@@ -214,7 +218,9 @@ def bound_integral(m: Multipliers, params: ProblemParams) -> float:
     On (0, T) the integrand collapses to 1 - phi(t)^(2 beta/(2 beta + 1))
     with phi = l1 t^(p-1) + l2 t^(q-1): bounded by 1, tending to 1 at the
     origin, vanishing at T.  It is evaluated in log t, as
-    max(-expm1(gamma log phi), 0).
+    max(-expm1(gamma log phi), 0), by the checked rule.  :func:`compute_bound`
+    takes the same integral in closed form from the solve; this quadrature is
+    that closed form's independent check.
     """
     gamma = 2.0 * params.beta / (2.0 * params.beta + 1.0)
     terms = _log_terms(m.lambda1, m.lambda2, params)
@@ -266,8 +272,10 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
         # A non-finite value is the Newton loop's SolverError, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             # log phi - log x^(p-1), built on the larger share: exact once one term counts.
+            # For z >= 0, lift - z <= 0 and its softplus is log1p(exp(lift - z)),
+            # the log-sum-exp with 0 bit for bit.
             rest = (_log_sum_exp(z - lift, 0.0) + lift + log_b if z < 0.0
-                    else _log_sum_exp(lift - z, 0.0) + log_a)
+                    else np.log1p(np.exp(lift - z)) + log_a)
             c_rest = c * rest
             row = np.exp(log_row - c_rest)  # w x^(p-1) phi^(-c)
             fall = np.expm1(c_head + c_rest)  # phi^c - 1
@@ -298,19 +306,21 @@ def _newton(
     increases with z, so every iterate tightens the bracket; a step longer
     than _STEP_MAX is cut to it, and one that leaves the bracket is replaced
     by its midpoint.  Stops at |log R - target| <= _NEWTON_RTOL; returns z,
-    log(p m_p), the iteration count and the bisections.  A log R that
-    repeats bit for bit while the crossover z/spread (spread = q - p) lies
-    below the rule's deepest node can move no further: SolverError.
+    the pass's (log R, slope, log(p m_p)) there, the iteration count and the
+    bisections.  A log R that repeats bit for bit while the crossover
+    z/spread (spread = q - p) lies below the rule's deepest node can move no
+    further: SolverError.
     """
     log_r1, log_r2 = window
     lo, hi, z, last, bisections = -math.inf, math.inf, 0.0, math.nan, 0
     for iteration in range(_NEWTON_MAX):
-        log_R, slope, log_pm = unit(z)
+        out = unit(z)
+        log_R, slope, _ = out
         f = log_R - target
         if not (math.isfinite(f) and math.isfinite(slope)):  # a non-finite log_pm spoils f
             raise SolverError(f"non-finite log R = {log_R!r} or slope {slope!r} at z = {z!r}")
         if abs(f) <= _NEWTON_RTOL:
-            return z, log_pm, iteration, bisections
+            return z, out, iteration, bisections
         if log_R == last and z / spread < (deepest := _graded_log_nodes(_PANELS, 16).min()):
             raise SolverError(
                 f"the crossover log x* = z/(q - p) = {z / spread:.6g} lies below the graded rule "
@@ -357,15 +367,27 @@ def _single_solution(
     return single, single.lam ** (-(e - 1.0))
 
 
-def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float]:
+def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers, float, float, float]:
     """The dual solve of an instance classified Dual by ``consts``:
-    multipliers and the relative residuals (P, Q) of params."""
+    multipliers, the bound and the relative residuals (P, Q) of params.
+
+    The bound int_0^T (1 - phi^gamma) dt, gamma = 2 beta/(2 beta + 1), is
+    taken by parts in scale form from Newton's last unit pass (canonical
+    order): with M_e = e T^e m_e and l1 = a T^(1-p), l2 = (1 - a) T^(1-q),
+
+        gamma T [a (p-1)/p (1 + p m_p/4 pi) + (1 - a) (q-1)/q (1 + q m_q/4 pi)],
+
+    where log(q m_q) = q (log R + log(p m_p)/p).  :func:`bound_integral` is
+    its independent quadrature.
+    """
     work, swapped = canonical_order(params)
     p, q = work.p, work.q
     log_r1 = -math.inf if consts.r1 is None else math.log(consts.r1)
     log_r2 = math.inf if consts.r2 is None else math.log(consts.r2)
     window = (-log_r2, -log_r1) if swapped else (log_r1, log_r2)  # of A/B after a swap
-    z, log_pm, iterations, bisections = _newton(_unit_pass(work), math.log(work.ratio), window, q - p)
+    z, (log_R, _, log_pm), iterations, bisections = _newton(
+        _unit_pass(work), math.log(work.ratio), window, q - p
+    )
     log_T = math.log(work.A) - log_pm / p
     log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
     log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
@@ -389,9 +411,14 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
             f"moment residuals {res_p:.3e}, {res_q:.3e} exceed {_RESIDUAL_GATE:g} "
             f"(lambda1={m.lambda1!r}, lambda2={m.lambda2!r}, T={m.T!r})"
         )
+    gamma = 2.0 * work.beta / (2.0 * work.beta + 1.0)
+    bound = gamma * m.T * (
+        math.exp(log_a) * (p - 1.0) / p * (1.0 + math.exp(log_pm) / FOUR_PI)
+        + math.exp(log_b) * (q - 1.0) / q * (1.0 + math.exp(q * (log_R + log_pm / p)) / FOUR_PI)
+    )
     if swapped:
-        return Multipliers(lambda1=m.lambda2, lambda2=m.lambda1, T=m.T), res_q, res_p
-    return m, res_p, res_q
+        return Multipliers(lambda1=m.lambda2, lambda2=m.lambda1, T=m.T), bound, res_q, res_p
+    return m, bound, res_p, res_q
 
 
 def solve_multipliers(params: ProblemParams) -> Multipliers:
@@ -452,15 +479,15 @@ def compute_bound(params: ProblemParams) -> BoundReport:
     Single regimes use the closed form with the inactive multiplier
     recorded as exactly zero; the dual regime runs the Newton solve in
     the crossover share, whose checked moments give the residuals, and
-    the bound integral.
+    takes the bound in closed form from its last pass (:func:`_solve`),
+    with no further quadrature.
     """
     start = time.perf_counter()
     consts = derive_constants(params)
     regime = classify_regime(params, consts)
 
     if regime.tag == "Dual":
-        m, residual_p, residual_q = _solve(params, consts)
-        bound = bound_integral(m, params)
+        m, bound, residual_p, residual_q = _solve(params, consts)
         lam1, lam2, T = m.lambda1, m.lambda2, m.T
     else:
         side = "P" if regime.tag == "SingleP" else "Q"

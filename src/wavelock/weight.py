@@ -50,23 +50,38 @@ class HalfPlanePoint:
         return complex(self.x, self.y)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def radial_s(z, z0) -> float | np.ndarray:
     """s(z, z0) = |z - z0|^2 / (4 Im z Im z0) = d/(1 - d), in [0, inf).
 
     Symmetric, zero exactly at z = z0; the disc {s < sigma} about z0 has
     hyperbolic measure 4 pi sigma.  Accepts HalfPlanePoint, complex
     scalars or complex arrays, with finite parts (ValueError otherwise);
-    an s beyond the float range is inf.
+    an s beyond the float range is inf.  Where 4 Im z Im z0 falls below the
+    normal range, s is formed with both points scaled by the power of 2
+    that brings max(Im z, Im z0) into [1/2, 1): s is invariant under that
+    dilation, which is exact wherever the scaled parts stay normal.  Every
+    other point keeps the bits of the plain formula.
     """
     zc = z.z if isinstance(z, HalfPlanePoint) else np.asarray(z, dtype=complex)
     z0c = z0.z if isinstance(z0, HalfPlanePoint) else complex(z0)
     if not (np.all(np.isfinite(zc)) and cmath.isfinite(z0c)):
         raise ValueError("radial_s needs finite points")
-    if np.any(np.imag(zc) <= 0) or np.imag(z0c) <= 0:
+    y, y0, gap = np.imag(zc), z0c.imag, zc - z0c
+    y_min = np.min(y, initial=math.inf)
+    if not (y_min > 0 and y0 > 0):
         raise ValueError("radial_s is defined on the open upper half-plane")
-    # s past the float range, far out or near the real axis, is inf.
-    with np.errstate(over="ignore", divide="ignore"):
-        s = np.abs(zc - z0c) ** 2 / (4.0 * np.imag(zc) * z0c.imag)
+    # s past the float range, far out or near the real axis, is inf; the 0/0
+    # of two underflows is replaced below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den = 4.0 * y * y0
+        s = np.abs(gap) ** 2 / den
+        if 4.0 * y_min * y0 < _TINY:  # den's least element: scale both points by 2^e
+            e = -np.frexp(np.maximum(y, y0))[1]
+            scaled = np.hypot(np.ldexp(gap.real, e), np.ldexp(gap.imag, e)) ** 2
+            s = np.where(den < _TINY, scaled / (4.0 * np.ldexp(y, e) * np.ldexp(y0, e)), s)
     return float(s) if np.ndim(s) == 0 else s
 
 

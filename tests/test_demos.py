@@ -45,4 +45,4 @@ def test_readme_quick_start_runs(tmp_path):
     script.write_text(code)
     proc = run_demo(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "Dual 0.1416304583664178"
+    assert proc.stdout.splitlines()[0] == "Dual 0.14163045836641777"

@@ -42,6 +42,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Public definitions that nothing in src/, the demos or perfbench/ refers to,
 # kept on purpose.
 UNUSED_ON_PURPOSE = {
+    "bound_integral": "the quadrature check of compute_bound's closed-form dual bound, which perfbench hooks by name",
     "single_profile": "the closed-form reference of acceptance criterion 2",
     "solve_multipliers": "the public dual entry point, which perfbench hooks by string",
 }

@@ -8,7 +8,13 @@ from scipy import integrate
 import wavelock as wl
 from wavelock import core, solver
 from wavelock.core import FOUR_PI
-from conftest import near_threshold_dual_params, random_dual_params, tiny_budget_dual_params
+from conftest import (
+    band_dual_params,
+    near_threshold_dual_params,
+    random_dual_params,
+    tiny_budget_dual_params,
+    wide_dual_params,
+)
 
 BOUND_P_REF = 0.1628675039676399738621282076127823349
 BOUND_Q_REF = 0.3620853651710456641018198367231578514
@@ -275,6 +281,34 @@ class TestBoundIntegral:
         assert ref_report.bound < BOUND_P_REF
         assert ref_report.bound < 0.4 * BOUND_Q_REF
 
+    # (draw from a generator, seed, draws, solved at least): every sampler of
+    # the wide-domain contract, all of its draws.
+    SAMPLERS = {
+        "wide": (lambda rng, i: wide_dual_params(rng), 7, 1500, 1377),
+        "tiny": (lambda rng, i: tiny_budget_dual_params(rng), 0, 600, 317),
+        "band": (lambda rng, i: band_dual_params(rng, near=i % 2 == 1), 11, 800, 709),
+        "random": (lambda rng, i: random_dual_params(rng), 101, 300, 300),
+        "near": (lambda rng, i: near_threshold_dual_params(rng), 17, 300, 300),
+    }
+
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    def test_checks_the_closed_form(self, sampler):
+        # compute_bound takes the dual bound by parts from Newton's last pass;
+        # the quadrature of the same integral at the solved multipliers checks it.
+        draw, seed, draws, floor = self.SAMPLERS[sampler]
+        rng = np.random.default_rng(seed)
+        solved = 0
+        for i in range(draws):
+            params = draw(rng, i)
+            try:
+                report = wl.compute_bound(params)
+            except (wl.SolverError, wl.QuadratureError):
+                continue
+            check = wl.bound_integral(report.multipliers(), params)
+            assert abs(report.bound - check) <= 1e-13 * check, params
+            solved += 1
+        assert solved >= floor
+
 
 class TestComputeBound:
     def test_dispatch(self, ref_report):
@@ -291,6 +325,24 @@ class TestComputeBound:
         assert ref_report.regime == "Dual"
         assert ref_report.residual_p <= 1e-8 and ref_report.residual_q <= 1e-8
         assert ref_report.T is not None and ref_report.wall_time_s > 0
+
+    def test_dual_bound_runs_only_the_two_moment_quadratures(self, monkeypatch):
+        real = solver._checked_log_integral
+        seen = []
+
+        def counting(f, upper, what):
+            seen.append(what)
+            return real(f, upper, what)
+
+        def forbidden(*args):
+            raise AssertionError("compute_bound ran bound_integral")
+
+        monkeypatch.setattr(solver, "_checked_log_integral", counting)
+        monkeypatch.setattr(solver, "bound_integral", forbidden)
+        for params in (params_ref(), params_ref().swapped()):
+            seen.clear()
+            report = wl.compute_bound(params)
+            assert report.regime == "Dual" and seen == ["moment P", "moment Q"]
 
     def test_monotone_in_budgets(self):
         bounds = [
@@ -412,6 +464,19 @@ class TestNewtonDual:
             with pytest.raises(wl.SolverError, match="non-finite"):
                 solver._newton(lambda _: out, 0.0)
         assert seen == non_finite
+
+    def test_softplus_branch_is_the_log_sum_exp(self):
+        # For z >= 0 the unit pass takes softplus(lift - z), lift - z <= 0, as
+        # log1p(exp(v)): the log-sum-exp with 0 it replaced, bit for bit.
+        rng = np.random.default_rng(5)
+        edges = [-0.0, 0.0, -math.inf, -745.0, -1e-320, -5e-324, -1e-300, -1e-17, -36.7, -709.8, -746.0]
+        v = np.concatenate([
+            edges,
+            -rng.uniform(0.0, 800.0, 50_000),
+            -np.geomspace(5e-324, 1e3, 50_000),
+        ])
+        got, want = np.log1p(np.exp(v)), solver._log_sum_exp(v, 0.0)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_zero_moment_is_a_solver_error(self, monkeypatch):
         # A zero moment has no log; the pass returns no value Newton can use.

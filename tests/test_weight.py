@@ -66,6 +66,23 @@ class TestPseudoHyperbolic:
         with pytest.raises(ValueError, match="finite"):
             wl.radial_s(z, z0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_denominator(self):
+        # 4 y y0 underflows to 0 here, and |z - z0|^2 with it at close points:
+        # that was 0/0, nan with a RuntimeWarning, or inf for a finite s.
+        assert wl.radial_s(2e-170j, 1e-170j) == 1 / 8
+        assert wl.radial_s(1e-170j, 1e-170j) == 0.0
+        assert wl.radial_s(HalfPlanePoint(1e-170, 1e-170), HalfPlanePoint(0.0, 1e-170)) == 1 / 4
+        assert wl.radial_s(1e-100 + 1e-170j, 1e-170j) == pytest.approx(2.5e139, rel=1e-15)
+        assert wl.radial_s(1e5j, 1e-320j) == math.inf
+        # Normal points in the same array keep the bits of the plain formula.
+        normal = np.array([2j, 1.0 + 1e-170j, 3.0 + 0.5j])
+        plain = np.abs(normal - 1j) ** 2 / (4.0 * normal.imag)
+        got = wl.radial_s(np.array([2e-170j, *normal]), 1j)
+        assert got[0] == pytest.approx(1.25e169, rel=1e-15) and np.array_equal(got[1:], plain)
+        got = wl.radial_s(np.array([2e-170j, 1e-170j, 2j]), 1e-170j)
+        assert got[0] == 1 / 8 and got[1] == 0.0 and got[2] == 4.0 / 8e-170
+
     def test_overflow_is_inf(self):
         # |z - z0|^2 = 1e400 overflows at these finite points; pytest turns
         # the overflow warning into an error.
