@@ -467,7 +467,7 @@ class TestNewtonDual:
 
     def test_softplus_branch_is_the_log_sum_exp(self):
         # For z >= 0 the unit pass takes softplus(lift - z), lift - z <= 0, as
-        # log1p(exp(v)): the log-sum-exp with 0 it replaced, bit for bit.
+        # log1p(exp(v)), which must be the log-sum-exp of v and 0 bit for bit.
         rng = np.random.default_rng(5)
         edges = [-0.0, 0.0, -math.inf, -745.0, -1e-320, -5e-324, -1e-300, -1e-17, -36.7, -709.8, -746.0]
         v = np.concatenate([
