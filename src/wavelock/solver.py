@@ -121,24 +121,98 @@ def _log_phi_inverse(log_c, terms):
     no bracket.  With the smaller exponent first, g' = k1 + (k2 - k1) s2,
     s2 the second term's share, is a sum of nonnegative parts.  Newton
     stops at the first step that no longer lowers x, the rounding floor.  A
-    float ``log_c`` runs on plain floats, an array elementwise.  Raises
-    :class:`SolverError` on a non-finite start or after _INVERT_MAX steps.
+    float ``log_c`` runs on plain floats.  An array runs elementwise
+    (:func:`_invert_array`): each element stops at its own first such step.
+    Raises :class:`SolverError` on a non-finite start or when an element
+    has not stopped after _INVERT_MAX steps.
     """
     if len(terms) == 1:
         return (log_c - terms[0][0]) / terms[0][1]
     ops = _FLOAT_OPS if isinstance(log_c, float) else _ARRAY_OPS
-    (l1, k1), (l2, k2) = sorted(terms, key=lambda term: term[1])
+    (l1, k1), (l2, k2) = ordered = sorted(terms, key=lambda term: term[1])
     x = ops.minimum((log_c - l1) / k1, (log_c - l2) / k2)
     if not ops.all(abs(x) < math.inf):
         raise SolverError(f"non-finite start inverting phi with log terms {terms!r} at log c = {log_c!r}")
+    if ops is _ARRAY_OPS:
+        return _invert_array(x, log_c, ordered)
     for _ in range(_INVERT_MAX):
         a2 = l2 + k2 * x  # the log of the second term
         log_phi = _log_sum_exp(l1 + k1 * x, a2, ops)
         nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * ops.exp(a2 - log_phi))
-        if ops.all(nxt >= x):
+        if nxt >= x:
             return x
         x = ops.minimum(x, nxt)
     raise SolverError(f"inverting phi did not converge in {_INVERT_MAX} Newton steps for log terms {terms!r}")
+
+
+def _invert_array(x, log_c, terms):
+    """The Newton loop of :func:`_log_phi_inverse` on arrays, from the start x,
+    with phi's two terms smaller exponent first.
+
+    Each element stops at its first step with nxt >= x and keeps that x, the
+    float loop's rule applied elementwise; a NaN step never stops.  The
+    elements still moving are packed into the front of the step's buffers,
+    which are allocated once, with their flat positions in ``idx``; each is
+    written to the result once, when it stops.  The buffer that held x at
+    the first such step becomes the result.
+    """
+    shape = np.shape(log_c)
+    x, log_c = np.ravel(x), np.ravel(log_c)
+    a1, a2, nxt = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    done = np.empty(x.shape, dtype=bool)
+    out = idx = None  # set at the first step that stops some element
+    for _ in range(_INVERT_MAX):
+        _newton_step(x, log_c, idx, terms, a1, a2, nxt)
+        np.greater_equal(nxt, x, out=done)
+        n_done = np.count_nonzero(done)
+        if n_done == x.size:  # also when no element is left
+            if out is None:
+                out = x
+            else:
+                out[idx] = x
+            return out.reshape(shape)[()]  # a 0-d log_c gives a scalar, as a ufunc does
+        if n_done == 0:
+            x, nxt = nxt, x
+            continue
+        if out is None:
+            out = x  # the stopped elements already hold their values
+        else:
+            out[idx[done]] = x[done]
+        move = np.logical_not(done, out=done).nonzero()[0]
+        idx = move if idx is None else idx[move]
+        x = nxt[move]
+        a1, a2, nxt, done = a1[: x.size], a2[: x.size], nxt[: x.size], done[: x.size]
+    raise SolverError(f"inverting phi did not converge in {_INVERT_MAX} Newton steps for log terms {terms!r}")
+
+
+def _newton_step(x, log_c, idx, terms, a1, a2, nxt):
+    """nxt = x - g(x)/g'(x) for :func:`_invert_array`, in the buffers a1, a2, nxt.
+
+    x holds the elements at the flat positions ``idx`` of ``log_c`` (all of
+    them while ``idx`` is None).  The float loop's operations in the same
+    order, each written in place; a sum or product may take its operands
+    swapped, which IEEE rounding does not see.  log phi is
+    :func:`_log_sum_exp`'s formula.
+    """
+    (l1, k1), (l2, k2) = terms
+    np.multiply(x, k2, out=a2)
+    a2 += l2  # the log of the second term
+    np.multiply(x, k1, out=a1)
+    a1 += l1
+    np.maximum(a1, a2, out=nxt)
+    np.subtract(a1, a2, out=a1)
+    np.abs(a1, out=a1)
+    np.negative(a1, out=a1)
+    np.exp(a1, out=a1)
+    np.log1p(a1, out=a1)
+    nxt += a1  # log phi
+    np.subtract(a2, nxt, out=a2)
+    np.exp(a2, out=a2)
+    a2 *= k2 - k1
+    a2 += k1  # g'
+    nxt -= log_c if idx is None else log_c.take(idx, out=a1, mode="clip")  # "raise" would buffer the copy
+    nxt /= a2
+    np.subtract(x, nxt, out=nxt)
 
 
 def find_T(lambda1: float, lambda2: float, params: ProblemParams) -> float:

@@ -678,22 +678,28 @@ class TestLogInversion:
                 assert _phi(l1, l2, params, math.exp(x)) >= 1.0 - 1e-13
 
     def test_array_iterates_never_cross_the_root(self, monkeypatch):
-        iterates = []
+        # A step sees only the elements still moving; each is known by its log c.
+        iterates = {}
+        real = solver._newton_step
 
-        def recording_minimum(*args):
-            iterates.append(np.minimum(*args))
-            return iterates[-1]
+        def recording_step(x, log_c, idx, *rest):
+            moving = log_c if idx is None else log_c[idx]
+            for xi, ci in zip(x.tolist(), moving.tolist()):
+                iterates.setdefault(ci, []).append(xi)
+            real(x, log_c, idx, *rest)
 
-        monkeypatch.setattr(solver, "_ARRAY_OPS", solver._ARRAY_OPS._replace(minimum=recording_minimum))
+        monkeypatch.setattr(solver, "_newton_step", recording_step)
         params = params_ref()
         lam1, lam2 = GOLDEN_T[0][1], GOLDEN_T[0][2]
         log_c = -2.0 * np.log1p(np.geomspace(1e-8, 1e8, 50))
         x = solver._log_phi_inverse(log_c, solver._log_terms(lam1, lam2, params))
-        assert np.array_equal(x, iterates[-1])
-        for before, after in zip(iterates, iterates[1:]):
-            assert np.all(after <= before)
-        for it in iterates:
-            assert np.all(_phi(lam1, lam2, params, np.exp(it)) >= np.exp(log_c) * (1.0 - 1e-13))
+        assert sorted(iterates) == sorted(log_c.tolist())
+        assert len({len(its) for its in iterates.values()}) > 1  # elements stop at different steps
+        for xi, ci in zip(x.tolist(), log_c.tolist()):
+            its = np.array(iterates[ci])
+            assert xi == its[-1]
+            assert np.all(its[1:] <= its[:-1])
+            assert np.all(_phi(lam1, lam2, params, np.exp(its)) >= math.exp(ci) * (1.0 - 1e-13))
 
     def test_cycling_instance_finishes(self):
         params = wl.ProblemParams(*CYCLING)
@@ -728,3 +734,119 @@ class TestLogInversion:
         wl.compute_bound(params_ref())
         wl.compute_bound(params_ref().swapped())
         assert len(calls) == 2
+
+
+def _lockstep_log_phi_inverse(log_c, terms):
+    """The array Newton loop of solver._log_phi_inverse before it stopped each
+    element on its own: every element steps until the slowest stops."""
+    (l1, k1), (l2, k2) = sorted(terms, key=lambda term: term[1])
+    x = np.minimum((log_c - l1) / k1, (log_c - l2) / k2)
+    if not np.all(abs(x) < math.inf):
+        raise wl.SolverError("non-finite start")
+    for _ in range(solver._INVERT_MAX):
+        a2 = l2 + k2 * x
+        log_phi = solver._log_sum_exp(l1 + k1 * x, a2)
+        nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * np.exp(a2 - log_phi))
+        if np.all(nxt >= x):
+            return x
+        x = np.minimum(x, nxt)
+    raise wl.SolverError("did not converge")
+
+
+# s from 0 through the subnormals up to 1e300.
+WIDE_S = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e300, 4000)])
+
+# Exponents 0.05 apart: at s near 1e300 both terms of phi still count at the root.
+CLOSE_EXPONENTS = (1.0083309559822546, 47.06398386414649, 47.01365672434907, 1.0, 1.0000745405336104)
+
+
+def _solved_terms(sampler, seed, count):
+    """phi's log terms for the first ``count`` solved two-term draws of a sampler."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = sampler(rng)
+        try:
+            report = wl.compute_bound(params)
+        except (wl.SolverError, wl.QuadratureError):
+            continue
+        terms = solver._log_terms(report.lambda1, report.lambda2, params)
+        if len(terms) == 2:
+            out.append((params, terms))
+    return out
+
+
+def _log_c(params, s):
+    return -(2.0 * params.beta + 1.0) * np.log1p(s)
+
+
+class TestArrayInversion:
+    """The array inversion stops each element at its own first step with
+    nxt >= x; it must give the lockstep loop's bits everywhere."""
+
+    def assert_same(self, log_c, terms):
+        got, want = solver._log_phi_inverse(log_c, terms), _lockstep_log_phi_inverse(log_c, terms)
+        assert type(got) is type(want) and np.shape(got) == np.shape(log_c)
+        assert np.array_equal(got, want)
+
+    def test_reference_plane_grid_blocks(self):
+        from wavelock.verifier import PlaneGrid
+        from wavelock.weight import radial_s, weight_from_report
+
+        params = params_ref()
+        w = weight_from_report(params, wl.compute_bound(params))
+        pgrid = PlaneGrid.default()
+        s = radial_s(pgrid.x[:, None] + 1j * pgrid.y[None, :], w.center)
+        terms = solver._log_terms(w.mults.lambda1, w.mults.lambda2, params)
+        log_c = _log_c(params, s)
+        self.assert_same(log_c, terms)
+        for i in range(0, pgrid.x.size, 29):
+            self.assert_same(log_c[i : i + 29], terms)
+
+    @pytest.mark.parametrize(
+        "sampler, seed, count",
+        [(wide_dual_params, 3, 40), (near_threshold_dual_params, 5, 20), (random_dual_params, 11, 20)],
+    )
+    def test_solved_draws_from_zero_to_1e300(self, sampler, seed, count):
+        for params, terms in _solved_terms(sampler, seed, count):
+            self.assert_same(_log_c(params, WIDE_S), terms)
+
+    def test_slow_elements_among_fast_ones(self):
+        params = wl.ProblemParams(*CLOSE_EXPONENTS)
+        report = wl.compute_bound(params)
+        terms = solver._log_terms(report.lambda1, report.lambda2, params)
+        s = np.random.default_rng(13).permutation(np.concatenate([np.geomspace(1e250, 1e300, 300), WIDE_S[::10]]))
+        self.assert_same(_log_c(params, s), terms)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (29, 280)])
+    def test_shapes(self, shape):
+        s = np.geomspace(1e-6, 1e12, math.prod(shape)).reshape(shape)
+        self.assert_same(_log_c(params_ref(), s), solver._log_terms(GOLDEN_T[0][1], GOLDEN_T[0][2], params_ref()))
+
+    def test_step_cap_raises_without_a_partial_result(self, monkeypatch):
+        params = params_ref()
+        terms = solver._log_terms(GOLDEN_T[0][1], GOLDEN_T[0][2], params)
+        log_c = _log_c(params, np.geomspace(1e-3, 1e3, 50))
+        monkeypatch.setattr(solver, "_INVERT_MAX", 2)
+        stopped = 0
+        for element in log_c:
+            try:
+                solver._log_phi_inverse(np.array([element]), terms)
+                stopped += 1
+            except wl.SolverError:
+                pass
+        assert 0 < stopped < log_c.size  # some elements stop within the cap, some do not
+        with pytest.raises(wl.SolverError, match="did not converge in 2 Newton steps"):
+            solver._log_phi_inverse(log_c, terms)
+
+    def test_nan_step_never_stops(self, monkeypatch):
+        real = solver._newton_step
+
+        def spoiled(x, log_c, idx, terms, a1, a2, nxt):
+            real(x, log_c, idx, terms, a1, a2, nxt)
+            nxt[0] = math.nan  # the first element still moving never stops
+
+        monkeypatch.setattr(solver, "_newton_step", spoiled)
+        log_c = _log_c(params_ref(), np.geomspace(1e-3, 1e3, 50))
+        with pytest.raises(wl.SolverError, match="did not converge"):
+            solver._log_phi_inverse(log_c, solver._log_terms(GOLDEN_T[0][1], GOLDEN_T[0][2], params_ref()))
