@@ -231,9 +231,9 @@ def operator_norm(F: np.ndarray, machine: CauchyTransform) -> PowerIterationResu
 
 
 # Grid nodes per block of whole x-rows in sample_weight, so that a block's
-# temporaries stay in cache.  On the weights benchmark 4 096 was about 17 %
-# slower than 8 192; 16 384 was about 7 % faster but raised peak RSS by
-# 0.3-0.9 MB.
+# temporaries stay in cache.  On the weights benchmark 4 096 was about 12 %
+# slower than 8 192; 16 384 was about 6 % faster but raised peak RSS by
+# 0.5-0.9 MB.
 _SAMPLE_BLOCK = 8192
 
 
