@@ -36,25 +36,20 @@ _SIDES = ("P", "Q")
 
 
 def _side_fields(params: ProblemParams, consts: DerivedConstants, side: str):
-    """(own exponent, own budget, own alpha/sigma/kappa, other exponent)."""
+    """(own exponent, own budget, own sigma/kappa)."""
     if side == "P":
-        return params.p, params.A, consts.alpha_p, consts.sigma_p, consts.kappa_p, params.q
+        return params.p, params.A, consts.sigma_p, consts.kappa_p
     if side == "Q":
-        return params.q, params.B, consts.alpha_q, consts.sigma_q, consts.kappa_q, params.p
+        return params.q, params.B, consts.sigma_q, consts.kappa_q
     raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
 
 
 @dataclass(frozen=True)
 class SingleConstraintResult:
-    """Sharp bound and extremal data when only one constraint binds.
-
-    ``cross_norm`` is the other Lebesgue norm of the extremal weight;
-    it is ``math.inf`` when that norm diverges.
-    """
+    """Sharp bound and extremal amplitude when only one constraint binds."""
 
     bound: float
     lam: float
-    cross_norm: float
 
 
 def single_bound(
@@ -67,16 +62,17 @@ def single_bound(
     """Sharp operator-norm bound when only the ``side`` constraint binds.
 
     bound = 2 beta (4pi)^(-1/e) sigma_e^(kappa_e) * budget, with the
-    extremal amplitude lam = budget * (4pi sigma_e)^(-1/e).  The cross
-    norm of the extremal weight equals r2 * A on side P (r1-analogue on
-    side Q) and is infinite when the other exponent is <= alpha_e.
+    extremal amplitude lam = budget * (4pi sigma_e)^(-1/e).  The weight's
+    other norm (r2 * A on side P, inf when the other exponent is <= alpha_e)
+    is :func:`~wavelock.weight.weight_norms`'s.  A side other than "P" or
+    "Q" raises ValueError.
 
     With ``enforce_regime`` a side other than the one
     :func:`~wavelock.core.classify_regime` assigns to the budget ratio
     raises :class:`RegimeError`; disable it to evaluate the formulas
     outside their regime.
     """
-    e, budget, alpha, sigma, kappa, other = _side_fields(params, consts, side)
+    e, budget, sigma, kappa = _side_fields(params, consts, side)
     if enforce_regime and classify_regime(params, consts).tag != "Single" + side:
         raise RegimeError(
             f"single-constraint side {side} does not apply at "
@@ -85,14 +81,7 @@ def single_bound(
 
     bound = 2.0 * params.beta * FOUR_PI ** (-1.0 / e) * sigma**kappa * budget
     lam = budget * (FOUR_PI * sigma) ** (-1.0 / e)
-
-    if other > alpha:
-        # Cross norm of the extremal profile: (4pi alpha/(other-alpha))^(1/other) lam.
-        cross = (FOUR_PI * alpha / (other - alpha)) ** (1.0 / other) * lam
-    else:
-        cross = math.inf
-
-    return SingleConstraintResult(bound=bound, lam=lam, cross_norm=cross)
+    return SingleConstraintResult(bound=bound, lam=lam)
 
 
 def single_profile(consts: DerivedConstants, lam: float, side: str):

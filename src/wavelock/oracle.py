@@ -37,7 +37,6 @@ _HALVINGS = 60  # backtracking halvings before a dual descent gives up
 _MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
 _COLLAPSE = 1e-30  # share of mu . caps below which a multiplier has collapsed to 0
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
-_MAX_EXPANSIONS = 3  # doublings of t_max while the support looks truncated
 _MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
 
 _log = logging.getLogger(__name__)
@@ -386,15 +385,13 @@ def run_oracle(
     n: int = 2000,
     max_iter: int = 100,
 ) -> tuple[DiscreteProblem, DiscreteSolution]:
-    """Solve on a log grid, doubling t_max (at most 3 times) while the
-    support looks truncated."""
-    for _ in range(_MAX_EXPANSIONS + 1):
-        prob = DiscreteProblem.log_spaced(params, t_max=t_max, n=n)
-        sol = solve_discrete(prob, max_iter=max_iter)
-        if not sol.diagnostics["support_truncated"]:
-            return prob, sol
-        t_max = 2.0 * prob.t[-1]
-    raise OracleError("grid expansion failed to cover the solution support")
+    """Solve on one log grid; OracleError where the solution's support looks
+    truncated (above 1e-8 of its peak in the grid's last 5 %)."""
+    prob = DiscreteProblem.log_spaced(params, t_max=t_max, n=n)
+    sol = solve_discrete(prob, max_iter=max_iter)
+    if sol.diagnostics["support_truncated"]:
+        raise OracleError(f"the grid's end t_max = {prob.t[-1]:.6g} is too short for the solution's support")
+    return prob, sol
 
 
 @dataclass(frozen=True)

@@ -268,13 +268,20 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     t^(e-1) underflows.  It vanishes at the origin like t to the power
     (e-1) - (min(p,q)-1)/(2 beta + 1), which is positive for every
     admissible instance; the remaining fractional-power behaviour is
-    absorbed by the geometric panel grading.
+    absorbed by the geometric panel grading.  A one-term phi = l t^k has
+    the closed form 4 pi alpha T^e/(e - alpha), alpha = c k; inf if e <= alpha.
     """
     if which not in ("P", "Q"):
         raise ValueError(f'which must be "P" or "Q", got {which!r}')
     e = params.p if which == "P" else params.q
     c = 1.0 / (2.0 * params.beta + 1.0)
     terms = _log_terms(m.lambda1, m.lambda2, params)
+    if len(terms) == 1:
+        alpha = c * terms[0][1]
+        if not e > alpha:
+            return math.inf
+        with np.errstate(over="ignore"):  # T^e past the float range is inf
+            return float(FOUR_PI * alpha / (e - alpha) * np.float64(m.T) ** e)
 
     def f(log_t):
         c_log_phi = c * _log_phi(log_t, terms)
@@ -287,14 +294,14 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
 
 
 def bound_integral(m: Multipliers, params: ProblemParams) -> float:
-    """int_0^T G(u(t)) dt, the sharp bound in the dual regime.
+    """int_0^T G(u(t)) dt, the sharp bound of the weight with multipliers m.
 
     On (0, T) the integrand collapses to 1 - phi(t)^(2 beta/(2 beta + 1))
     with phi = l1 t^(p-1) + l2 t^(q-1): bounded by 1, tending to 1 at the
     origin, vanishing at T.  It is evaluated in log t, as
     max(-expm1(gamma log phi), 0), by the checked rule.  :func:`compute_bound`
-    takes the same integral in closed form from the solve; this quadrature is
-    that closed form's independent check.
+    takes it in closed form from the dual solve; this quadrature is that
+    closed form's check, and every weight's radial_operator_norm.
     """
     gamma = 2.0 * params.beta / (2.0 * params.beta + 1.0)
     terms = _log_terms(m.lambda1, m.lambda2, params)

@@ -2,7 +2,7 @@
 
 :func:`run_verification` checks the extremal weight's operator norm
 through its exact value, :func:`~wavelock.weight.radial_operator_norm`,
-one layer-cake integral of phi over the level that inverts nothing.
+the solver's checked bound integral at the weight's multipliers.
 The grid machinery below is a first-principles reference for that norm,
 which the acceptance suite and demo 04 drive directly; on the default
 grids power iteration reads about +0.26 % high on the reference instance,
@@ -330,7 +330,7 @@ class VerificationReport:
 # Acceptance windows for run_verification.
 ORACLE_GAP_TOL = 0.01
 # The exact radial norm must meet the bound to the acceptance of the graded
-# rule that evaluates both.
+# rule that evaluates it.
 RADIAL_NORM_RTOL = 1e-8
 
 
@@ -341,9 +341,10 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
     objective within 1 percent, profile pointwise within 2 percent away
     from the endpoints when the instance is dual) and the operator check:
     the exact norm of the extremal weight's operator,
-    :func:`~wavelock.weight.radial_operator_norm` (no inversion of phi),
-    must match the bound to 1e-8 relative.  A bound that underflows to 0 is an OracleError: no gap
-    relative to it is defined.
+    :func:`~wavelock.weight.radial_operator_norm` (the bound integral),
+    must match the bound to 1e-8 relative.  The oracle's one grid ends at 2 T
+    (its own seed in a single regime).  A bound that underflows to 0 is an
+    OracleError: no gap relative to it is defined.
     """
     t0 = time.perf_counter()
     report = compute_bound(params)

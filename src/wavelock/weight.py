@@ -11,7 +11,7 @@ single regime the inactive multiplier is zero, and psi is the closed-form
 power lam (1 + s)^(-1/alpha_e) with lam = T.
 
 Everything is evaluated on demand.  The norms and the operator norm are
-layer-cake integrals of phi over the level t, on which |F| is t itself,
+the solver's checked integrals over the level t, on which |F| is t itself,
 so only pointwise evaluation inverts phi; the distribution check brackets
 s by a safeguarded secant search on the profile, through the disc measure
 nu({s < sigma}) = 4 pi sigma.
@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FOUR_PI, ProblemParams, _checked_log_integral, _write_columns
+from . import solver
+from .core import ProblemParams, _write_columns
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
-from .solver import BoundReport, Multipliers, _log_phi, _log_phi_inverse, _log_terms
+from .solver import BoundReport, Multipliers, _log_phi_inverse, _log_terms
 
 
 @dataclass(frozen=True)
@@ -152,53 +153,15 @@ def eval_weight(w: ExtremalWeight, z):
     return np.exp(1j * w.phase) * mag
 
 
-def _level_integral(w: ExtremalWeight, e: float, a: float, what: str) -> float:
-    """int_0^inf |F|^e (1 + s)^(-a (2 beta + 1)) ds over s = radial_s.
-
-    Every extremal magnitude is |F| = psi(s), the inverse of the level map
-    S(t) = phi(t)^(-c) - 1 on (0, peak], c = 1/(2 beta + 1),
-    phi = l1 t^(p-1) + l2 t^(q-1), which has one term for a single
-    weight.  As a layer-cake integral over the level t through s = S(t),
-    |F| = psi(S(t)) is t itself and (1 + s)^(-(2 beta + 1)) is phi(t), so
-    no node inverts phi.  The nodes are placed through t = peak y^m,
-    m = 1/(e - alpha + a k0), with k0 = e0 - 1 for the smallest exponent
-    e0 with a positive multiplier and alpha = c k0: the integrand in t
-    behaves like t^(1/m - 1) at 0, so in y it tends to a constant however
-    slowly |F|^e decays in s, and the checked graded Gauss rule on (0, 1]
-    evaluates it, in log space.  The integral diverges when 1/m <= 0 and
-    is returned as inf.
-    """
-    params = w.params
-    c = 1.0 / (2.0 * params.beta + 1.0)
-    terms = _log_terms(w.mults.lambda1, w.mults.lambda2, params)
-    k0 = min(k for _, k in terms)
-    grade = e - c * k0 + a * k0
-    if grade <= 0.0:
-        return math.inf
-    m = 1.0 / grade
-    log_peak = math.log(w.peak)
-
-    def f(log_y):
-        log_t = log_peak + m * log_y
-        log_phi = _log_phi(log_t, terms)  # -(1 + 2 beta) log(1 + s)
-        slope = sum(k * np.exp(log_lam + k * log_t - log_phi) for log_lam, k in terms)  # t phi'/phi
-        # t^e phi^a (-S'(t)) dt/dy, with -S'(t) = c phi^(-c) (t phi'/phi)/t and dt = m t dy/y.
-        return c * m * slope * np.exp(e * log_t + (a - c) * log_phi - log_y)
-
-    return _checked_log_integral(f, 1.0, what)
-
-
 def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
-    Through the disc measure each norm is (4 pi int_0^inf |F|^e ds)^(1/e)
-    in s, one layer-cake integral of phi over the level
-    (:func:`_level_integral`).  A norm with e <= alpha diverges: inf.
+    By the layer-cake formula ||F||_e^e = e int_0^T t^(e-1) u(t) dt, the
+    solver's checked :func:`~wavelock.solver.moment`, in closed form for a
+    single-regime weight; a norm that diverges is inf.
     """
-    return tuple(
-        (FOUR_PI * _level_integral(w, e, 0.0, f"{e:g}-norm of the weight")) ** (1.0 / e)
-        for e in (w.params.p, w.params.q)
-    )
+    return tuple(solver.moment(w.mults, w.params, which) ** (1.0 / e)
+                 for which, e in (("P", w.params.p), ("Q", w.params.q)))
 
 
 def radial_operator_norm(w: ExtremalWeight) -> float:
@@ -209,12 +172,13 @@ def radial_operator_norm(w: ExtremalWeight) -> float:
     with eigenvalues Gamma(n + 2 beta + 1)/(n! Gamma(2 beta))
     int_0^1 |F|(d) d^n (1 - d)^(2 beta - 1) dd.  They fall with n for a
     nonincreasing profile, so the norm is the top one,
-    2 beta int_0^inf |F|(s) (1 + s)^(-(2 beta + 1)) ds in s = d/(1 - d),
-    one layer-cake integral of phi over the level on the norms' graded
-    rule (:func:`_level_integral`).  The constant phase does not change it.
+    2 beta int_0^inf |F|(s) (1 + s)^(-(2 beta + 1)) ds in s = d/(1 - d).
+    Through s = S(t) = phi(t)^(-1/(2 beta + 1)) - 1, where |F| = t, and by
+    parts it is int_0^T (1 - phi^gamma) dt, gamma = 2 beta/(2 beta + 1): the
+    solver's checked :func:`~wavelock.solver.bound_integral`.  The constant
+    phase does not change it.
     """
-    integral = _level_integral(w, 1.0, 1.0, "top eigenvalue of the localization operator")
-    return 2.0 * w.params.beta * integral
+    return solver.bound_integral(w.mults, w.params)
 
 
 def measured_distribution(w: ExtremalWeight, t):

@@ -37,6 +37,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_fmt_json_rejects_what_it_cannot_serialize():
+    assert cli._fmt_json({"a": [1, 2.5, None, True, "x\"y"]}) == '{"a": [1, 2.5, null, true, "x\\"y"]}'
+    for value in (object(), {"a": {1, 2}}, [b"bytes"]):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._fmt_json(value)
+
+
 class TestBoundCommand:
     def test_json_single_regime(self, capsys):
         code, out, _ = run_cli(

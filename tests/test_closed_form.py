@@ -23,13 +23,24 @@ def make(beta, p, q, A, B):
     return params, wl.derive_constants(params)
 
 
+def cross_norm(params, consts, side, **kwargs):
+    """The other norm of the ``side`` extremal weight, lam (1 + s)^(-1/alpha_e),
+    by weight_norms on its one-term multipliers (lam^(1-e), with T = lam)."""
+    lam = wl.single_bound(params, consts, side, **kwargs).lam
+    e = params.p if side == "P" else params.q
+    seed = lam ** (1.0 - e)
+    mults = wl.Multipliers(seed, 0.0, lam) if side == "P" else wl.Multipliers(0.0, seed, lam)
+    norms = wl.weight_norms(wl.ExtremalWeight(params, wl.HalfPlanePoint(0.0, 1.0), mults))
+    return norms[1] if side == "P" else norms[0]
+
+
 class TestSingleBound:
     def test_p_side_reference(self):
         params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
         res = wl.single_bound(params, consts, "P")
         assert res.bound == pytest.approx(BOUND_P_REF, rel=1e-14)
         assert res.lam == pytest.approx(LAM_P_REF, rel=1e-14)
-        assert res.cross_norm == pytest.approx(R2_REF, rel=1e-13)
+        assert cross_norm(params, consts, "P") == pytest.approx(R2_REF, rel=1e-13)
 
     def test_q_side_reference(self):
         params, consts = make(0.5, 2.0, 4.0, 1.0, 0.1)
@@ -71,18 +82,16 @@ class TestSingleBound:
     def test_divergent_cross_norm(self):
         # q <= alpha_p: the q-norm of the p-extremizer is infinite.
         params, consts = make(0.1, 4.0, 1.5, 1.0, 0.01)
-        res = wl.single_bound(params, consts, "P", enforce_regime=False)
-        assert math.isinf(res.cross_norm)
+        assert math.isinf(cross_norm(params, consts, "P", enforce_regime=False))
 
     def test_cross_norm_agrees_with_classifier(self):
         rng = np.random.default_rng(21)
         for _ in range(12):
             params, side = random_single_params(rng)
             consts = wl.derive_constants(params)
-            res = wl.single_bound(params, consts, side)
             other_budget = params.B if side == "P" else params.A
             # Active regime means the extremal weight respects the other budget.
-            assert res.cross_norm <= other_budget * (1 + 1e-12)
+            assert cross_norm(params, consts, side) <= other_budget * (1 + 1e-12)
 
 
 class TestSingleProfile:
@@ -101,6 +110,16 @@ class TestSingleProfile:
         degenerate = DerivedConstants(0.0, 1.0, 0.0, 0.5, 0.0, 0.5, None, None)
         with pytest.raises(ValueError):
             wl.single_profile(degenerate, 1.0, "P")
+
+    def test_side_and_amplitude_validation(self):
+        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="side"):
+            wl.single_bound(params, consts, "R")
+        with pytest.raises(ValueError, match="side"):
+            wl.single_profile(consts, 1.0, "R")
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                wl.single_profile(consts, lam, "Q")
 
     def test_domain_validation(self):
         _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
@@ -351,7 +370,8 @@ def verify_moment_identities(
     cross moment must equal the threshold form (r * budget)^other, or
     diverge when other <= alpha_e.  Residuals are relative.
     """
-    e, _, alpha, sigma, _, other = _side_fields(params, consts, side)
+    e, _, sigma, _ = _side_fields(params, consts, side)
+    alpha, other = (consts.alpha_p, params.q) if side == "P" else (consts.alpha_q, params.p)
 
     own_closed = FOUR_PI * sigma * lam**e
     own = _moment_of_single_profile(e, alpha, lam)

@@ -89,6 +89,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             DiscreteProblem.log_spaced(ref_params, t_max=1.0, n=50)
 
+    def test_nodes_and_weights_are_validated(self, ref_params):
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=1.0, n=200)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DiscreteProblem(ref_params, prob.t[::-1], prob.dt, prob.budget_p, prob.budget_q)
+        for bad in (0.0, -1e-3):
+            dt = prob.dt.copy()
+            dt[7] = bad
+            with pytest.raises(ValueError, match="weights must be positive"):
+                DiscreteProblem(ref_params, prob.t, dt, prob.budget_p, prob.budget_q)
+
     def test_default_t_max_covers_support(self, ref_params, ref_report):
         prob = DiscreteProblem.log_spaced(ref_params)
         assert prob.t[-1] >= 2.0 * ref_report.T * 0.99
@@ -396,6 +406,11 @@ class TestCertificate:
         _, sol = run_oracle(ref_params, t_max=t_max, n=500)
         assert sol.converged
 
+    def test_short_grid_is_an_oracle_error(self, ref_params, ref_report):
+        # One grid, no doubling: a t_max inside the support truncates it.
+        with pytest.raises(OracleError, match="too short"):
+            run_oracle(ref_params, t_max=0.5 * ref_report.T, n=500)
+
 
 class TestLogging:
     def test_one_debug_record_per_solve(self, ref_params, ref_report, caplog):
@@ -463,11 +478,13 @@ class TestInvariants:
         _, sol = ref_solution
         assert sol.objective <= ref_report.bound * (1.0 + 1e-3)
 
-    def test_objective_monotone_in_budgets(self, ref_params, ref_report):
+    def test_objective_monotone_in_budgets(self):
+        # One grid for all three, to twice the largest support, T(B = 0.45).
+        t_max = 2 * wl.compute_bound(wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.45)).T
         objs = []
         for B in (0.35, 0.4, 0.45):
             params = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, B)
-            _, sol = run_oracle(params, t_max=2 * ref_report.T, n=500, max_iter=15000)
+            _, sol = run_oracle(params, t_max=t_max, n=500, max_iter=15000)
             objs.append(sol.objective)
         assert objs[0] < objs[1] < objs[2]
 

@@ -127,6 +127,10 @@ class TestMoment:
         val = wl.moment(m, params_ref(), "P")
         assert val == pytest.approx(FOUR_PI / 3.0, rel=1e-12)
 
+    def test_rejects_an_unknown_side(self):
+        with pytest.raises(ValueError, match="which"):
+            wl.moment(wl.multipliers(1.0, 0.0, params_ref()), params_ref(), "R")
+
     def test_monotone_in_multiplier(self):
         params = params_ref()
         vals = [
@@ -291,23 +295,41 @@ class TestBoundIntegral:
         "near": (lambda rng, i: near_threshold_dual_params(rng), 17, 300, 300),
     }
 
-    @pytest.mark.parametrize("sampler", list(SAMPLERS))
-    def test_checks_the_closed_form(self, sampler):
-        # compute_bound takes the dual bound by parts from Newton's last pass;
-        # the quadrature of the same integral at the solved multipliers checks it.
-        draw, seed, draws, floor = self.SAMPLERS[sampler]
+    @pytest.fixture(scope="class", params=list(SAMPLERS))
+    def solved(self, request) -> list:
+        """(params, report) for every draw of the sampler that compute_bound
+        solves, at least the sampler's floor of them."""
+        draw, seed, draws, floor = self.SAMPLERS[request.param]
         rng = np.random.default_rng(seed)
-        solved = 0
+        out = []
         for i in range(draws):
             params = draw(rng, i)
             try:
-                report = wl.compute_bound(params)
+                out.append((params, wl.compute_bound(params)))
             except (wl.SolverError, wl.QuadratureError):
                 continue
+        assert len(out) >= floor
+        return out
+
+    def test_checks_the_closed_form(self, solved):
+        # compute_bound takes the dual bound by parts from Newton's last pass;
+        # the quadrature of the same integral at the solved multipliers checks it.
+        for params, report in solved:
             check = wl.bound_integral(report.multipliers(), params)
             assert abs(report.bound - check) <= 1e-13 * check, params
-            solved += 1
-        assert solved >= floor
+
+    def test_weight_integrals_meet_the_budgets_and_the_bound(self, solved):
+        # The solved weight's norms are the checked moments and its operator
+        # norm the bound integral: on every solved draw they evaluate, hit the
+        # budgets wherever A^p and B^q are normal doubles, and give the bound.
+        tiny = np.finfo(float).tiny
+        for params, report in solved:
+            w = wl.weight_from_report(params, report)
+            norms = wl.weight_norms(w)
+            if params.A**params.p >= tiny and params.B**params.q >= tiny:
+                for norm, budget in zip(norms, (params.A, params.B)):
+                    assert abs(norm - budget) <= 1e-6 * budget, params
+            assert abs(wl.radial_operator_norm(w) - report.bound) <= 1e-12 * report.bound, params
 
 
 class TestComputeBound:

@@ -130,6 +130,14 @@ class TestGrids:
                 np.array([1.0, 1.0]),
             )
 
+    def test_weights_must_be_positive(self):
+        with pytest.raises(ValueError, match="frequency weights"):
+            FrequencyGrid(np.array([0.5, 1.0]), np.array([0.1, 0.0]))
+        ones = np.array([1.0, 1.0])
+        for wx, wy in ((np.array([1.0, -1.0]), ones), (ones, np.array([0.0, 1.0]))):
+            with pytest.raises(ValueError, match="plane weights"):
+                PlaneGrid(np.array([0.0, 1.0]), ones, wx, wy)
+
 
 class TestTransform:
     def test_isometry_on_default_grids(self, default_machine):

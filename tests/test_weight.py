@@ -235,6 +235,27 @@ class TestWeightNorms:
         assert qn == pytest.approx(consts.r2, rel=1e-8)
 
 
+    def test_single_weights_match_the_closed_form(self):
+        # A single weight's own norm is its budget and its other norm the
+        # closed form (4 pi alpha/(e - alpha))^(1/e) lam of the cross moment;
+        # its operator norm is the closed-form bound.
+        rng = np.random.default_rng(5)
+        for _ in range(600):
+            params, side = random_single_params(rng)
+            consts = wl.derive_constants(params)
+            report = wl.compute_bound(params)
+            lam = wl.single_bound(params, consts, side).lam
+            w = wl.weight_from_report(params, report)
+            own, other = (params.A, params.q) if side == "P" else (params.B, params.p)
+            alpha = consts.alpha_p if side == "P" else consts.alpha_q
+            cross = (FOUR_PI * alpha / (other - alpha)) ** (1.0 / other) * lam
+            pn, qn = wl.weight_norms(w)
+            got_own, got_cross = (pn, qn) if side == "P" else (qn, pn)
+            assert got_own == pytest.approx(own, rel=1e-12), params
+            assert got_cross == pytest.approx(cross, rel=1e-12), params
+            assert wl.radial_operator_norm(w) == pytest.approx(report.bound, rel=1e-12), params
+
+
 class TestRadialOperatorNorm:
     def test_equals_the_bound(self, ref_params, ref_report):
         rng = np.random.default_rng(43)
@@ -287,6 +308,11 @@ class TestValidation:
         for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 HalfPlanePoint(x, y)
+
+    def test_hyperbolic_circle_radius(self):
+        for s in (-1e-300, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                hyperbolic_circle(HalfPlanePoint(0.0, 1.0), s, [0.0])
 
     def test_mode_validation(self, ref_params):
         with pytest.raises(TypeError):
