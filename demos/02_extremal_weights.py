@@ -53,4 +53,4 @@ mags = np.abs(wl.eval_weight(weight, circle))
 print(f"magnitude spread along a hyperbolic circle: {np.ptp(mags):.2e}")
 
 export_profile(weight, "dual_weight_profile.csv", n=500)
-print("wrote dual_weight_profile.csv (columns d, |F|)")
+print("wrote dual_weight_profile.csv (columns d, magnitude, t, u)")

@@ -31,12 +31,7 @@ from .core import (
     derive_constants,
     g_eval,
 )
-from .closed_form import (
-    SingleConstraintResult,
-    distribution_of_profile,
-    single_bound,
-    single_profile,
-)
+from .closed_form import SingleConstraintResult, distribution_of_profile, single_bound
 from .solver import (
     BoundReport,
     Multipliers,
@@ -82,7 +77,7 @@ __all__ = [
     "FOUR_PI", "DerivedConstants", "OracleError", "ParameterError", "ProblemParams",
     "QuadratureError", "Regime", "RegimeError", "canonical_order", "classify_regime",
     "derive_constants", "g_eval",
-    "SingleConstraintResult", "distribution_of_profile", "single_bound", "single_profile",
+    "SingleConstraintResult", "distribution_of_profile", "single_bound",
     "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",
     "moment", "multipliers", "solve_multipliers", "u_eval",
     *_LAZY,

@@ -17,8 +17,8 @@ import numpy as np
 
 # bound and scan need only these; verify and profile import their layers
 # when they run.
-from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_columns, _write_csv
-from .solver import BoundReport, SolverError, compute_bound, u_eval
+from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_csv
+from .solver import BoundReport, SolverError, compute_bound
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -110,18 +110,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .weight import weight_from_report
+    from .weight import export_profile, weight_from_report
 
     params = _params_from(args)
     if not 1 <= args.samples <= _MAX_ARRAY:
         raise ParameterError(f"--samples must be between 1 and {_MAX_ARRAY}, got {args.samples}")
-    w = weight_from_report(params, compute_bound(params))
-    n = args.samples
-    ds = np.linspace(0.0, 1.0, n, endpoint=False)
-    ts = np.linspace(w.peak / n, w.peak, n)
-    us = u_eval(ts, w.mults, params)
-    _write_columns(args.out, ("d", "magnitude", "t", "u"), ds, w.profile()(ds / (1.0 - ds)), ts, us)
-    print(f"wrote {n} profile rows to {args.out}")
+    export_profile(weight_from_report(params, compute_bound(params)), args.out, args.samples)
+    print(f"wrote {args.samples} profile rows to {args.out}")
     return EXIT_OK
 
 

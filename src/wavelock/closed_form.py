@@ -3,18 +3,10 @@
 When the budget ratio leaves the dual window, the optimal weight is the
 one-constraint extremizer: a radial profile lam * (1 + s)^(-1/alpha_e) in
 s = d/(1 - d), d the squared pseudo-hyperbolic distance to its centre, so
-that the disc {s < sigma} has hyperbolic measure 4 pi sigma.  This module
-evaluates the corresponding sharp bound, and the profile and its
-distribution function as vectorised functions that give a float at a
-scalar argument.
-
-Note on the profile exponent: the published display of the extremal weight
-carries the exponent -alpha_e, which grows toward the boundary and has a
-divergent own-norm.  The distribution-function computation, the
-nonincreasing-profile requirement and the vanishing-second-multiplier
-limit of the dual reconstruction all force (1 - d)^(+1/alpha_e), which is
-(1 + s)^(-1/alpha_e); that is the form implemented here, and the one every
-numeric check below is consistent with.
+that the disc {s < sigma} has hyperbolic measure 4 pi sigma.  The weight
+itself is :mod:`wavelock.weight`'s, which carries the inactive multiplier
+as zero.  This module evaluates the corresponding sharp bound, and the
+distribution function of any vectorised radial profile.
 """
 
 from __future__ import annotations
@@ -82,27 +74,6 @@ def single_bound(
     bound = 2.0 * params.beta * FOUR_PI ** (-1.0 / e) * sigma**kappa * budget
     lam = budget * (FOUR_PI * sigma) ** (-1.0 / e)
     return SingleConstraintResult(bound=bound, lam=lam)
-
-
-def single_profile(consts: DerivedConstants, lam: float, side: str):
-    """Extremal magnitude profile lam * (1 + s)^(-1/alpha_e) on s >= 0."""
-    alpha = consts.alpha_p if side == "P" else consts.alpha_q
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
-    if alpha <= 0:
-        raise ValueError("profile undefined for alpha = 0 (exponent at its p -> 1 limit)")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    inv_alpha = 1.0 / alpha
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        if not np.all(s >= 0):
-            raise ValueError("profile argument s must be nonnegative")
-        out = lam * (1.0 + s) ** -inv_alpha
-        return float(out) if s.ndim == 0 else out
-
-    return fn
 
 
 # The search's top: the largest s whose disc measure 4 pi s is finite.

@@ -85,6 +85,10 @@ class _Ops(NamedTuple):
 _FLOAT_OPS = _Ops(math.exp, math.log1p, max, min, bool)
 _ARRAY_OPS = _Ops(np.exp, np.log1p, np.maximum, np.minimum, np.all)
 _INVERT_MAX = 100
+# Steps after which an element also stops where its step lowers x by at most
+# one ulp: where log phi is flat to its rounding over many ulps of x, Newton
+# creeps down one ulp per step and would run out of steps before the floor.
+_ULP_STOP_AFTER = 20
 
 
 def _log_sum_exp(a1, a2, ops: _Ops = _ARRAY_OPS):
@@ -120,7 +124,10 @@ def _log_phi_inverse(log_c, terms):
     root, where g >= 0, the iterates fall monotonically onto the root, with
     no bracket.  With the smaller exponent first, g' = k1 + (k2 - k1) s2,
     s2 the second term's share, is a sum of nonnegative parts.  Newton
-    stops at the first step that no longer lowers x, the rounding floor.  A
+    stops at the first step that no longer lowers x, the rounding floor, and
+    after _ULP_STOP_AFTER steps also at the first that lowers it by at most
+    one ulp, where g is flat to its rounding over many ulps.  Either stop
+    keeps the x before the step, at or above the root.  A
     float ``log_c`` runs on plain floats.  An array runs elementwise
     (:func:`_invert_array`): each element stops at its own first such step.
     Raises :class:`SolverError` on a non-finite start or when an element
@@ -135,11 +142,11 @@ def _log_phi_inverse(log_c, terms):
         raise SolverError(f"non-finite start inverting phi with log terms {terms!r} at log c = {log_c!r}")
     if ops is _ARRAY_OPS:
         return _invert_array(x, log_c, ordered)
-    for _ in range(_INVERT_MAX):
+    for step in range(_INVERT_MAX):
         a2 = l2 + k2 * x  # the log of the second term
         log_phi = _log_sum_exp(l1 + k1 * x, a2, ops)
         nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * ops.exp(a2 - log_phi))
-        if nxt >= x:
+        if nxt >= (x if step < _ULP_STOP_AFTER else math.nextafter(x, -math.inf)):
             return x
         x = ops.minimum(x, nxt)
     raise SolverError(f"inverting phi did not converge in {_INVERT_MAX} Newton steps for log terms {terms!r}")
@@ -149,21 +156,22 @@ def _invert_array(x, log_c, terms):
     """The Newton loop of :func:`_log_phi_inverse` on arrays, from the start x,
     with phi's two terms smaller exponent first.
 
-    Each element stops at its first step with nxt >= x and keeps that x, the
-    float loop's rule applied elementwise; a NaN step never stops.  The
-    elements still moving are packed into the front of the step's buffers,
-    which are allocated once, with their flat positions in ``idx``; each is
-    written to the result once, when it stops.  The buffer that held x at
-    the first such step becomes the result.
+    Each element stops at its first step with nxt >= x, or after
+    _ULP_STOP_AFTER steps with nxt at or above the double below x, and keeps
+    that x: the float loop's rule applied elementwise; a NaN step never
+    stops.  The elements still moving are packed into the front of the
+    step's buffers, which are allocated once, with their flat positions in
+    ``idx``; each is written to the result once, when it stops.  The buffer
+    that held x at the first such step becomes the result.
     """
     shape = np.shape(log_c)
     x, log_c = np.ravel(x), np.ravel(log_c)
     a1, a2, nxt = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     done = np.empty(x.shape, dtype=bool)
     out = idx = None  # set at the first step that stops some element
-    for _ in range(_INVERT_MAX):
+    for step in range(_INVERT_MAX):
         _newton_step(x, log_c, idx, terms, a1, a2, nxt)
-        np.greater_equal(nxt, x, out=done)
+        np.greater_equal(nxt, x if step < _ULP_STOP_AFTER else np.nextafter(x, -np.inf), out=done)
         n_done = np.count_nonzero(done)
         if n_done == x.size:  # also when no element is left
             if out is None:

@@ -10,6 +10,14 @@ t -> (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta + 1)) - 1 on (0, T].  In a
 single regime the inactive multiplier is zero, and psi is the closed-form
 power lam (1 + s)^(-1/alpha_e) with lam = T.
 
+Note on that exponent: the published display of the extremal weight
+carries the exponent -alpha_e, which grows toward the boundary and has a
+divergent own-norm.  The distribution-function computation, the
+nonincreasing-profile requirement and the vanishing-second-multiplier
+limit of the dual reconstruction all force (1 - d)^(+1/alpha_e), which is
+(1 + s)^(-1/alpha_e); that is the form implemented here, and the one every
+numeric check is consistent with.
+
 Everything is evaluated on demand.  The norms and the operator norm are
 the solver's checked integrals over the level t, on which |F| is t itself,
 so only pointwise evaluation inverts phi; the distribution check brackets
@@ -202,9 +210,17 @@ def measured_distribution(w: ExtremalWeight, t):
 
 
 def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:
-    """Write (d, |F|) profile samples as CSV, on n equispaced d in [0, 1)."""
+    """Write the weight's profile as CSV: n rows of (d, magnitude, t, u).
+
+    The magnitude |F| is sampled on n equispaced d in [0, 1), and the
+    distribution function u on the n levels t = T/n, 2 T/n, ..., T.
+    """
     ds = np.linspace(0.0, 1.0, n, endpoint=False)
-    _write_columns(path, ("d", "abs_F"), ds, w.profile()(ds / (1.0 - ds)))
+    ts = np.linspace(w.peak / n, w.peak, n)
+    _write_columns(
+        path, ("d", "magnitude", "t", "u"),
+        ds, w.profile()(ds / (1.0 - ds)), ts, solver.u_eval(ts, w.mults, w.params),
+    )
 
 
 def hyperbolic_circle(z0: HalfPlanePoint, s: float, angles) -> np.ndarray:

@@ -72,12 +72,13 @@ def test_criterion_2_closed_form_vs_integral():
         inst, side = random_single_params(rng)
         c = wl.derive_constants(inst)
         res = wl.single_bound(inst, c, side)
-        v = wl.distribution_of_profile(wl.single_profile(c, res.lam, side))
+        w = weight_from_report(inst, wl.compute_bound(inst))
+        v = wl.distribution_of_profile(w.profile())
 
         def integrand(t):
             return wl.g_eval(v(t), inst.beta)
 
-        integral = _graded_gauss(integrand, res.lam, 60, 16)
+        integral = _graded_gauss(integrand, w.peak, 60, 16)
         rel = abs(integral - res.bound) / res.bound
         worst = max(worst, rel)
         assert rel <= 1e-8, f"instance {k}: {inst}, side {side}, rel err {rel:.2e}"

@@ -102,8 +102,17 @@ class TestBoundCommand:
             capsys,
         )
         assert code == 0
-        assert "regime = Dual" in out
-        assert "bound = 0.141630458" in out  # 9 significant digits in text mode
+        lines = out.splitlines()
+        assert "regime = Dual" in lines
+        assert "bound = 0.141630458" in lines  # 9 significant digits in text mode
+        code, out, _ = run_cli(
+            ["bound", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "1"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "regime = SingleP" in lines
+        assert "T = null" in lines and "residual_q = null" in lines
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -317,6 +326,19 @@ class TestVerifyCommand:
         assert data["grid"] == {}
         assert data["checks"]["operator_window"] is True
         assert abs(data["operator_rel_gap"]) <= 1e-8
+        assert data["checks"]["oracle_pointwise"] is True
+        assert data["oracle_pointwise_err"] <= 0.02
+        # A single-regime weight has no pointwise check.
+        code, out, _ = run_cli(
+            ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "1",
+             "--oracle-points", "800", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["regime"] == "SingleP"
+        assert data["checks"].get("oracle_pointwise") is None
+        assert data["oracle_pointwise_err"] is None
 
     def test_corruption_exit_5(self, capsys, monkeypatch):
         from wavelock import verifier

@@ -56,6 +56,11 @@ class TestSingleBound:
         res = wl.single_bound(params, consts, "P", enforce_regime=False)
         assert res.bound == pytest.approx(BOUND_P_REF, rel=1e-14)
 
+    def test_side_validation(self):
+        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="side"):
+            wl.single_bound(params, consts, "R")
+
     @pytest.mark.parametrize("threshold", ["r1", "r2"])
     @pytest.mark.parametrize("offset", [-2e-12, -0.5e-12, 0.5e-12, 2e-12])
     def test_regime_rule_is_classify_regime(self, threshold, offset):
@@ -94,36 +99,24 @@ class TestSingleBound:
             assert cross_norm(params, consts, side) <= other_budget * (1 + 1e-12)
 
 
+def single_weight(params):
+    """The extremal weight of a single-regime instance, lam (1 + s)^(-1/alpha_e)
+    with lam = T: psi at one zero multiplier."""
+    return wl.weight_from_report(params, wl.compute_bound(params))
+
+
 class TestSingleProfile:
     def test_endpoints(self):
-        _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
-        prof = wl.single_profile(consts, 2.5, "P")
-        assert prof(0.0) == pytest.approx(2.5, rel=1e-15)
+        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
+        prof = single_weight(params).profile()
+        assert prof(0.0) == pytest.approx(wl.single_bound(params, consts, "P").lam, rel=1e-15)
         assert prof(1e12) < 1e-5
         ss = np.linspace(0.0, 999.0, 300)
         vals = prof(ss)
         assert np.all(np.diff(vals) < 0)
 
-    def test_rejects_alpha_zero(self):
-        from wavelock.core import DerivedConstants
-
-        degenerate = DerivedConstants(0.0, 1.0, 0.0, 0.5, 0.0, 0.5, None, None)
-        with pytest.raises(ValueError):
-            wl.single_profile(degenerate, 1.0, "P")
-
-    def test_side_and_amplitude_validation(self):
-        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="side"):
-            wl.single_bound(params, consts, "R")
-        with pytest.raises(ValueError, match="side"):
-            wl.single_profile(consts, 1.0, "R")
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValueError, match="lam must be positive"):
-                wl.single_profile(consts, lam, "Q")
-
     def test_domain_validation(self):
-        _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
-        prof = wl.single_profile(consts, 1.0, "P")
+        prof = single_weight(wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)).profile()
         with pytest.raises(ValueError):
             prof(-0.1)
         with pytest.raises(ValueError):
@@ -139,15 +132,16 @@ class TestDistribution:
     def test_single_profile_closed_form(self):
         # v(t) = 4 pi ((t/lam)^(-alpha) - 1) on (0, lam]; at alpha = 1/2 and
         # t = lam/4 this is exactly 4 pi.
-        _, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
-        lam = 1.0
-        v = wl.distribution_of_profile(wl.single_profile(consts, lam, "P"))
-        assert v(0.25) == pytest.approx(FOUR_PI, rel=1e-10)
+        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
+        w = single_weight(params)
+        lam = w.peak
+        v = wl.distribution_of_profile(w.profile())
+        assert v(0.25 * lam) == pytest.approx(FOUR_PI, rel=1e-10)
         ts = np.linspace(0.05, 0.95, 25)
         expected = FOUR_PI * (ts ** (-consts.alpha_p) - 1.0)
-        assert np.allclose(v(ts), expected, rtol=1e-10)
-        assert v(1.0) == 0.0
-        assert v(1.7) == 0.0
+        assert np.allclose(v(ts * lam), expected, rtol=1e-10)
+        assert v(lam) == 0.0
+        assert v(1.7 * lam) == 0.0
 
     def test_indicator_profile(self):
         t0, s0 = 2.0, 0.3 / 0.7
@@ -165,8 +159,8 @@ class TestDistribution:
     def test_against_grid_measure(self):
         # Brute force: sum the hyperbolic area element 4 pi/(1-d)^2 dd over
         # the super-level set on a fine grid in d, where s = d/(1 - d).
-        _, consts = make(0.8, 3.0, 2.0, 1.0, 1.0)
-        prof = wl.single_profile(consts, 1.7, "Q")
+        # A SingleQ weight with lam = 1.734.
+        prof = single_weight(wl.ProblemParams(0.8, 3.0, 2.0, 3.0, 3.0)).profile()
         v = wl.distribution_of_profile(prof)
         d_grid = np.linspace(0.0, 1.0 - 1e-7, 400_001)
         mids = 0.5 * (d_grid[1:] + d_grid[:-1])
@@ -428,21 +422,18 @@ class TestMomentIdentities:
 
 
 class TestBoundEqualsIntegral:
-    def integral_of_G_of_v(self, params, consts, side):
-        lam = wl.single_bound(
-            params, consts, side, enforce_regime=False
-        ).lam
-        v = wl.distribution_of_profile(wl.single_profile(consts, lam, side))
+    def integral_of_G_of_v(self, params):
+        w = single_weight(params)
+        v = wl.distribution_of_profile(w.profile())
 
         def f(t):
             return wl.g_eval(float(v(t)), params.beta)
 
-        val, _ = integrate.quad(f, 0.0, lam, epsabs=1e-13, epsrel=1e-11, limit=300)
+        val, _ = integrate.quad(f, 0.0, w.peak, epsabs=1e-13, epsrel=1e-11, limit=300)
         return val
 
     def test_reference(self):
-        params, consts = make(0.5, 2.0, 4.0, 1.0, 1.0)
-        val = self.integral_of_G_of_v(params, consts, "P")
+        val = self.integral_of_G_of_v(wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0))
         assert val == pytest.approx(BOUND_P_REF, rel=1e-9)
 
     def test_random_instances(self):
@@ -451,5 +442,5 @@ class TestBoundEqualsIntegral:
             params, side = random_single_params(rng)
             consts = wl.derive_constants(params)
             closed = wl.single_bound(params, consts, side).bound
-            val = self.integral_of_G_of_v(params, consts, side)
+            val = self.integral_of_G_of_v(params)
             assert val == pytest.approx(closed, rel=1e-8)

@@ -16,7 +16,7 @@ EXPORTS = {
         "g_eval",
     ),
     "closed_form": (
-        "SingleConstraintResult", "distribution_of_profile", "single_bound", "single_profile",
+        "SingleConstraintResult", "distribution_of_profile", "single_bound",
     ),
     "solver": (
         "BoundReport", "Multipliers", "SolverError", "bound_integral", "compute_bound", "find_T",
@@ -42,7 +42,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Public definitions that nothing in src/, the demos or perfbench/ refers to,
 # kept on purpose.
 UNUSED_ON_PURPOSE = {
-    "single_profile": "the closed-form reference of acceptance criterion 2",
     "solve_multipliers": "the public dual entry point, which perfbench hooks by string",
 }
 

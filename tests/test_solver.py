@@ -63,8 +63,9 @@ class TestFindT:
             assert abs(resid) <= 1e-12
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            wl.find_T(0.0, 0.0, params_ref())
+        for lam1, lam2 in ((0.0, 0.0), (-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="nonnegative and not both zero"):
+                wl.find_T(lam1, lam2, params_ref())
 
 
 class TestUEval:

@@ -271,6 +271,18 @@ class TestOperatorNorm:
             assert res.norm <= ref_report.bound * 1.02
             assert res.norm < base - 1e-3 * ref_report.bound
 
+    def test_zero_weight_has_norm_zero(self, coarse_machine):
+        pgrid = coarse_machine.pgrid
+        res = wl.operator_norm(np.zeros((pgrid.x.size, pgrid.y.size)), coarse_machine)
+        assert res.norm == 0.0 and res.converged and res.iterations == 1
+
+    def test_iteration_cap_is_unconverged(self, coarse_machine, ref_params, ref_report, monkeypatch):
+        monkeypatch.setattr(verifier, "_POWER_MAX_ITER", 2)
+        F = sample_weight(weight_from_report(ref_params, ref_report), coarse_machine.pgrid)
+        res = wl.operator_norm(F, coarse_machine)
+        assert not res.converged
+        assert res.iterations == 2 and res.norm == res.history[-1] > 0.0
+
     def test_refinement_ladder_shrinks(self, ref_params, ref_report):
         rows = refinement_ladder(ref_params, ref_report, levels=3)
         defects = [r["defect"] for r in rows]

@@ -103,6 +103,19 @@ class TestPsiInverse:
             got = wl.psi_inverse(np.array([0.0, 1.0, math.inf]), m, ref_params)
             assert got[2] == 0.0 and got[0] == pytest.approx(m.T, rel=1e-12) and 0.0 < got[1] < got[0]
 
+    def test_flat_log_phi_stops_at_the_root(self):
+        # Over about 150 ulps of x = log t above the root, log phi rounds to
+        # one value just above log c, so each Newton step lowers x by one ulp
+        # only, too few steps to reach the root without the one-ulp stop.
+        # The 40-digit root is 1.00021228226262344.
+        params = wl.ProblemParams(
+            6.3205289956917525, 29.40647064643592, 31.759824746714745, 1.0, 0.9974175789633138
+        )
+        m = wl.compute_bound(params).multipliers()
+        s = 5.7306207524709585e-05
+        assert wl.psi_inverse(s, m, params) == 1.0002122822626234
+        assert wl.psi_inverse(np.array([0.0, s, 1.0]), m, params)[1] == 1.0002122822626234
+
     def test_single_multiplier_example(self):
         # forward(t) = t^(-1/2) - 1 at (beta, p, l1, l2) = (1/2, 2, 1, 0),
         # so psi(1) solves t^(-1/2) = 2.
@@ -289,13 +302,15 @@ class TestExports:
         path = tmp_path / "profile.csv"
         export_profile(dual_weight, str(path), n=64)
         rows = list(csv.reader(path.open()))
-        assert rows[0] == ["d", "abs_F"]
+        assert rows[0] == ["d", "magnitude", "t", "u"]
         assert len(rows) == 65
         mags = [float(r[1]) for r in rows[1:]]
         assert mags[0] == pytest.approx(dual_weight.peak, rel=1e-12)
         assert all(b <= a for a, b in zip(mags, mags[1:]))
         ds = np.linspace(0.0, 1.0, 64, endpoint=False)
-        expected = csv_text(("d", "abs_F"), ds, dual_weight.profile()(ds / (1.0 - ds)))
+        ts = np.linspace(dual_weight.peak / 64, dual_weight.peak, 64)
+        us = wl.u_eval(ts, dual_weight.mults, dual_weight.params)
+        expected = csv_text(("d", "magnitude", "t", "u"), ds, dual_weight.profile()(ds / (1.0 - ds)), ts, us)
         assert path.read_bytes() == expected.encode()
 
 
@@ -466,7 +481,7 @@ SINGLE_P = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
     "evaluate",
     [
         lambda s: wl.psi_inverse(s, wl.Multipliers(1.0, 0.5, 1.0), SINGLE_P),
-        lambda s: wl.single_profile(wl.derive_constants(SINGLE_P), 1.0, "P")(s),
+        lambda s: wl.weight_from_report(SINGLE_P, wl.compute_bound(SINGLE_P)).profile()(s),
         lambda t: wl.distribution_of_profile(lambda s: np.exp(-s))(t),
     ],
     ids=["psi_inverse", "single_profile", "distribution_of_profile"],
