@@ -202,9 +202,10 @@ class QuadratureError(RuntimeError):
     """A quadrature failed to reach the tolerance of the graded rule."""
 
 
-# _graded_rule halves its panels _PANELS times into each end of (0, 1]
-# (122 panels in all); the tolerances are those of _checked.
+# _graded_rule halves its panels _PANELS times into 0 and _PANELS_INTO_1
+# times into 1 (70 panels in all); the tolerances are those of _checked.
 _PANELS = 60
+_PANELS_INTO_1 = 8
 _REL_TOL = 1e-10
 _ABS_TOL = 1e-14
 
@@ -223,15 +224,18 @@ def _gauss_panels(los: np.ndarray, his: np.ndarray, nodes: int) -> tuple[np.ndar
 def _graded_rule(panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the graded Gauss rule on (0, 1].
 
-    Gauss-Legendre within each panel, with panel widths shrinking
-    geometrically into 0 and into 1.  The grading at 0 absorbs algebraic
-    behaviour with any exponent above -1; the grading at the far end
-    resolves the boundary layer of width 1/max(p, q) that a large
-    exponent carves there.  The arrays are shared, so they are read-only.
+    Gauss-Legendre within each panel, with panel widths halving ``panels``
+    times into 0 and ``_PANELS_INTO_1`` times into 1.  The grading at 0
+    absorbs algebraic behaviour with any exponent above -1.  Every integrand
+    is analytic at 1, where a large exponent carves a boundary layer of
+    width about 1/max(p, q), wider than 2^-6 for max(p, q) <= 61; on such an
+    integrand Gauss-Legendre converges geometrically on each panel, so 8
+    halvings resolve the layer and deeper ones add nothing.  The arrays are
+    shared, so they are read-only.
     """
-    down = 0.5 * 2.0 ** (-np.arange(panels + 1, dtype=float))
-    los = np.concatenate([down[1:], [0.0], 1.0 - down])
-    his = np.concatenate([down, 1.0 - down[1:], [1.0]])
+    down, up = (0.5 * 2.0 ** (-np.arange(n + 1, dtype=float)) for n in (panels, _PANELS_INTO_1))
+    los = np.concatenate([down[1:], [0.0], 1.0 - up])
+    his = np.concatenate([down, 1.0 - up[1:], [1.0]])
     pts, wts = _gauss_panels(los, his, nodes)
     pts.flags.writeable = False
     wts.flags.writeable = False

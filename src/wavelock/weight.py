@@ -100,9 +100,11 @@ def psi_inverse(s, m: Multipliers, params: ProblemParams):
     Solves (l1 t^(p-1) + l2 t^(q-1))^(-1/(2 beta+1)) - 1 = s, the
     monotone form phi(t) = (1 + s)^(-(2 beta + 1)), by the solver's
     log-space Newton inversion, which stops each element of an array at its
-    own rounding floor: an element's value does not depend on the array it
-    comes in.  It takes log c = -(2 beta + 1) log1p(s), since c itself
-    underflows to 0 for large s.
+    own rounding floor.  A scalar s runs the float loop (math's exp and
+    log1p) and an array numpy's, so the same s can give values a few ulps
+    apart: at most 4 eps (8.9e-16) relative on the test samplers' weights.
+    It takes log c = -(2 beta + 1) log1p(s), since c itself underflows to 0
+    for large s.
     The result is capped at T, the value at s = 0.  At s = inf it is
     psi's limit 0; only the finite s are inverted.
     """

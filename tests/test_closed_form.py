@@ -233,16 +233,41 @@ class _CountingProfile:
         return self.calls - 2
 
 
+def _assert_valid_brackets(profile, levels, got, msg=None):
+    """Each got is 4 pi sigma for a double sigma that closes its level's
+    bracket: the profile lies above the level just below sigma and not above
+    it at sigma.  Every double sigma with 4 pi sigma rounding to got is tried."""
+    near = (got / FOUR_PI).view(np.int64)
+    valid = np.zeros(levels.shape, dtype=bool)
+    for k in (-1, 0, 1):
+        sigma = (near + k).view(np.float64)
+        below = np.nextafter(sigma, 0.0)
+        valid |= (FOUR_PI * sigma == got) & (profile(below) > levels) & (profile(sigma) <= levels)
+    assert np.all(valid), msg
+
+
 class TestBisectionFixedPoint:
     def test_equals_the_63_halving_loop(self, ref_params, ref_report):
-        for profile, peak in _test_profiles(ref_params, ref_report):
+        for i, (profile, peak) in enumerate(_test_profiles(ref_params, ref_report)):
             levels = np.concatenate([
                 [0.0, 5e-324, 1e-300, 1e-12 * peak],
                 np.linspace(0.01, 0.99, 60) * peak,
                 [peak, np.nextafter(peak, np.inf), 1.5 * peak + 1.0, 1e300],
             ])
             v = wl.distribution_of_profile(profile)
-            assert np.array_equal(v(levels), _bisected_63(profile, levels))
+            got, loop = v(levels), _bisected_63(profile, levels)
+            if i == 0:
+                # The reference dual weight: psi_inverse need not be monotone
+                # at the last bit of its multipliers, so the search and the
+                # loop may close different valid brackets (as on the wide
+                # domain below); where the set is empty both read 0.
+                inside = loop > 0.0
+                assert np.array_equal(got[~inside], loop[~inside])
+                assert np.all(np.abs(got[inside] / loop[inside] - 1.0) <= 1e-14)
+                for closed in (got, loop):
+                    _assert_valid_brackets(profile, levels[inside], closed[inside])
+            else:
+                assert np.array_equal(got, loop)
             for t in (0.0, 0.37 * peak, peak):
                 got = v(t)
                 assert np.ndim(got) == 0
@@ -298,14 +323,7 @@ class TestBisectionFixedPoint:
             levels = np.linspace(0.01, 0.99, 200) * report.T
             got = wl.distribution_of_profile(profile)(levels)
             assert np.all(np.abs(got / _bisected_63(profile, levels) - 1.0) <= 1e-14), params
-            # got is 4 pi sigma; every double rounding to it is tried as sigma.
-            near = (got / FOUR_PI).view(np.int64)
-            valid = np.zeros(levels.shape, dtype=bool)
-            for k in (-1, 0, 1):
-                sigma = (near + k).view(np.float64)
-                below = np.nextafter(sigma, 0.0)
-                valid |= (FOUR_PI * sigma == got) & (profile(below) > levels) & (profile(sigma) <= levels)
-            assert np.all(valid), params
+            _assert_valid_brackets(profile, levels, got, params)
 
     def test_levels_without_a_bracket_take_no_halving(self):
         counter = _CountingProfile(_indicator())

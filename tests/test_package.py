@@ -3,10 +3,12 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
 import wavelock as wl
+from wavelock import core
 
 # Every name `wavelock` exports, with the submodule that defines it.
 EXPORTS = {
@@ -104,3 +106,15 @@ def test_every_public_definition_has_a_caller():
             read |= _names_read(node) - own
     unused = {name for name in defined if name.split(".")[1] not in read}
     assert {name.split(".")[1] for name in unused} == set(UNUSED_ON_PURPOSE), sorted(unused)
+
+
+def test_readme_states_the_graded_rule():
+    # The README's description of the rule has gone stale before; its panel
+    # counts must be the ones core builds.
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(r"panels halving (\d+) times into 0 and (\d+) times into 1 \((\d+) panels in all\), "
+                      r"16 Gauss nodes per panel, checked against 8 nodes per panel", text)
+    assert found, "the README's sentence on the graded rule is missing or reworded"
+    into_0, into_1, panels = map(int, found.groups())
+    assert (into_0, into_1) == (core._PANELS, core._PANELS_INTO_1)
+    assert panels == len(core._graded_rule(core._PANELS, 16)[0]) // 16 == len(core._graded_rule(core._PANELS, 8)[0]) // 8

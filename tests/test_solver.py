@@ -646,6 +646,31 @@ class TestNewtonDual:
         assert len(passes) <= 10
 
 
+class TestGradedRule:
+    def test_trimmed_rule_meets_a_finer_rule_on_a_near_diagonal_tiny_draw(self, monkeypatch):
+        # Draw 447 of tiny_budget_dual_params(default_rng(0)), |q - p| = 0.002.
+        # The rule halving 60 times into 1 as well left lambda1 2.97e-7 from
+        # the reference; halving 8 times into 1 it is 3.6e-12 away.
+        params = wl.ProblemParams(
+            0.7875912613564897, 42.13111303219707, 42.12895015955473, 5.556326632305301e-08, 5.5563513333109366e-08
+        )
+        assert len(core._graded_rule(core._PANELS, 16)[0]) == 1120  # (61 + 9) panels of 16 nodes
+        got = wl.compute_bound(params)
+        # The reference: 32 nodes per panel checked against 16, 60 halvings into each end.
+        build = core._graded_rule.__wrapped__  # uncached, so the shared rules stay as they are
+        monkeypatch.setattr(core, "_PANELS_INTO_1", core._PANELS)
+        for module in (core, solver):
+            monkeypatch.setattr(module, "_graded_rule", lambda panels, nodes: build(panels, 2 * nodes))
+        core._graded_log_nodes.cache_clear()
+        try:
+            ref = wl.compute_bound(params)
+        finally:
+            core._graded_log_nodes.cache_clear()
+        assert len(build(core._PANELS, 16)[0]) == 1952
+        for lam, want in ((got.lambda1, ref.lambda1), (got.lambda2, ref.lambda2)):
+            assert abs(lam / want - 1.0) <= 1e-10
+
+
 # (beta, p, q), lambda1, lambda2 -> T, frozen from the bracketed brentq
 # root finder that the log-space Newton inversion replaced.  The
 # multipliers are the dual solutions of the reference, three interior
