@@ -16,7 +16,9 @@ to within the descent's residual.  Dividing s by its budget load, when
 that exceeds 1, makes it feasible; since G is concave with G(0) = 0,
 G(s/L) >= G(s)/L, so this costs at most that residual.  The best of these
 points is the discrete answer.  Convergence is certified, not assumed: by
-the relative gap between the lowest D and that point's objective.
+the relative gap between the lowest D and that point's objective.  The
+same gap ends the solve early: a second descent over both multipliers
+starts only where the first has not closed it to rounding.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
+def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, point=None):
     """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
 
     The others stay at zero.  The step runs on Python floats: the explicit
@@ -233,14 +235,16 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int):
     optimum then lies within rounding of the face that the other seed
     descends, and further steps would only shrink that multiplier toward
     underflow.  Returns the final multipliers, the dual there (value,
-    gradient, Hessian, maximiser) and the steps taken.
+    gradient, Hessian, maximiser) and the steps taken.  ``point``, where
+    given, is the dual at ``mu``: a joint descent starts at its face
+    descent's final point, evaluated already.
     """
     (f1, f2), (c1, c2) = free, caps.tolist()
 
     def residual(grad):
         return max(abs(grad[0]) / c1 if f1 else 0.0, abs(grad[1]) / c2 if f2 else 0.0)
 
-    point = dual(mu)
+    point = dual(mu) if point is None else point
     for step in range(max_steps):
         (m1, m2), (value, grad, hess, _) = mu, point
         (h11, h12), (_, h22) = hess.tolist()
@@ -303,12 +307,15 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     face minimiser at which the other constraint holds (its dual gradient is
     >= 0) satisfies the KKT conditions and so minimises D over the whole
     quadrant.  When the other constraint is violated at both, the optimum
-    prices both constraints and both descents continue over the two
-    multipliers.  The lowest D reached bounds every feasible objective from
-    above; the primal answer is the best of the descents' maximisers s(mu),
-    each divided by its budget load max(a.s/A^p, b.s/B^q) when that exceeds
-    1.  Taking the two separately matters where D is flat in a multiplier
-    near zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
+    prices both constraints: the descent continues over the two multipliers
+    from the (mu1*, 0) face minimiser, and from the (0, mu2*) one only if
+    the lowest D and the best objective so far are not yet within rounding
+    (64 eps relative) of each other.  The lowest D reached bounds every
+    feasible objective from above; the primal answer is the best of the
+    maximisers s(mu) the descents end at, each divided by its budget load
+    max(a.s/A^p, b.s/B^q) when that exceeds 1.  Taking the two separately
+    matters where D is flat in a multiplier near zero.  ``converged`` means
+    certified: (D - obj)/obj <= 1e-6.
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
     evaluations of D, line-search and expansion trials included.  The rows,
@@ -327,17 +334,26 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         evaluations += 1
         return _dual(m, *terms)
 
+    def scaled(descent):
+        s = descent[1][3]
+        load = float(np.max(rows @ s / caps))
+        z = s / load if load > 1.0 else s
+        return float(g_eval(z, beta) @ dt), z
+
     descents = [_descend(seed, (seed[0] > 0.0, seed[1] > 0.0), dual, caps, max_iter)
                 for seed in ((1.0, 0.0), (0.0, 1.0))]
+    candidates = [scaled(descent) for descent in descents]
     if all(point[1][1 - face] < 0.0 for face, (_, point, _) in enumerate(descents)):
-        descents += [_descend(mu, (True, True), dual, caps, max_iter) for mu, _, _ in descents]
+        for mu, point, _ in descents[:2]:
+            descents.append(_descend(mu, (True, True), dual, caps, max_iter, point))
+            candidates.append(scaled(descents[-1]))
+            lowest, best = min(d[1][0] for d in descents), max(c[0] for c in candidates)
+            if lowest - best <= _ROUNDOFF * best:
+                break
     newton_steps = [steps for *_, steps in descents]
     mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
     obj = -np.inf
-    for _, (*_, s), _ in descents:
-        load = float(np.max(rows @ s / caps))
-        z = s / load if load > 1.0 else s
-        obj_z = float(g_eval(z, beta) @ dt)
+    for obj_z, z in candidates:
         if obj_z > obj:
             v, obj = z, obj_z
     if obj == -np.inf:

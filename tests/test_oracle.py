@@ -41,6 +41,18 @@ def near_threshold_params(rng: np.random.Generator) -> wl.ProblemParams:
             return wl.ProblemParams(beta, p, q, 1.0, c.r2 * (1.0 - delta))
 
 
+def descent_starts(monkeypatch) -> list:
+    """Patch ``oracle._descend`` to record the multipliers each descent starts from."""
+    starts, real_descend = [], oracle._descend
+
+    def descend(mu, *args):
+        starts.append(mu)
+        return real_descend(mu, *args)
+
+    monkeypatch.setattr(oracle, "_descend", descend)
+    return starts
+
+
 def criterion_5_instances():
     rng = np.random.default_rng(5)
     ref = wl.ProblemParams(beta=0.5, p=2.0, q=4.0, A=1.0, B=0.4)
@@ -264,9 +276,51 @@ class TestCertificate:
         sol = solve_discrete(prob)
         evaluations = sol.diagnostics["dual_evaluations"]
         assert evaluations == counts["_dual"]
-        # one evaluation at each seed and at least one per Newton step
-        assert evaluations >= sol.iterations + counts["_descend"]
-        assert counts["_descend"] == 4  # both faces, then both over the quadrant
+        # one evaluation at each face seed and at least one per Newton step;
+        # a joint descent starts from its face's final point, evaluated already
+        assert evaluations >= sol.iterations + 2
+        assert counts["_descend"] == 3  # both faces, then the quadrant from (mu1*, 0)
+
+    def test_first_joint_descent_closing_the_gap_ends_the_solve(
+        self, ref_params, ref_report, monkeypatch
+    ):
+        # The descent from the (mu1*, 0) face brings the lowest D within
+        # rounding of the best scaled objective, so the one from (0, mu2*) is
+        # not started.  The values are those of the solve that still ran it.
+        starts = descent_starts(monkeypatch)
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        assert len(starts) == 3
+        assert starts[2] == (pytest.approx(0.0814, rel=1e-3), 0.0)
+        assert sol.converged
+        assert sol.objective == pytest.approx(0.14163124245023956, rel=1e-14)
+        assert sol.diagnostics["dual_value"] == pytest.approx(0.14163124245023953, rel=1e-14)
+        assert sol.diagnostics["dual_multipliers"] == pytest.approx(
+            (0.016013035445537664, 1.0703723298649788), rel=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # near_threshold_dual_params(default_rng(17)), draw 56
+            wl.ProblemParams(
+                0.9894191058196213, 4.2773682362730305, 1.9092448367423884, 1.0, 3.134805853194568
+            ),
+            # wide_dual_params(default_rng(7)), draw 19
+            wl.ProblemParams(
+                2.7014306697989405, 41.536341515862254, 7.848202577129077, 1.0, 1.3089493348991776
+            ),
+        ],
+        ids=["near-threshold", "wide"],
+    )
+    def test_second_joint_descent_runs_where_the_first_leaves_a_gap(self, params, monkeypatch):
+        # Stopped after the joint descent from (mu1*, 0), these solves would
+        # end uncertified, at relative gaps of 1.2e-4 and 7.5e-2.
+        starts = descent_starts(monkeypatch)
+        _, sol = run_oracle(params, t_max=2.0 * wl.compute_bound(params).T)
+        assert len(starts) == 4
+        assert sol.converged
+        assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
     @pytest.mark.parametrize(
         "params, objective",
@@ -422,7 +476,7 @@ class TestLogging:
         assert records[0].name == "wavelock.oracle"
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
-        assert "4 descents" in message
+        assert "3 descents" in message
         steps = re.search(r"Newton steps \[([\d, ]+)\]", message).group(1)
         assert sum(int(n) for n in steps.split(",")) == sol.iterations
         assert f"{sol.diagnostics['dual_evaluations']} dual evaluations" in message
