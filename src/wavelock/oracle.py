@@ -17,8 +17,9 @@ that exceeds 1, makes it feasible; since G is concave with G(0) = 0,
 G(s/L) >= G(s)/L, so this costs at most that residual.  The best of these
 points is the discrete answer.  Convergence is certified, not assumed: by
 the relative gap between the lowest D and that point's objective.  The
-same gap ends the solve early: a second descent over both multipliers
-starts only where the first has not closed it to rounding.
+same gap ends the solve early: the face whose seed has the lower D is
+descended first, and the solve stops at the first descent that closes the
+gap to rounding, which in a single regime is that face's own.
 """
 
 from __future__ import annotations
@@ -169,8 +170,14 @@ def _dual(
         return math.nan, caps * math.nan, np.full((2, 2), math.nan), rho * math.nan
     r = np.minimum(rho, 1.0)
     x = r ** (-1.0 / (2.0 * beta + 1.0))
-    s = FOUR_PI * (x - 1.0)
-    value = float(dt @ (1.0 - r * x - 2.0 * beta * r * (x - 1.0)))
+    x_1 = x - 1.0
+    s = FOUR_PI * x_1
+    bracket = r * x  # 1 - r x - 2 beta r (x - 1), in place and in that order
+    np.subtract(1.0, bracket, out=bracket)
+    paid = (2.0 * beta) * r
+    paid *= x_1
+    bracket -= paid
+    value = float(dt @ bracket)
     value += float(mu[0] * caps[0] + mu[1] * caps[1])
     grad = caps - rows @ s
     k = (FOUR_PI / (2.0 * beta + 1.0)) * x
@@ -210,7 +217,7 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, point=None):
+def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
     """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
 
     The others stay at zero.  The step runs on Python floats: the explicit
@@ -235,16 +242,16 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, poi
     optimum then lies within rounding of the face that the other seed
     descends, and further steps would only shrink that multiplier toward
     underflow.  Returns the final multipliers, the dual there (value,
-    gradient, Hessian, maximiser) and the steps taken.  ``point``, where
-    given, is the dual at ``mu``: a joint descent starts at its face
-    descent's final point, evaluated already.
+    gradient, Hessian, maximiser) and the steps taken.  ``point`` is the
+    dual at ``mu``, evaluated already: a face descent starts at its seed's,
+    which ordered the faces, and a joint descent at its face descent's
+    final point.
     """
     (f1, f2), (c1, c2) = free, caps.tolist()
 
     def residual(grad):
         return max(abs(grad[0]) / c1 if f1 else 0.0, abs(grad[1]) / c2 if f2 else 0.0)
 
-    point = dual(mu) if point is None else point
     for step in range(max_steps):
         (m1, m2), (value, grad, hess, _) = mu, point
         (h11, h12), (_, h22) = hess.tolist()
@@ -302,28 +309,32 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     """Maximise the discrete problem through its explicit dual, certified by the gap.
 
     D(mu) is minimised by damped Newton steps on Python floats from
-    constant seeds only: a unit multiplier on each face, first (1, 0) and
-    then (0, 1), each descended with the other multiplier held at zero.  A
-    face minimiser at which the other constraint holds (its dual gradient is
-    >= 0) satisfies the KKT conditions and so minimises D over the whole
-    quadrant.  When the other constraint is violated at both, the optimum
-    prices both constraints: the descent continues over the two multipliers
-    from the (mu1*, 0) face minimiser, and from the (0, mu2*) one only if
-    the lowest D and the best objective so far are not yet within rounding
-    (64 eps relative) of each other.  The lowest D reached bounds every
-    feasible objective from above; the primal answer is the best of the
-    maximisers s(mu) the descents end at, each divided by its budget load
-    max(a.s/A^p, b.s/B^q) when that exceeds 1.  Taking the two separately
-    matters where D is flat in a multiplier near zero.  ``converged`` means
-    certified: (D - obj)/obj <= 1e-6.
+    constant seeds only: a unit multiplier on each face, (1, 0) and (0, 1),
+    each descended with the other multiplier held at zero, the face whose
+    seed has the lower D first ((1, 0) on a tie).  A face minimiser at which
+    the other constraint holds (its dual gradient is >= 0) satisfies the
+    KKT conditions and so minimises D over the whole quadrant.  Where the
+    other constraint is violated, the optimum may price both: the descent
+    continues over the two multipliers from that face minimiser before the
+    next face is descended.  After every descent the solve stops once the
+    lowest D and the best objective so far are within rounding (64 eps
+    relative) of each other; where that never happens, all four descents
+    run.  The lowest D reached bounds every feasible objective from above;
+    the primal answer is the best of the maximisers s(mu) the descents end
+    at, each divided by its budget load max(a.s/A^p, b.s/B^q) when that
+    exceeds 1.  Taking the two separately matters where D is flat in a
+    multiplier near zero.  ``converged`` means certified: (D - obj)/obj <=
+    1e-6.
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
     evaluations of D, line-search and expansion trials included.  The rows,
     their prices and the budgets are formed once (``_dual_terms``), which
     raises OracleError where a row underflows to 0; so does a solve whose
-    descents all end at a nan objective.  One DEBUG record on the
-    ``wavelock.oracle`` logger gives the descents, the Newton steps of each,
-    the dual evaluations and the relative gap.
+    descents all end at a nan objective.  diagnostics["descents"] lists
+    each descent in run order as (start mu, free flags, Newton steps).  One
+    DEBUG record on the ``wavelock.oracle`` logger gives the face that ran
+    first, the descents, the Newton steps of each, the dual evaluations and
+    the relative gap.
     """
     terms = _dual_terms(prob)
     rows, prices, dt, caps, beta = terms
@@ -340,16 +351,24 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         z = s / load if load > 1.0 else s
         return float(g_eval(z, beta) @ dt), z
 
-    descents = [_descend(seed, (seed[0] > 0.0, seed[1] > 0.0), dual, caps, max_iter)
-                for seed in ((1.0, 0.0), (0.0, 1.0))]
-    candidates = [scaled(descent) for descent in descents]
-    if all(point[1][1 - face] < 0.0 for face, (_, point, _) in enumerate(descents)):
-        for mu, point, _ in descents[:2]:
-            descents.append(_descend(mu, (True, True), dual, caps, max_iter, point))
-            candidates.append(scaled(descents[-1]))
-            lowest, best = min(d[1][0] for d in descents), max(c[0] for c in candidates)
-            if lowest - best <= _ROUNDOFF * best:
-                break
+    seeds = ((1.0, 0.0), (0.0, 1.0))
+    starts = [dual(seed) for seed in seeds]
+    descents, candidates, runs = [], [], []
+
+    def certified_by(mu, free, point):
+        descents.append(_descend(mu, free, dual, caps, max_iter, point))
+        candidates.append(scaled(descents[-1]))
+        runs.append((mu, free, descents[-1][2]))
+        lowest, best = min(d[1][0] for d in descents), max(c[0] for c in candidates)
+        return lowest - best <= _ROUNDOFF * best
+
+    order = sorted((0, 1), key=lambda face: starts[face][0])  # stable: (1, 0) first on a tie
+    for face in order:
+        if certified_by(seeds[face], (face == 0, face == 1), starts[face]):
+            break
+        mu, point, _ = descents[-1]
+        if point[1][1 - face] < 0.0 and certified_by(mu, (True, True), point):
+            break
     newton_steps = [steps for *_, steps in descents]
     mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
     obj = -np.inf
@@ -369,8 +388,9 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     excess = np.maximum(used - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
     _log.debug(
-        "discrete dual solve: %d descents, Newton steps %s, %d dual evaluations, relative gap %.3e",
-        len(descents), newton_steps, evaluations, gap,
+        "discrete dual solve: the %s face first, %d descents, Newton steps %s, %d dual evaluations, "
+        "relative gap %.3e",
+        seeds[order[0]], len(descents), newton_steps, evaluations, gap,
     )
     if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
@@ -383,6 +403,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         "dual_value": dual_value,
         "dual_multipliers": mu_dual,
         "dual_evaluations": evaluations,
+        "descents": runs,
     }
     return DiscreteSolution(
         v=v,

@@ -157,31 +157,27 @@ class TestSolveDiscrete:
         assert sol.objective < float(np.sum(prob.dt))
         assert sol.objective == pytest.approx(float(np.sum(prob.dt)), rel=1e-10)
 
-    def test_face_descent_steps_in_log_mu(self, ref_params, ref_report, monkeypatch):
+    def test_face_descent_steps_in_log_mu(self, ref_params, ref_report):
         # From the seed (1, 0) the damped Newton step in mu is d = -75, which
         # leaves the quadrant.  Followed along mu exp(t d/mu) it reached the
         # e^40 cap, mu1 = 4.2e-18, and 20 evaluations climbed back to the face
         # optimum mu1 = 0.0814; Newton's step in log mu lands near it instead.
-        seeds, seen = [], []
-        real_descend, real_dual = oracle._descend, oracle._dual
-
-        def descend(mu, *args):
-            seeds.append(mu)
-            return real_descend(mu, *args)
-
-        def dual(mu, *args):
-            seen.append((len(seeds), tuple(mu)))
-            return real_dual(mu, *args)
-
-        monkeypatch.setattr(oracle, "_descend", descend)
-        monkeypatch.setattr(oracle, "_dual", dual)
+        # The reference's solve no longer descends this face (its (0, 1) seed
+        # has the lower D), so the descent is driven from the seed directly.
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
-        sol = solve_discrete(prob)
-        assert sol.converged
-        assert seeds[0] == (1.0, 0.0)
-        face = [mu for descent, mu in seen if descent == 1]
-        assert min(mu1 for mu1, _ in face) >= 1e-3
-        assert face[-1] == (pytest.approx(0.0814, rel=1e-3), 0.0)
+        terms = oracle._dual_terms(prob)
+        seen = []
+
+        def dual(mu):
+            seen.append(tuple(mu))
+            return _dual(mu, *terms)
+
+        seed = (1.0, 0.0)
+        mu, point, _ = oracle._descend(seed, (True, False), dual, terms[3], 100, dual(seed))
+        assert min(mu1 for mu1, _ in seen) >= 1e-3
+        assert seen[-1] == (pytest.approx(0.0814, rel=1e-3), 0.0)
+        assert mu == (pytest.approx(0.0814, rel=1e-3), 0.0)
+        assert point[1][1] < 0.0  # the face minimiser violates the q-budget
 
     def test_huge_budgets_certify_at_the_default_step_cap(self):
         # D is close to mu . caps here, so Newton's step in log mu moves mu by
@@ -279,25 +275,64 @@ class TestCertificate:
         # one evaluation at each face seed and at least one per Newton step;
         # a joint descent starts from its face's final point, evaluated already
         assert evaluations >= sol.iterations + 2
-        assert counts["_descend"] == 3  # both faces, then the quadrant from (mu1*, 0)
+        assert counts["_descend"] == 2  # the (0, 1) face, then the quadrant from (0, mu2*)
 
     def test_first_joint_descent_closing_the_gap_ends_the_solve(
         self, ref_params, ref_report, monkeypatch
     ):
-        # The descent from the (mu1*, 0) face brings the lowest D within
-        # rounding of the best scaled objective, so the one from (0, mu2*) is
-        # not started.  The values are those of the solve that still ran it.
+        # D is lower at the seed (0, 1) than at (1, 0), so that face runs
+        # first; the joint descent from its minimiser brings the lowest D
+        # within rounding of the best scaled objective, and the (1, 0) face is
+        # never descended.  The values are those of the solve that still ran
+        # all four descents.
         starts = descent_starts(monkeypatch)
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
-        assert len(starts) == 3
-        assert starts[2] == (pytest.approx(0.0814, rel=1e-3), 0.0)
+        assert len(starts) == 2
+        assert starts[0] == (0.0, 1.0)
+        assert starts[1] == (0.0, pytest.approx(1.414, rel=1e-3))
         assert sol.converged
         assert sol.objective == pytest.approx(0.14163124245023956, rel=1e-14)
         assert sol.diagnostics["dual_value"] == pytest.approx(0.14163124245023953, rel=1e-14)
         assert sol.diagnostics["dual_multipliers"] == pytest.approx(
             (0.016013035445537664, 1.0703723298649788), rel=1e-14
         )
+
+    def test_reference_certifies_within_24_evaluations(self, ref_params, ref_report):
+        # 29 before the lower seed's face ran first, 46 before the first
+        # certified joint descent ended the solve.
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        assert sol.converged
+        assert sol.diagnostics["dual_evaluations"] <= 24
+
+    def test_descents_are_listed_in_run_order(self, ref_params, ref_report, monkeypatch):
+        starts = descent_starts(monkeypatch)
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        descents = sol.diagnostics["descents"]
+        assert [mu for mu, *_ in descents] == starts
+        assert [free for _, free, _ in descents] == [(False, True), (True, True)]
+        assert sum(steps for *_, steps in descents) == sol.iterations
+
+    @pytest.mark.parametrize(
+        "params, face",
+        [
+            (wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2), (0.0, 1.0)),
+            (wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0), (1.0, 0.0)),
+        ],
+        ids=["SingleQ", "SingleP"],
+    )
+    def test_single_regime_certifies_after_one_descent(self, params, face, monkeypatch):
+        # One budget is inactive at the optimum: the face of the active one
+        # has the lower D at its seed, and its minimiser meets the other
+        # budget and closes the gap.
+        starts = descent_starts(monkeypatch)
+        _, sol = run_oracle(params)
+        assert starts == [face]
+        assert len(sol.diagnostics["descents"]) == 1
+        assert sol.converged
+        assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
     @pytest.mark.parametrize(
         "params",
@@ -370,7 +405,9 @@ class TestCertificate:
         # The (0, 1) face descent chases mu2 -> 0 here (B^q ~ 2.6e37), until
         # mu . prices underflows to 0 at deep nodes and D is nan; that descent
         # took 4 666 of 4 689 dual evaluations.  It now ends at the first such
-        # trial, with the same answer.
+        # trial, with the same answer; and since the (1, 0) seed has the lower
+        # D and its face certifies, that descent no longer runs (37
+        # evaluations while it did).
         params = wl.ProblemParams(
             0.06807039803611685, 21.923613374766816, 61.243458071553654,
             2.6354074314180034, 4.083572726376347,
@@ -379,7 +416,7 @@ class TestCertificate:
             warnings.simplefilter("always", RuntimeWarning)
             _, sol = run_oracle(params)
         assert sol.converged
-        assert sol.diagnostics["dual_evaluations"] <= 100
+        assert sol.diagnostics["dual_evaluations"] <= 24
         assert sol.objective == pytest.approx(1.5562883842545392, rel=1e-14)
         messages = [str(w.message) for w in seen]
         assert not [m for m in messages if "divide by zero" in m or "invalid value" in m], messages
@@ -476,7 +513,7 @@ class TestLogging:
         assert records[0].name == "wavelock.oracle"
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
-        assert "3 descents" in message
+        assert "the (0.0, 1.0) face first, 2 descents" in message
         steps = re.search(r"Newton steps \[([\d, ]+)\]", message).group(1)
         assert sum(int(n) for n in steps.split(",")) == sol.iterations
         assert f"{sol.diagnostics['dual_evaluations']} dual evaluations" in message

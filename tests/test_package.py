@@ -8,7 +8,7 @@ import re
 import pytest
 
 import wavelock as wl
-from wavelock import core
+from wavelock import core, oracle
 
 # Every name `wavelock` exports, with the submodule that defines it.
 EXPORTS = {
@@ -118,3 +118,17 @@ def test_readme_states_the_graded_rule():
     into_0, into_1, panels = map(int, found.groups())
     assert (into_0, into_1) == (core._PANELS, core._PANELS_INTO_1)
     assert panels == len(core._graded_rule(core._PANELS, 16)[0]) // 16 == len(core._graded_rule(core._PANELS, 8)[0]) // 8
+
+
+def test_readme_states_the_oracle_counts(ref_params, ref_report):
+    # The README's reference counts for the oracle have gone stale before;
+    # they must be the ones solve_discrete reports.
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(r"on the reference the solve takes (\d+) descents and (\d+) evaluations in (\d+) steps", text)
+    assert found, "the README's sentence on the oracle's reference counts is missing or reworded"
+    prob = oracle.DiscreteProblem.log_spaced(ref_params, t_max=2.0 * ref_report.T, n=2000)
+    sol = oracle.solve_discrete(prob)
+    descents, evaluations, steps = map(int, found.groups())
+    assert (descents, evaluations, steps) == (
+        len(sol.diagnostics["descents"]), sol.diagnostics["dual_evaluations"], sol.iterations
+    )
