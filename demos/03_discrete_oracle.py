@@ -3,10 +3,10 @@
 The discrete oracle maximizes the same objective over profiles sampled on
 a log grid, subject to the two discretized moment constraints.  It
 minimises the explicit Lagrangian dual of the discrete problem by Newton
-steps from constant seeds, in log mu where a step in mu would leave the
-quadrant, and certifies the feasible point it reads off to a relative
-duality gap of 1e-6.  It shares no machinery with the analytic solution,
-so agreement is meaningful evidence.
+steps in log mu from constant seeds, one descent over the quadrant
+mu >= 0 per seed, and certifies the feasible point it reads off to a
+relative duality gap of 1e-6.  It shares no machinery with the analytic
+solution, so agreement is meaningful evidence.
 """
 
 import numpy as np

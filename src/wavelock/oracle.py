@@ -10,16 +10,16 @@ The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
 and bounds every feasible objective from above; each evaluation is one
 pass over the nodes against rows and prices formed once per problem.
-Damped Newton minimises it, stepping in log mu where the step in mu would
-leave the quadrant, and each maximiser s(mu) it reaches meets both budgets
-to within the descent's residual.  Dividing s by its budget load, when
-that exceeds 1, makes it feasible; since G is concave with G(0) = 0,
-G(s/L) >= G(s)/L, so this costs at most that residual.  The best of these
-points is the discrete answer.  Convergence is certified, not assumed: by
-the relative gap between the lowest D and that point's objective.  The
-same gap ends the solve early: the face whose seed has the lower D is
-descended first, and the solve stops at the first descent that closes the
-gap to rounding, which in a single regime is that face's own.
+Damped Newton in log mu minimises it over the quadrant mu >= 0, with an
+active set of the multipliers held at the boundary (Bertsekas 1982), and
+each maximiser s(mu) it reaches meets both budgets to within the descent's
+residual.  Dividing s by its budget load, when that exceeds 1, makes it
+feasible; since G is concave with G(0) = 0, G(s/L) >= G(s)/L, so this
+costs at most that residual.  The best of these points is the discrete
+answer.  Convergence is certified, not assumed: by the relative gap
+between the lowest D and that point's objective.  The same gap ends the
+solve early: the seed with the lower D is descended first, and the other
+only where that descent leaves the gap open.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ _GAP_TOL = 1e-6  # relative duality gap that certifies convergence
 _ARMIJO = 1e-4  # sufficient-decrease fraction of a dual Newton step
 _HALVINGS = 60  # backtracking halvings before a dual descent gives up
 _MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
-_COLLAPSE = 1e-30  # share of mu . caps below which a multiplier has collapsed to 0
+_EXPAND = 0.9  # a first trial that shrinks a multiplier by e^0.9 or more doubles t
+_COLLAPSE = 1e-30  # share of mu . caps below which a multiplier is frozen
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
 _MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
 
@@ -190,26 +191,26 @@ def _dual(
 
 
 def _advance(m: float, d: float, t: float) -> float:
-    """A multiplier a step t along d: m exp(t d/m) when m > 0, m + t d when m = 0.
+    """A multiplier a step t along d: m exp(t d/m) when m > 0, max(t d, 0) when m = 0.
 
     A positive multiplier moves multiplicatively, with velocity d at t = 0,
     so it never crosses zero however far the line search reaches; a zero
-    multiplier opens linearly.
+    multiplier opens linearly and is clamped at zero.
     """
-    return m * math.exp(t * d / m) if m > 0.0 else m + t * d
+    return m * math.exp(t * d / m) if m > 0.0 else max(t * d, 0.0)
 
 
 def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     """Newton's step in eta = log mu for the positive multipliers, as a velocity in mu.
 
-    Its gradient is mu g and its Hessian diag(mu) H diag(mu) + diag(mu g); a
-    zero or held multiplier stays linear.  Returns None where that Hessian is
-    not positive definite.
+    Its gradient is mu g and its Hessian diag(mu) H diag(mu) + diag(mu g),
+    with the diag(mu g) term clipped at 0, so the step descends wherever H
+    is positive definite; a zero multiplier stays linear.  Returns None
+    where the clipped Hessian is not positive definite.
     """
     s1, s2 = (m if m > 0.0 else 1.0 for m in (m1, m2))
     e1, e2 = s1 * g1, s2 * g2
-    k11 = s1 * s1 * h11 + (e1 if m1 > 0.0 else 0.0)
-    k22 = s2 * s2 * h22 + (e2 if m2 > 0.0 else 0.0)
+    k11, k22 = s1 * s1 * h11 + max(e1, 0.0), s2 * s2 * h22 + max(e2, 0.0)
     k12 = s1 * s2 * h12
     det = k11 * k22 - k12 * k12
     if not (k11 > 0.0 and det > 0.0):
@@ -217,37 +218,33 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
-    """Damped Newton descent of the convex dual over the multipliers flagged ``free``.
+def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
+    """Damped Newton descent of the convex dual over the quadrant mu >= 0.
 
-    The others stay at zero.  The step runs on Python floats: the explicit
-    2x2 Newton solve, with the identity in place of a held multiplier's
-    Hessian row and 0 for its gradient, which leaves the 1x1 solve on a
-    face.  Where that step would carry a positive multiplier to or past zero,
-    Newton's step in eta = log mu (``_log_newton``) replaces it: the path
-    below already moves those multipliers in eta, and Newton's method is
-    affine-invariant, so the step suits the path, whereas a step in mu that
-    leaves the quadrant says little about how far to go (Boyd & Vandenberghe
-    2004, section 9.5).  Each direction is followed along ``_advance`` with
-    the first trial capped so that no multiplier moves by more than e^40,
+    Every step is Newton's step in eta = log mu (``_log_newton``) on Python
+    floats, over the free multipliers: a held one gets the identity for its
+    Hessian row and 0 for its gradient.  A multiplier is held where it is 0
+    and its constraint holds (gradient >= 0), and for the rest of the
+    descent once its share of mu . caps collapses below 1e-30: the optimum
+    then lies within rounding of the other face, and it is frozen where it
+    is, since zeroing it would re-price the deep nodes.  Newton's method is
+    affine-invariant, so a step in eta suits the path ``_advance`` moves a
+    positive multiplier along (Boyd & Vandenberghe 2004, section 9.5).  The
+    first trial is capped so that no multiplier moves by more than e^40,
     then backtracked by Armijo over a fixed number of halvings rather than
-    down to a floor on the step: far from the optimum the quadratic model of
-    D overshoots by many orders of magnitude, and the capped first trial can
-    already be below 1e-12; a trial where D is not finite ends the descent.
-    A step in eta whose first trial passes is expanded instead, doubling t
-    up to the cap while D keeps falling.  Once the predicted decrease is
-    below the rounding of D, full steps are taken while the relative moment
-    residual keeps falling.  The descent stops
-    when a multiplier's share of mu . caps collapses below 1e-30: the
-    optimum then lies within rounding of the face that the other seed
-    descends, and further steps would only shrink that multiplier toward
-    underflow.  Returns the final multipliers, the dual there (value,
+    down to a floor on the step: far from the optimum the quadratic model
+    of D overshoots by many orders of magnitude, and the capped first trial
+    can already be below 1e-12; a trial where D is not finite ends the
+    descent.  Where the first trial passes and shrinks a positive
+    multiplier by e^0.9 or more, near the model's limit of one e-fold per
+    step, t doubles up to the cap while D keeps falling.  Once the
+    predicted decrease is below the rounding of D, full steps are taken
+    while the relative moment residual of the free multipliers keeps
+    falling.  Returns the final multipliers, the dual there (value,
     gradient, Hessian, maximiser) and the steps taken.  ``point`` is the
-    dual at ``mu``, evaluated already: a face descent starts at its seed's,
-    which ordered the faces, and a joint descent at its face descent's
-    final point.
+    dual at ``mu``, the seed's, evaluated already to order the descents.
     """
-    (f1, f2), (c1, c2) = free, caps.tolist()
+    (c1, c2), frozen1, frozen2 = caps.tolist(), False, False
 
     def residual(grad):
         return max(abs(grad[0]) / c1 if f1 else 0.0, abs(grad[1]) / c2 if f2 else 0.0)
@@ -256,21 +253,14 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, poi
         (m1, m2), (value, grad, hess, _) = mu, point
         (h11, h12), (_, h22) = hess.tolist()
         g1, g2 = grad.tolist()
+        f1 = not (frozen1 or (m1 == 0.0 and g1 >= 0.0))
+        f2 = not (frozen2 or (m2 == 0.0 and g2 >= 0.0))
         g1, g2, h12 = g1 if f1 else 0.0, g2 if f2 else 0.0, h12 if f1 and f2 else 0.0
         h11, h22 = h11 if f1 else 1.0, h22 if f2 else 1.0
-        det = h11 * h22 - h12 * h12
-        log_step = None
-        if det > 0.0:
-            d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
-            if m1 + d1 <= 0.0 < m1 or m2 + d2 <= 0.0 < m2:
-                log_step = _log_newton(m1, m2, g1, g2, h11, h12, h22)
-                d1, d2 = log_step or (d1, d2)
-        elif not hess.any():  # every node priced out: D = mu . caps
-            d1, d2 = -_MAX_LOG_STEP * m1 * f1, -_MAX_LOG_STEP * m2 * f2
-        else:
+        direction = _log_newton(m1, m2, g1, g2, h11, h12, h22)
+        if direction is None:
             return mu, point, step
-        if (m1 == 0.0 and d1 < 0.0) or (m2 == 0.0 and d2 < 0.0):
-            return mu, point, step
+        d1, d2 = direction
         moving = [(m, d) for m, d in ((m1, d1), (m2, d2)) if m > 0.0 and d != 0.0]
         cap = min((_MAX_LOG_STEP * m / abs(d) for m, d in moving), default=math.inf)
         t = min(1.0, cap)
@@ -291,7 +281,8 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, poi
                 t *= 0.5
             else:
                 return mu, point, step
-            while log_step and halving == 0 and t < cap:
+            expand = halving == 0 and any(t * d <= -_EXPAND * m for m, d in moving)
+            while expand and t < cap:
                 t = min(2.0 * t, cap)
                 ahead_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
                 ahead = dual(ahead_mu)
@@ -300,41 +291,32 @@ def _descend(mu: tuple, free: tuple, dual, caps: np.ndarray, max_steps: int, poi
                 trial_mu, trial = ahead_mu, ahead
         mu, point = trial_mu, trial
         collapse = _COLLAPSE * (mu[0] * c1 + mu[1] * c2)
-        if (f1 and mu[0] * c1 <= collapse) or (f2 and mu[1] * c2 <= collapse):
-            return mu, point, step + 1
+        frozen1 = frozen1 or 0.0 < mu[0] * c1 <= collapse
+        frozen2 = frozen2 or 0.0 < mu[1] * c2 <= collapse
     return mu, point, max_steps
 
 
 def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSolution:
     """Maximise the discrete problem through its explicit dual, certified by the gap.
 
-    D(mu) is minimised by damped Newton steps on Python floats from
-    constant seeds only: a unit multiplier on each face, (1, 0) and (0, 1),
-    each descended with the other multiplier held at zero, the face whose
-    seed has the lower D first ((1, 0) on a tie).  A face minimiser at which
-    the other constraint holds (its dual gradient is >= 0) satisfies the
-    KKT conditions and so minimises D over the whole quadrant.  Where the
-    other constraint is violated, the optimum may price both: the descent
-    continues over the two multipliers from that face minimiser before the
-    next face is descended.  After every descent the solve stops once the
-    lowest D and the best objective so far are within rounding (64 eps
-    relative) of each other; where that never happens, all four descents
-    run.  The lowest D reached bounds every feasible objective from above;
-    the primal answer is the best of the maximisers s(mu) the descents end
-    at, each divided by its budget load max(a.s/A^p, b.s/B^q) when that
-    exceeds 1.  Taking the two separately matters where D is flat in a
-    multiplier near zero.  ``converged`` means certified: (D - obj)/obj <=
-    1e-6.
+    D(mu) is minimised by one descent over the quadrant (``_descend``) from
+    each constant seed, (1, 0) and (0, 1), the seed with the lower D first
+    ((1, 0) on a tie); the other runs only where the lowest D and the best
+    objective are not yet within rounding (64 eps relative) of each other.
+    The lowest D reached bounds every feasible objective from above; the
+    primal answer is the best of the maximisers s(mu) the descents end at,
+    each divided by its budget load max(a.s/A^p, b.s/B^q) when that exceeds
+    1.  Taking the two separately matters where D is flat in a multiplier
+    near zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
-    evaluations of D, line-search and expansion trials included.  The rows,
-    their prices and the budgets are formed once (``_dual_terms``), which
-    raises OracleError where a row underflows to 0; so does a solve whose
-    descents all end at a nan objective.  diagnostics["descents"] lists
-    each descent in run order as (start mu, free flags, Newton steps).  One
-    DEBUG record on the ``wavelock.oracle`` logger gives the face that ran
-    first, the descents, the Newton steps of each, the dual evaluations and
-    the relative gap.
+    evaluations of D, the two seeds and line-search and expansion trials
+    included.  The rows, their prices and the budgets are formed once
+    (``_dual_terms``), which raises OracleError where a row underflows to 0;
+    so does a solve whose descents all end at a nan objective.
+    diagnostics["descents"] lists each descent in run order as (seed,
+    Newton steps).  One DEBUG record on the ``wavelock.oracle`` logger gives
+    the descents, the dual evaluations and the relative gap.
     """
     terms = _dual_terms(prob)
     rows, prices, dt, caps, beta = terms
@@ -345,36 +327,22 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         evaluations += 1
         return _dual(m, *terms)
 
-    def scaled(descent):
-        s = descent[1][3]
-        load = float(np.max(rows @ s / caps))
-        z = s / load if load > 1.0 else s
-        return float(g_eval(z, beta) @ dt), z
-
     seeds = ((1.0, 0.0), (0.0, 1.0))
     starts = [dual(seed) for seed in seeds]
-    descents, candidates, runs = [], [], []
-
-    def certified_by(mu, free, point):
-        descents.append(_descend(mu, free, dual, caps, max_iter, point))
-        candidates.append(scaled(descents[-1]))
-        runs.append((mu, free, descents[-1][2]))
-        lowest, best = min(d[1][0] for d in descents), max(c[0] for c in candidates)
-        return lowest - best <= _ROUNDOFF * best
-
-    order = sorted((0, 1), key=lambda face: starts[face][0])  # stable: (1, 0) first on a tie
-    for face in order:
-        if certified_by(seeds[face], (face == 0, face == 1), starts[face]):
-            break
-        mu, point, _ = descents[-1]
-        if point[1][1 - face] < 0.0 and certified_by(mu, (True, True), point):
-            break
-    newton_steps = [steps for *_, steps in descents]
-    mu_dual, (dual_value, *_), _ = min(descents, key=lambda c: c[1][0])
-    obj = -np.inf
-    for obj_z, z in candidates:
+    descents, obj = [], -np.inf
+    for i in sorted((0, 1), key=lambda i: starts[i][0]):  # stable: (1, 0) first on a tie
+        mu, point, steps = _descend(seeds[i], dual, caps, max_iter, starts[i])
+        descents.append((seeds[i], steps))
+        if len(descents) == 1 or point[0] < dual_value:
+            mu_dual, dual_value = mu, point[0]
+        s = point[3]
+        load = float(np.max(rows @ s / caps))
+        z = s / load if load > 1.0 else s
+        obj_z = float(g_eval(z, beta) @ dt)
         if obj_z > obj:
             v, obj = z, obj_z
+        if dual_value - obj <= _ROUNDOFF * obj:
+            break
     if obj == -np.inf:
         raise OracleError(
             f"every descent ends at a nan objective; {np.count_nonzero(~np.isfinite(prices))} of "
@@ -388,9 +356,8 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     excess = np.maximum(used - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
     _log.debug(
-        "discrete dual solve: the %s face first, %d descents, Newton steps %s, %d dual evaluations, "
-        "relative gap %.3e",
-        seeds[order[0]], len(descents), newton_steps, evaluations, gap,
+        "discrete dual solve: descents (seed, Newton steps) %s, %d dual evaluations, relative gap %.3e",
+        descents, evaluations, gap,
     )
     if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
@@ -403,14 +370,14 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         "dual_value": dual_value,
         "dual_multipliers": mu_dual,
         "dual_evaluations": evaluations,
-        "descents": runs,
+        "descents": descents,
     }
     return DiscreteSolution(
         v=v,
         objective=obj,
         residual_p=res_p,
         residual_q=res_q,
-        iterations=sum(newton_steps),
+        iterations=sum(steps for _, steps in descents),
         converged=gap <= _GAP_TOL,
         diagnostics=diagnostics,
     )

@@ -124,7 +124,7 @@ def test_readme_states_the_oracle_counts(ref_params, ref_report):
     # The README's reference counts for the oracle have gone stale before;
     # they must be the ones solve_discrete reports.
     text = " ".join((ROOT / "README.md").read_text().split())
-    found = re.search(r"on the reference the solve takes (\d+) descents and (\d+) evaluations in (\d+) steps", text)
+    found = re.search(r"on the reference the solve takes (\d+) descents? and (\d+) evaluations in (\d+) steps", text)
     assert found, "the README's sentence on the oracle's reference counts is missing or reworded"
     prob = oracle.DiscreteProblem.log_spaced(ref_params, t_max=2.0 * ref_report.T, n=2000)
     sol = oracle.solve_discrete(prob)
