@@ -44,11 +44,12 @@ for t, vm, ue in zip(levels, measured, expected):
 print(f"worst relative deviation: {np.max(np.abs(measured - expected) / expected):.2e}")
 print()
 
-# Magnitudes are constant on hyperbolic circles about the centre; s = 1 is
-# the circle d = 1/2.
-from wavelock.weight import hyperbolic_circle
-
-circle = hyperbolic_circle(weight.center, 1.0, np.linspace(0, 2 * np.pi, 9))
+# Magnitudes are constant on hyperbolic circles about the centre z0.  The
+# circle s(z, z0) = s is the Euclidean circle about x0 + i y0 (1 + 2 s) of
+# radius 2 y0 sqrt(s (1 + s)); s = 1 is the circle d = 1/2.
+z0, s = weight.center, 1.0
+centre, radius = complex(z0.x, z0.y * (1.0 + 2.0 * s)), 2.0 * z0.y * np.sqrt(s * (1.0 + s))
+circle = centre + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 9))
 mags = np.abs(wl.eval_weight(weight, circle))
 print(f"magnitude spread along a hyperbolic circle: {np.ptp(mags):.2e}")
 

@@ -55,8 +55,7 @@ _LAZY = {
             "psi_inverse", "radial_operator_norm", "radial_s", "weight_from_report", "weight_norms",
         ),
         "oracle": (
-            "DiscreteProblem", "DiscreteSolution", "check_monotone_restoration", "run_oracle",
-            "solve_discrete",
+            "DiscreteProblem", "DiscreteSolution", "run_oracle", "solve_discrete",
         ),
         "verifier": (
             "CauchyTransform", "FrequencyGrid", "PlaneGrid", "PowerIterationResult",

@@ -19,7 +19,8 @@ costs at most that residual.  The best of these points is the discrete
 answer.  Convergence is certified, not assumed: by the relative gap
 between the lowest D and that point's objective.  The same gap ends the
 solve early: the seed with the lower D is descended first, and the other
-only where that descent leaves the gap open.
+only where that descent leaves the gap open; and it ends each descent at the
+first point, among those where D is flat to rounding, that it certifies.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FOUR_PI, OracleError, ProblemParams, _write_columns, derive_constants, g_eval
+from .core import FOUR_PI, OracleError, ProblemParams, derive_constants, g_eval
 
 
 _T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max
@@ -41,7 +42,6 @@ _MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
 _EXPAND = 0.9  # a first trial that shrinks a multiplier by e^0.9 or more doubles t
 _COLLAPSE = 1e-30  # share of mu . caps below which a multiplier is frozen
 _ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
-_MONOTONE_TOL = 1e-6  # relative adjacent-node increase accepted as noise
 
 _log = logging.getLogger(__name__)
 
@@ -218,7 +218,7 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
+def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple, certified):
     """Damped Newton descent of the convex dual over the quadrant mu >= 0.
 
     Every step is Newton's step in eta = log mu (``_log_newton``) on Python
@@ -238,11 +238,12 @@ def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
     descent.  Where the first trial passes and shrinks a positive
     multiplier by e^0.9 or more, near the model's limit of one e-fold per
     step, t doubles up to the cap while D keeps falling.  Once the
-    predicted decrease is below the rounding of D, full steps are taken
-    while the relative moment residual of the free multipliers keeps
-    falling.  Returns the final multipliers, the dual there (value,
-    gradient, Hessian, maximiser) and the steps taken.  ``point`` is the
-    dual at ``mu``, the seed's, evaluated already to order the descents.
+    predicted decrease is below the rounding of D, the descent ends where
+    ``certified(point)`` holds, and otherwise takes a full step while the
+    relative moment residual of the free multipliers keeps falling.
+    Returns the final multipliers, the dual there (value, gradient,
+    Hessian, maximiser) and the steps taken.  ``point`` is the dual at
+    ``mu``, the seed's, evaluated already to order the descents.
     """
     (c1, c2), frozen1, frozen2 = caps.tolist(), False, False
 
@@ -266,6 +267,8 @@ def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple):
         t = min(1.0, cap)
         slope = g1 * d1 + g2 * d2
         if -slope <= _ROUNDOFF * (abs(value) + m1 * c1 + m2 * c2):
+            if certified(point):
+                return mu, point, step
             trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
             trial = dual(trial_mu)
             if not residual(trial[1]) < residual(grad):
@@ -303,6 +306,9 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     each constant seed, (1, 0) and (0, 1), the seed with the lower D first
     ((1, 0) on a tie); the other runs only where the lowest D and the best
     objective are not yet within rounding (64 eps relative) of each other.
+    The same test ends a descent early: once its predicted decrease is below
+    the rounding of D, it stops at the first point whose own D and scaled
+    objective pass it; diagnostics["gap_checks"] counts these tests.
     The lowest D reached bounds every feasible objective from above; the
     primal answer is the best of the maximisers s(mu) the descents end at,
     each divided by its budget load max(a.s/A^p, b.s/B^q) when that exceeds
@@ -316,29 +322,40 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     so does a solve whose descents all end at a nan objective.
     diagnostics["descents"] lists each descent in run order as (seed,
     Newton steps).  One DEBUG record on the ``wavelock.oracle`` logger gives
-    the descents, the dual evaluations and the relative gap.
+    the descents, the dual evaluations, the gap checks and the relative gap.
     """
     terms = _dual_terms(prob)
     rows, prices, dt, caps, beta = terms
-    evaluations = 0
+    evaluations = gap_checks = 0
 
     def dual(m):
         nonlocal evaluations
         evaluations += 1
         return _dual(m, *terms)
 
+    def scaled(point):
+        """The maximiser s(mu) at a point of the dual, divided by its budget
+        load where that exceeds 1, and its objective."""
+        s = point[3]
+        load = float(np.max(rows @ s / caps))
+        z = s / load if load > 1.0 else s
+        return z, float(g_eval(z, beta) @ dt)
+
+    def certified(point):
+        nonlocal gap_checks
+        gap_checks += 1
+        obj_z = scaled(point)[1]
+        return point[0] - obj_z <= _ROUNDOFF * obj_z
+
     seeds = ((1.0, 0.0), (0.0, 1.0))
     starts = [dual(seed) for seed in seeds]
     descents, obj = [], -np.inf
     for i in sorted((0, 1), key=lambda i: starts[i][0]):  # stable: (1, 0) first on a tie
-        mu, point, steps = _descend(seeds[i], dual, caps, max_iter, starts[i])
+        mu, point, steps = _descend(seeds[i], dual, caps, max_iter, starts[i], certified)
         descents.append((seeds[i], steps))
         if len(descents) == 1 or point[0] < dual_value:
             mu_dual, dual_value = mu, point[0]
-        s = point[3]
-        load = float(np.max(rows @ s / caps))
-        z = s / load if load > 1.0 else s
-        obj_z = float(g_eval(z, beta) @ dt)
+        z, obj_z = scaled(point)
         if obj_z > obj:
             v, obj = z, obj_z
         if dual_value - obj <= _ROUNDOFF * obj:
@@ -356,8 +373,9 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     excess = np.maximum(used - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
     _log.debug(
-        "discrete dual solve: descents (seed, Newton steps) %s, %d dual evaluations, relative gap %.3e",
-        descents, evaluations, gap,
+        "discrete dual solve: descents (seed, Newton steps) %s, %d dual evaluations, %d gap checks, "
+        "relative gap %.3e",
+        descents, evaluations, gap_checks, gap,
     )
     if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
@@ -370,6 +388,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         "dual_value": dual_value,
         "dual_multipliers": mu_dual,
         "dual_evaluations": evaluations,
+        "gap_checks": gap_checks,
         "descents": descents,
     }
     return DiscreteSolution(
@@ -396,42 +415,3 @@ def run_oracle(
     if sol.diagnostics["support_truncated"]:
         raise OracleError(f"the grid's end t_max = {prob.t[-1]:.6g} is too short for the solution's support")
     return prob, sol
-
-
-@dataclass(frozen=True)
-class MonotoneReport:
-    """Outcome of the monotonicity restoration check."""
-
-    max_relative_violation: float
-    within: bool
-
-
-def check_monotone_restoration(sol: DiscreteSolution) -> MonotoneReport:
-    """Verify a solution of the unordered problem is already nonincreasing
-    up to adjacent-node noise (1e-6 relative).
-
-    The continuous problem's maximizer over the enlarged (unordered) class
-    is nonincreasing; this measures how closely the discrete iterate
-    reproduces that, relative to the profile's peak.
-    """
-    v = sol.v
-    scale = max(float(np.max(v)), 1e-300)
-    viol = float(np.max(np.maximum(v[1:] - v[:-1], 0.0))) / scale
-    return MonotoneReport(max_relative_violation=viol, within=viol <= _MONOTONE_TOL)
-
-
-def export_solution(
-    prob: DiscreteProblem, sol: DiscreteSolution, path: str, u_analytic: np.ndarray
-) -> None:
-    """Write (t, v, u_analytic) rows as CSV."""
-    _write_columns(path, ("t", "v", "u_analytic"), prob.t, sol.v, u_analytic)
-
-
-def truncation_note(prob: DiscreteProblem) -> str:
-    """Human-readable bound on the mass omitted below the first grid node."""
-    t0 = float(prob.t[0])
-    return (
-        f"objective mass omitted on (0, {t0:.3e}) is at most {t0:.3e} "
-        "(the integrand G(u) is below 1); both constraint integrands vanish "
-        "there like t^(e-1-alpha) with a positive exponent"
-    )

@@ -223,18 +223,3 @@ def export_profile(w: ExtremalWeight, path: str, n: int = 1000) -> None:
         path, ("d", "magnitude", "t", "u"),
         ds, w.profile()(ds / (1.0 - ds)), ts, solver.u_eval(ts, w.mults, w.params),
     )
-
-
-def hyperbolic_circle(z0: HalfPlanePoint, s: float, angles) -> np.ndarray:
-    """Points z with s(z, z0) = s, parameterized by their Euclidean angle.
-
-    |z - z0|^2 = 4 s Im z Im z0 is the Euclidean circle about
-    x0 + i y0 (1 + 2 s) of radius 2 y0 sqrt(s (1 + s)).  Useful for
-    isometry-invariance checks: the weight magnitude must be constant
-    along each such circle.
-    """
-    if not 0.0 <= s < math.inf:
-        raise ValueError(f"s must be finite and nonnegative, got {s}")
-    angles = np.asarray(angles, dtype=float)
-    centre = complex(z0.x, z0.y * (1.0 + 2.0 * s))
-    return centre + 2.0 * z0.y * math.sqrt(s * (1.0 + s)) * np.exp(1j * angles)

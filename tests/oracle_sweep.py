@@ -1,5 +1,5 @@
-"""The discrete oracle over the five test samplers: certified draws, dual
-evaluations and Newton steps.
+"""The discrete oracle over the five test samplers: certified draws, draws
+whose v is nonincreasing, dual evaluations, Newton steps and gap checks.
 
 Each sampler's draws are taken in order; those that ``compute_bound`` does
 not solve are skipped, as ``verify`` would reject them first.  Every solved
@@ -39,13 +39,16 @@ GRIDS = ("2T", "seed")
 
 @dataclass
 class Tally:
-    """One sampler on one grid: solved draws, certified solves, and the
-    dual evaluations and Newton steps summed over the solves that return."""
+    """One sampler on one grid: solved draws, certified solves, solves whose
+    v is nonincreasing, and the dual evaluations, Newton steps and gap
+    checks summed over the solves that return."""
 
     solved: int = 0
     certified: int = 0
+    monotone: int = 0
     evaluations: int = 0
     steps: int = 0
+    gap_checks: int = 0
 
 
 def solved_draws(sampler: str, count: int | None = None):
@@ -78,17 +81,21 @@ def tally(sampler: str, grid: str, count: int | None = None) -> Tally:
         sol = solve(params, T, grid)
         if sol is not None:
             out.certified += sol.converged
+            out.monotone += bool(np.all(np.diff(sol.v) <= 0.0))
             out.evaluations += sol.diagnostics["dual_evaluations"]
             out.steps += sol.iterations
+            out.gap_checks += sol.diagnostics["gap_checks"]
     return out
 
 
 def main() -> None:
-    print(f"{'sampler':<16}{'grid':<6}{'solved':>8}{'certified':>11}{'evaluations':>13}{'steps':>8}")
+    print(f"{'sampler':<16}{'grid':<6}{'solved':>8}{'certified':>11}{'monotone':>10}{'evaluations':>13}"
+          f"{'steps':>8}{'gap_checks':>12}")
     for sampler in SAMPLERS:
         for grid in GRIDS:
             t = tally(sampler, grid)
-            print(f"{sampler:<16}{grid:<6}{t.solved:>8}{t.certified:>11}{t.evaluations:>13}{t.steps:>8}")
+            print(f"{sampler:<16}{grid:<6}{t.solved:>8}{t.certified:>11}{t.monotone:>10}{t.evaluations:>13}"
+                  f"{t.steps:>8}{t.gap_checks:>12}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from wavelock.core import FOUR_PI
 from wavelock.weight import (
     HalfPlanePoint,
     export_profile,
-    hyperbolic_circle,
 )
 from conftest import (
     csv_text,
@@ -232,9 +231,12 @@ class TestEvalWeight:
 
     def test_magnitude_constant_on_hyperbolic_circles(self, dual_weight):
         rng = np.random.default_rng(5)
+        z0 = dual_weight.center
         for s in (1 / 9, 1.0, 9.0):
-            zs = hyperbolic_circle(dual_weight.center, s, rng.uniform(0, 2 * math.pi, 40))
-            assert np.allclose(wl.radial_s(zs, dual_weight.center), s, rtol=1e-12, atol=0.0)
+            # s(z, z0) = s is the Euclidean circle about x0 + i y0 (1 + 2 s) of radius 2 y0 sqrt(s (1 + s)).
+            centre, radius = complex(z0.x, z0.y * (1.0 + 2.0 * s)), 2.0 * z0.y * math.sqrt(s * (1.0 + s))
+            zs = centre + radius * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
+            assert np.allclose(wl.radial_s(zs, z0), s, rtol=1e-12, atol=0.0)
             mags = np.abs(wl.eval_weight(dual_weight, zs))
             assert np.max(np.abs(mags / mags[0] - 1.0)) < 1e-10
 
@@ -343,11 +345,6 @@ class TestValidation:
         for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 HalfPlanePoint(x, y)
-
-    def test_hyperbolic_circle_radius(self):
-        for s in (-1e-300, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                hyperbolic_circle(HalfPlanePoint(0.0, 1.0), s, [0.0])
 
     def test_mode_validation(self, ref_params):
         with pytest.raises(TypeError):
