@@ -3,8 +3,10 @@
 Maximizes sum_i G(v_i) dt_i over v >= 0 subject to the two discrete
 moment constraints p sum t^(p-1) v dt <= A^p and q sum t^(q-1) v dt <= B^q
 through the grid's own Lagrangian dual.  The machinery is deliberately
-disjoint from the analytic solver: no multiplier equations, no support
-endpoint, no closed forms of the continuum problem, and constant seeds.
+disjoint from the analytic solver: no multiplier equations, no closed
+forms of the continuum problem, and constant seeds; the grid ends at the
+caller's t_max, or else (:meth:`DiscreteProblem.log_spaced`) at twice the
+larger single-constraint support endpoint, from ``derive_constants``.
 
 The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional

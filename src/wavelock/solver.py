@@ -19,13 +19,14 @@ equations become one equation in a,
 
 with T = A (p m_p(a))^(-1/p) in closed form.  R increases from r1
 (a -> 0) to r2 (a -> 1), so B/A has a root exactly in the dual window.
-:func:`solve_multipliers` solves log R = log(B/A) for z = log(a/(1 - a))
-by a bracketed Newton scaled to that window, one log-space pass of the
-graded rule per iterate, and takes l1 = a T^(1-p), l2 = (1 - a) T^(1-q).
-The bound int_0^T (1 - phi^(2 beta/(2 beta + 1))) dt follows by parts in
-closed form from the last pass's m_p and m_q (:func:`_solve`);
+:func:`compute_bound` runs :func:`_solve`: it solves log R = log(B/A) for
+z = log(a/(1 - a)) by a bracketed Newton scaled to that window, one
+log-space pass of the graded rule per iterate, takes l1 = a T^(1-p) and
+l2 = (1 - a) T^(1-q), and the bound int_0^T (1 - phi^(2 beta/(2 beta + 1))) dt
+by parts in closed form from the last pass's m_p and m_q;
 :func:`bound_integral` is the same integral by quadrature, its independent
-check.
+check.  :func:`solve_multipliers`, the same solve returning the multipliers
+alone, stays only for the benchmark's tracer, which hooks it.
 """
 
 from __future__ import annotations

@@ -337,13 +337,13 @@ RADIAL_NORM_RTOL = 1e-8
 def run_verification(params: ProblemParams, oracle_points: int = 2000) -> VerificationReport:
     """Check a computed bound against the two independent oracles.
 
-    Runs the discrete variational solver (certified by its duality gap,
-    objective within 1 percent, profile pointwise within 2 percent away
-    from the endpoints when the instance is dual) and the operator check:
-    the exact norm of the extremal weight's operator,
-    :func:`~wavelock.weight.radial_operator_norm` (the bound integral),
-    must match the bound to 1e-8 relative.  The oracle's one grid ends at 2 T
-    (its own seed in a single regime).  A bound that underflows to 0 is an
+    Runs the discrete variational solver on one grid ending at 2 T in every
+    regime (T from ``report.multipliers()``; a single-regime weight is the
+    dual one with a multiplier at 0): certified by its duality gap, objective
+    within 1 percent, profile within 2 percent on (0.05 T, 0.9 T).  Then the
+    operator check: the exact norm of the extremal weight's operator,
+    :func:`~wavelock.weight.radial_operator_norm` (the bound integral), must
+    match the bound to 1e-8 relative.  A bound that underflows to 0 is an
     OracleError: no gap relative to it is defined.
     """
     t0 = time.perf_counter()
@@ -352,8 +352,8 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
         raise OracleError(f"the bound underflows to 0.0, so no gap relative to it is defined ({params})")
     out = VerificationReport(params=params, regime=report.regime, bound=report.bound)
 
-    t_max = 2.0 * report.T if report.T is not None else None
-    prob, sol = run_oracle(params, t_max=t_max, n=oracle_points)
+    m = report.multipliers()
+    prob, sol = run_oracle(params, t_max=2.0 * m.T, n=oracle_points)
     out.oracle_objective = sol.objective
     out.oracle_rel_gap = (report.bound - sol.objective) / report.bound
     out.oracle_converged = sol.converged
@@ -361,14 +361,10 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
     out.checks["oracle_gap"] = abs(out.oracle_rel_gap) <= ORACLE_GAP_TOL
     out.checks["oracle_feasible"] = max(sol.residual_p, sol.residual_q) <= 1e-9
     out.checks["oracle_converged"] = sol.converged
-    if report.regime == "Dual":
-        m = report.multipliers()
-        window = (prob.t > 0.05 * m.T) & (prob.t < 0.9 * m.T)
-        u_ref = u_eval(prob.t[window], m, params)
-        out.oracle_pointwise_err = float(
-            np.max(np.abs(sol.v[window] - u_ref) / u_ref)
-        )
-        out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
+    window = (prob.t > 0.05 * m.T) & (prob.t < 0.9 * m.T)
+    u_ref = u_eval(prob.t[window], m, params)
+    out.oracle_pointwise_err = float(np.max(np.abs(sol.v[window] - u_ref) / u_ref))
+    out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
 
     norm = radial_operator_norm(weight_from_report(params, report))
     out.operator_norm = norm

@@ -328,7 +328,8 @@ class TestVerifyCommand:
         assert abs(data["operator_rel_gap"]) <= 1e-8
         assert data["checks"]["oracle_pointwise"] is True
         assert data["oracle_pointwise_err"] <= 0.02
-        # A single-regime weight has no pointwise check.
+        # A single-regime weight is the dual one with a multiplier at 0, and
+        # its profile is checked pointwise too.
         code, out, _ = run_cli(
             ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "1",
              "--oracle-points", "800", "--format", "json"],
@@ -337,8 +338,8 @@ class TestVerifyCommand:
         assert code == 0
         data = json.loads(out)
         assert data["regime"] == "SingleP"
-        assert data["checks"].get("oracle_pointwise") is None
-        assert data["oracle_pointwise_err"] is None
+        assert data["checks"]["oracle_pointwise"] is True
+        assert data["oracle_pointwise_err"] <= 0.02
 
     def test_corruption_exit_5(self, capsys, monkeypatch):
         from wavelock import verifier
@@ -814,17 +815,11 @@ class TestExtremeValues:
             # The q row overflows, so every price of it is nan.
             (["--beta", "1e300", "--p", "2", "--q", "7", "--A", "2", "--B", "7"],
              "every descent ends at a nan objective"),
-            # sigma_q = 1.1e-316, so (4 pi sigma_q)^(-1/q) overflows.
-            (["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
-             "a single-constraint support endpoint"),
-            # B (4 pi sigma_q)^(-1/q) overflows to inf, the seed grid's t_max.
-            (["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
-             "the grid's end t_max = inf is out of the float range"),
             (["--beta", "1e-10", "--p", "1.0000000000000002", "--q", "7", "--A", "1e-320",
               "--B", "1.0000000000000002"],
              "the bound underflows to 0.0"),
         ],
-        ids=["nan-objective", "support-endpoint-overflows", "grid-end-overflows", "bound-underflows"],
+        ids=["nan-objective", "bound-underflows"],
     )
     def test_verify_failures_past_the_bound_exit_3(self, argv, message, capsys):
         # The first instance's moment rows overflow with a RuntimeWarning
@@ -834,6 +829,32 @@ class TestExtremeValues:
             code, out, err = run_cli(["verify", "--format", "json", *argv], capsys)
         assert code == 3 and out == ""
         assert err.startswith(f"solver error: {message}"), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The oracle's own seed grid cannot be set up here
+            # (tests/test_oracle.py::TestGrid::test_seed_grid_out_of_the_float_range),
+            # but verify's 2 T grid can; there the oracle ends unconverged at
+            # objective 0, a failed check rather than a typed error.
+            ["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
+            ["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
+        ],
+        ids=["support-endpoint-overflows", "grid-end-overflows"],
+    )
+    def test_verify_past_the_seed_grid_exit_5(self, argv, capsys):
+        # The oracle's prices overflow with a RuntimeWarning; the report is
+        # what is checked here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(["verify", "--format", "json", *argv], capsys)
+        assert code == 5
+        data = json.loads(out)
+        assert data["regime"] == "SingleP"
+        assert data["oracle_objective"] == 0.0
+        assert [name for name, ok in data["checks"].items() if not ok] == [
+            "oracle_gap", "oracle_converged", "oracle_pointwise",
+        ]
 
 
 _EXTREMES = [1e-320, 1e-300, 1e-10, 0.5, 1.0, 1.0000000000000002, 2.0, 7.0, 50.0, 1e10, 1e300, 1.7e308, math.inf]

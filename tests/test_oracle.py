@@ -113,6 +113,22 @@ class TestGrid:
         prob = DiscreteProblem.log_spaced(ref_params)
         assert prob.t[-1] >= 2.0 * ref_report.T * 0.99
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # sigma_q = 1.1e-316, so (4 pi sigma_q)^(-1/q) overflows.
+            (wl.ProblemParams(1e300, 50.0, 1.0000000000000002, 0.5, 1e300),
+             "a single-constraint support endpoint"),
+            # B (4 pi sigma_q)^(-1/q) overflows to inf, the seed grid's t_max.
+            (wl.ProblemParams(1e-300, 2.0, 1.0000000000000002, 2.0, 1e300),
+             "the grid's end t_max = inf is out of the float range"),
+        ],
+        ids=["support-endpoint-overflows", "grid-end-overflows"],
+    )
+    def test_seed_grid_out_of_the_float_range(self, params, message):
+        with pytest.raises(OracleError, match=f"^{message}"):
+            run_oracle(params)
+
 
 class TestSolveDiscrete:
     def test_reference_agreement(self, ref_solution, ref_report):
@@ -551,7 +567,7 @@ class TestSweep:
         measured = {
             "random": (20, 316),
             "near-threshold": (20, 436),
-            "single": (20, 193),
+            "single": (20, 167),
             "wide": (18, 333),
             "band": (18, 374),
         }

@@ -9,6 +9,7 @@ import wavelock as wl
 from conftest import random_dual_params, random_single_params
 from wavelock import verifier
 from graded_quadrature import _checked_integral
+import oracle_sweep
 from wavelock.verifier import (
     CauchyTransform,
     FrequencyGrid,
@@ -408,6 +409,7 @@ class TestRunVerification:
             report = run_verification(params)
             assert report.ok, (params, report.failures())
             assert abs(report.operator_rel_gap) <= 1e-8
+            assert report.oracle_pointwise_err <= 0.02
 
     def test_oracle_certificate_is_gated(self, ref_params):
         report = run_verification(ref_params, oracle_points=800)
@@ -430,3 +432,27 @@ class TestRunVerification:
         report = run_verification(ref_params, oracle_points=800)
         assert report.failures() == ["operator_window"]
         assert report.operator_rel_gap == pytest.approx(0.5, rel=1e-8)
+
+
+class TestVerifyDomain:
+    # run_verification on every solved draw of tests/oracle_sweep.py's
+    # samplers: pass counts as floors at their measured values, and every
+    # failure of a cause measured for its sampler.  Wide draw 139
+    # (min(p, q) = 48.1, |q - p|/min(p, q) = 0.003, nearly parallel moment
+    # rows) fails oracle_pointwise; every tiny-budget draw's p row
+    # underflows to 0 on the oracle's grid.
+    MEASURED = {
+        "random": (300, set()),
+        "near-threshold": (300, set()),
+        "single": (100, set()),
+        "wide": (136, {"oracle_pointwise"}),
+        "band": (134, set()),
+        "tiny": (0, {"OracleError: moment row p underflows"}),
+    }
+
+    @pytest.mark.parametrize("sampler", list(MEASURED))
+    def test_solved_draws_verify(self, sampler):
+        passed, causes = self.MEASURED[sampler]
+        tally = oracle_sweep.verify_tally(sampler)
+        assert tally.passed >= passed, (sampler, tally)
+        assert set(tally.failures.values()) <= causes, (sampler, tally.failures)
