@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid parameters, 3 solver failure, 4 I/O
 error, 5 verification tolerance breach.  JSON output carries a top-level
-"schema": "wavelock/1" key and prints floats with 17 significant digits
-(text mode uses 9).
+"schema": "wavelock/2" key and prints floats with 17 significant digits
+(text mode uses 9); ``_report_dict`` builds the bound and verify records.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 # bound and scan need only these; verify and profile import their layers
 # when they run.
 from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_csv
-from .solver import BoundReport, SolverError, compute_bound
+from .solver import SolverError, compute_bound
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -26,7 +26,7 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 
-SCHEMA = "wavelock/1"
+SCHEMA = "wavelock/2"
 
 # The largest array a flag can size: verify's oracle grid, profile's rows and
 # scan's ratio steps.
@@ -66,9 +66,9 @@ def _fmt_json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _report_dict(report: BoundReport) -> dict:
-    """The wavelock/1 record: the schema, the instance, then the report's
-    other fields in their declared order."""
+def _report_dict(report) -> dict:
+    """The record of a ``BoundReport`` or ``VerificationReport``: the schema,
+    the instance, then the report's other fields in their declared order."""
     rest = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "params"}
     return {"schema": SCHEMA, **asdict(report.params), **rest}
 
@@ -130,30 +130,11 @@ def cmd_verify(args) -> int:
             f"--oracle-points must be between 100 and {_MAX_ARRAY}, got {args.oracle_points}"
         )
     report = run_verification(params, oracle_points=args.oracle_points)
-    data = {
-        "schema": SCHEMA,
-        "regime": report.regime,
-        "bound": report.bound,
-        "oracle_objective": report.oracle_objective,
-        "oracle_rel_gap": report.oracle_rel_gap,
-        "oracle_pointwise_err": report.oracle_pointwise_err,
-        "oracle_converged": report.oracle_converged,
-        "oracle_duality_gap": report.oracle_duality_gap,
-        # The keys of the former grid check stay in wavelock/1, always empty.
-        "isometry_defects": [],
-        "operator_norm": report.operator_norm,
-        "operator_rel_gap": report.operator_rel_gap,
-        "operator_iterations": None,
-        "grid": {},
-        "checks": report.checks,
-        "ok": report.ok,
-        "wall_time_s": report.wall_time_s,
-    }
+    data = _report_dict(report)
     if args.format == "json":
         print(_fmt_json(data))
     else:
-        empty = ("isometry_defects", "operator_iterations", "grid")
-        _print_text({k: v for k, v in data.items() if k not in (*empty, "checks")})
+        _print_text({k: v for k, v in data.items() if k != "checks"})
         for name, passed in report.checks.items():
             print(f"check {name}: {'pass' if passed else 'FAIL'}")
     if not report.ok:

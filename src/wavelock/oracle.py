@@ -321,7 +321,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     evaluations of D, the two seeds and line-search and expansion trials
     included.  The rows, their prices and the budgets are formed once
     (``_dual_terms``), which raises OracleError where a row underflows to 0;
-    so does a solve whose descents all end at a nan objective.
+    so does a solve whose best objective is nan (every descent) or 0.0.
     diagnostics["descents"] lists each descent in run order as (seed,
     Newton steps).  One DEBUG record on the ``wavelock.oracle`` logger gives
     the descents, the dual evaluations, the gap checks and the relative gap.
@@ -367,6 +367,8 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
             f"every descent ends at a nan objective; {np.count_nonzero(~np.isfinite(prices))} of "
             f"{prices.size} prices rows/(dt G'(0)) are not finite"
         )
+    if obj == 0.0:
+        raise OracleError(f"the best objective is 0.0 (v = 0) against a dual value of {dual_value:.3e}")
 
     # D(mu) + mu . (a.v - caps)^+ >= obj(v) for every v >= 0: the excess
     # term absorbs the rounding that can leave the scaled point an ulp over

@@ -302,26 +302,23 @@ def default_test_vectors(fgrid: FrequencyGrid) -> list[np.ndarray]:
     ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the oracle and operator checks for one instance."""
 
     params: ProblemParams
     regime: str
     bound: float
-    oracle_objective: float | None = None
-    oracle_rel_gap: float | None = None
-    oracle_pointwise_err: float | None = None
-    oracle_converged: bool | None = None
-    oracle_duality_gap: float | None = None
-    operator_norm: float | None = None
-    operator_rel_gap: float | None = None
-    checks: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
+    oracle_objective: float
+    oracle_rel_gap: float
+    oracle_pointwise_err: float
+    oracle_converged: bool
+    oracle_duality_gap: float
+    operator_norm: float
+    operator_rel_gap: float
+    checks: dict
+    ok: bool  # all(checks.values())
+    wall_time_s: float
 
     def failures(self) -> list[str]:
         return [k for k, v in self.checks.items() if not v]
@@ -350,26 +347,26 @@ def run_verification(params: ProblemParams, oracle_points: int = 2000) -> Verifi
     report = compute_bound(params)
     if report.bound == 0.0:
         raise OracleError(f"the bound underflows to 0.0, so no gap relative to it is defined ({params})")
-    out = VerificationReport(params=params, regime=report.regime, bound=report.bound)
 
     m = report.multipliers()
     prob, sol = run_oracle(params, t_max=2.0 * m.T, n=oracle_points)
-    out.oracle_objective = sol.objective
-    out.oracle_rel_gap = (report.bound - sol.objective) / report.bound
-    out.oracle_converged = sol.converged
-    out.oracle_duality_gap = sol.diagnostics["duality_gap"]
-    out.checks["oracle_gap"] = abs(out.oracle_rel_gap) <= ORACLE_GAP_TOL
-    out.checks["oracle_feasible"] = max(sol.residual_p, sol.residual_q) <= 1e-9
-    out.checks["oracle_converged"] = sol.converged
+    oracle_rel_gap = (report.bound - sol.objective) / report.bound
     window = (prob.t > 0.05 * m.T) & (prob.t < 0.9 * m.T)
     u_ref = u_eval(prob.t[window], m, params)
-    out.oracle_pointwise_err = float(np.max(np.abs(sol.v[window] - u_ref) / u_ref))
-    out.checks["oracle_pointwise"] = out.oracle_pointwise_err <= 0.02
-
+    pointwise_err = float(np.max(np.abs(sol.v[window] - u_ref) / u_ref))
     norm = radial_operator_norm(weight_from_report(params, report))
-    out.operator_norm = norm
-    out.operator_rel_gap = (norm - report.bound) / report.bound
-    out.checks["operator_window"] = abs(out.operator_rel_gap) <= RADIAL_NORM_RTOL
-
-    out.wall_time_s = time.perf_counter() - t0
-    return out
+    operator_rel_gap = (norm - report.bound) / report.bound
+    checks = {
+        "oracle_gap": abs(oracle_rel_gap) <= ORACLE_GAP_TOL,
+        "oracle_feasible": max(sol.residual_p, sol.residual_q) <= 1e-9,
+        "oracle_converged": sol.converged,
+        "oracle_pointwise": pointwise_err <= 0.02,
+        "operator_window": abs(operator_rel_gap) <= RADIAL_NORM_RTOL,
+    }
+    return VerificationReport(
+        params=params, regime=report.regime, bound=report.bound, oracle_objective=sol.objective,
+        oracle_rel_gap=oracle_rel_gap, oracle_pointwise_err=pointwise_err,
+        oracle_converged=sol.converged, oracle_duality_gap=sol.diagnostics["duality_gap"],
+        operator_norm=norm, operator_rel_gap=operator_rel_gap,
+        checks=checks, ok=all(checks.values()), wall_time_s=time.perf_counter() - t0,
+    )

@@ -24,6 +24,11 @@ BOUND_KEYS = [
     "schema", "beta", "p", "q", "A", "B", "regime", "boundary", "bound", "r1", "r2",
     "lambda1", "lambda2", "T", "residual_p", "residual_q", "wall_time_s",
 ]
+VERIFY_KEYS = [
+    "schema", "beta", "p", "q", "A", "B", "regime", "bound", "oracle_objective", "oracle_rel_gap",
+    "oracle_pointwise_err", "oracle_converged", "oracle_duality_gap", "operator_norm",
+    "operator_rel_gap", "checks", "ok", "wall_time_s",
+]
 
 
 def _cell(value) -> str:
@@ -53,7 +58,7 @@ class TestBoundCommand:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["schema"] == "wavelock/1"
+        assert data["schema"] == "wavelock/2"
         assert data["regime"] == "SingleP"
         assert data["bound"] == pytest.approx(BOUND_P_REF, rel=1e-13)
         assert data["T"] is None and data["residual_q"] is None
@@ -315,15 +320,9 @@ class TestVerifyCommand:
         )
         assert code == 0
         data = json.loads(out)
-        assert list(data) == [
-            "schema", "regime", "bound", "oracle_objective", "oracle_rel_gap",
-            "oracle_pointwise_err", "oracle_converged", "oracle_duality_gap",
-            "isometry_defects", "operator_norm", "operator_rel_gap",
-            "operator_iterations", "grid", "checks", "ok", "wall_time_s",
-        ]
-        assert data["isometry_defects"] == []
-        assert data["operator_iterations"] is None
-        assert data["grid"] == {}
+        assert list(data) == VERIFY_KEYS
+        assert data["schema"] == "wavelock/2"
+        assert [data[k] for k in ("beta", "p", "q", "A", "B")] == [0.5, 2.0, 4.0, 1.0, 0.4]
         assert data["checks"]["operator_window"] is True
         assert abs(data["operator_rel_gap"]) <= 1e-8
         assert data["checks"]["oracle_pointwise"] is True
@@ -340,6 +339,30 @@ class TestVerifyCommand:
         assert data["regime"] == "SingleP"
         assert data["checks"]["oracle_pointwise"] is True
         assert data["oracle_pointwise_err"] <= 0.02
+
+    def test_text_format(self, capsys, monkeypatch):
+        from wavelock import verifier
+
+        argv = ["verify", "--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4",
+                "--oracle-points", "800"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[:5] == ["beta = 0.5", "p = 2", "q = 4", "A = 1", "B = 0.4"]
+        keys = [line.split(" = ")[0] for line in lines if " = " in line]
+        assert keys == [k for k in VERIFY_KEYS if k not in ("schema", "checks")]
+        assert not any(line.startswith(("checks", "isometry_defects", "operator_iterations", "grid"))
+                       for line in lines)
+        checks = ["oracle_gap", "oracle_feasible", "oracle_converged", "oracle_pointwise", "operator_window"]
+        assert lines[len(keys):] == [f"check {name}: pass" for name in checks]
+
+        # The norm of the weight scaled by 1.5, as in test_corruption_exit_5.
+        original = verifier.radial_operator_norm
+        monkeypatch.setattr(verifier, "radial_operator_norm", lambda w: 1.5 * original(w))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 5
+        assert out.splitlines()[-1] == "check operator_window: FAIL"
+        assert err == "verification failed: operator_window\n"
 
     def test_corruption_exit_5(self, capsys, monkeypatch):
         from wavelock import verifier
@@ -818,43 +841,26 @@ class TestExtremeValues:
             (["--beta", "1e-10", "--p", "1.0000000000000002", "--q", "7", "--A", "1e-320",
               "--B", "1.0000000000000002"],
              "the bound underflows to 0.0"),
+            # The oracle's own seed grid cannot be set up here
+            # (tests/test_oracle.py::TestGrid::test_seed_grid_out_of_the_float_range),
+            # but verify's 2 T grid can; there the prices overflow and every
+            # descent ends at v = 0.
+            (["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
+             "the best objective is 0.0 (v = 0) against a dual value of 9.676e+05"),
+            (["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
+             "the best objective is 0.0 (v = 0) against a dual value of 7.661e-174"),
         ],
-        ids=["nan-objective", "bound-underflows"],
+        ids=["nan-objective", "bound-underflows", "support-endpoint-overflows", "grid-end-overflows"],
     )
     def test_verify_failures_past_the_bound_exit_3(self, argv, message, capsys):
-        # The first instance's moment rows overflow with a RuntimeWarning
-        # (t^(q-1) at t ~ 1e150); the typed error is what is checked here.
+        # The first instance's moment rows (t^(q-1) at t ~ 1e150) and the last
+        # two's prices overflow with a RuntimeWarning; the typed error is what
+        # is checked here.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, out, err = run_cli(["verify", "--format", "json", *argv], capsys)
         assert code == 3 and out == ""
         assert err.startswith(f"solver error: {message}"), err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # The oracle's own seed grid cannot be set up here
-            # (tests/test_oracle.py::TestGrid::test_seed_grid_out_of_the_float_range),
-            # but verify's 2 T grid can; there the oracle ends unconverged at
-            # objective 0, a failed check rather than a typed error.
-            ["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
-            ["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
-        ],
-        ids=["support-endpoint-overflows", "grid-end-overflows"],
-    )
-    def test_verify_past_the_seed_grid_exit_5(self, argv, capsys):
-        # The oracle's prices overflow with a RuntimeWarning; the report is
-        # what is checked here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_cli(["verify", "--format", "json", *argv], capsys)
-        assert code == 5
-        data = json.loads(out)
-        assert data["regime"] == "SingleP"
-        assert data["oracle_objective"] == 0.0
-        assert [name for name, ok in data["checks"].items() if not ok] == [
-            "oracle_gap", "oracle_converged", "oracle_pointwise",
-        ]
 
 
 _EXTREMES = [1e-320, 1e-300, 1e-10, 0.5, 1.0, 1.0000000000000002, 2.0, 7.0, 50.0, 1e10, 1e300, 1.7e308, math.inf]
@@ -951,14 +957,17 @@ class TestErrorContract:
             ((2.0, 50.0, _EPS, 50.0, 2.0), 0),
             ((1.0, 50.0, _EPS, 2.0, 7.0), 0),
             ((0.5, 7.0, _EPS, 1.0, 7.0), 0),
-            # The bound is subnormal, and the oracle cannot certify it.
-            ((1e-300, 7.0, _EPS, 1e-10, 1e10), 5),
+            # The bound is subnormal, and the oracle's best objective is 0.0.
+            ((1e-300, 7.0, _EPS, 1e-10, 1e10), 3),
         ],
     )
     def test_verify_next_to_q_1(self, values, expected):
         code, out, err = _run_quiet(["verify", "--format", "json", *_flags(values)], _library_warnings_are_errors)
         assert code == expected, err
-        assert json.loads(out)["bound"] > 0.0
+        if code == 0:
+            assert json.loads(out)["bound"] > 0.0
+        else:
+            assert out == "" and err.startswith("solver error: the best objective is 0.0 (v = 0)"), err
 
 
 class TestEntryPoint:

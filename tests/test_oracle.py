@@ -196,6 +196,23 @@ class TestSolveDiscrete:
         assert mu == pytest.approx((0.016013035445537664, 1.0703723298649788), rel=1e-12)
         assert np.all(np.abs(point[1]) <= 1e-12 * terms[3])
 
+    def test_descent_ends_where_every_halving_fails(self):
+        # At mu = (1, 0) with D = 1, gradient (1, 0) and Hessian I, Newton's
+        # step is d = (-0.5, 0); a dual whose every trial reads 2.0 never meets
+        # the Armijo line, so the descent gives up after the last halving, at
+        # its start.
+        trials = []
+
+        def dual(mu):
+            trials.append(mu)
+            return 2.0, np.array([1.0, 0.0]), np.eye(2), np.zeros(1)
+
+        start = (1.0, np.array([1.0, 0.0]), np.eye(2), np.zeros(1))
+        mu, point, steps = oracle._descend((1.0, 0.0), dual, np.array([1.0, 1.0]), 100, start, lambda point: False)
+        assert mu == (1.0, 0.0) and point is start and steps == 0
+        assert len(trials) == oracle._HALVINGS == 60
+        assert trials[0] == (pytest.approx(np.exp(-0.5), rel=1e-15), 0.0)
+
     def test_huge_budgets_certify_at_the_default_step_cap(self):
         # D is close to mu . caps here, so Newton's step in log mu moves mu by
         # only about e^-1; expanded along its path, it reaches the optimum

@@ -8,7 +8,7 @@ import re
 import pytest
 
 import wavelock as wl
-from wavelock import core, oracle
+from wavelock import cli, core, oracle
 
 # Every name `wavelock` exports, with the submodule that defines it.
 EXPORTS = {
@@ -108,6 +108,41 @@ def test_every_public_definition_has_a_caller():
             read |= _names_read(node) - own
     unused = {name for name in defined if name.split(".")[1] not in read}
     assert {name.split(".")[1] for name in unused} == set(UNUSED_ON_PURPOSE), sorted(unused)
+
+
+def test_src_modules_read_every_name_they_import():
+    # No linter is installed, so this is the unused-import check: every name a
+    # wavelock module other than __init__ imports must be read in that module.
+    # The lines marked `# noqa: F401` are exempt; perfbench's tracer hooks
+    # those three names on the importing module.
+    unread, exempt = [], set()
+    for path in sorted((ROOT / "src" / "wavelock").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name in read:
+                    continue
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    exempt.add(f"{path.stem}.{name}")
+                else:
+                    unread.append(f"{path.stem}.{name}")
+    assert unread == []
+    assert exempt == {"verifier.eval_weight", "weight.derive_constants", "weight.single_bound"}
+
+
+def test_readme_states_the_schema():
+    # Every "schema" the README quotes must be the one the CLI writes.
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.findall(r'"schema": "(wavelock/\d+)"', text)
+    assert found, "the README no longer states the JSON schema"
+    assert set(found) == {cli.SCHEMA}
 
 
 def test_readme_states_the_graded_rule():
