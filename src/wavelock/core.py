@@ -251,18 +251,23 @@ def _graded_log_nodes(panels: int, *nodes: int) -> np.ndarray:
     return log_x
 
 
-def _checked_log_integral(f, upper: float, what: str) -> float:
-    """Integral over (0, upper] of an integrand given as a function of log t,
+def _checked_log_integral(f, upper: float, whats: tuple[str, ...]) -> tuple[float, ...]:
+    """Integrals over (0, upper] of integrands given as functions of log t,
     16 Gauss nodes per panel checked against 8 (:func:`_checked`).
 
     f is evaluated once, at log t = log(upper) + log x on the cached log
-    nodes of both rules side by side, and the two weighted sums are split
-    from that one array; t itself is never formed.
+    nodes of both rules side by side, and returns one row per label in
+    ``whats``.  Each row's two weighted sums are split from it and checked
+    under its label, in order, so the first row that fails raises; t itself
+    is never formed.
     """
-    values = f(math.log(upper) + _graded_log_nodes(_PANELS, 16, 8))
+    rows = f(math.log(upper) + _graded_log_nodes(_PANELS, 16, 8))
     fine, coarse = (_graded_rule(_PANELS, nodes)[1] for nodes in (16, 8))
     n = fine.size
-    return _checked(upper * float(fine @ values[:n]), upper * float(coarse @ values[n:]), what)
+    return tuple(
+        _checked(upper * float(fine @ row[:n]), upper * float(coarse @ row[n:]), what)
+        for row, what in zip(rows, whats, strict=True)
+    )
 
 
 def _checked(value: float, coarse: float, what: str) -> float:

@@ -22,8 +22,10 @@ with T = A (p m_p(a))^(-1/p) in closed form.  R increases from r1
 :func:`compute_bound` runs :func:`_solve`: it solves log R = log(B/A) for
 z = log(a/(1 - a)) by a bracketed Newton scaled to that window, one
 log-space pass of the graded rule per iterate, takes l1 = a T^(1-p) and
-l2 = (1 - a) T^(1-q), and the bound int_0^T (1 - phi^(2 beta/(2 beta + 1))) dt
-by parts in closed form from the last pass's m_p and m_q;
+l2 = (1 - a) T^(1-q), certifies them by M_P and M_Q from one checked pass
+(:func:`moment` with both sides), and takes the bound
+int_0^T (1 - phi^(2 beta/(2 beta + 1))) dt by parts in closed form from the
+last pass's m_p and m_q;
 :func:`bound_integral` is the same integral by quadrature, its independent
 check.  :func:`solve_multipliers`, the same solve returning the multipliers
 alone, stays only for the benchmark's tracer, which hooks it.
@@ -105,7 +107,13 @@ def _log_sum_exp(a1, a2, ops: _Ops = _ARRAY_OPS):
 def _log_terms(lambda1: float, lambda2: float, params: ProblemParams) -> list[tuple[float, float]]:
     """The terms of phi(t) = l1 t^(p-1) + l2 t^(q-1) as (log l, e - 1), one per
     positive multiplier, in the order (l1, p), (l2, q): a zero multiplier drops
-    its term.  The one place the multipliers' logs are taken for phi."""
+    its term.  The one place the multipliers' logs are taken for phi.  Raises
+    ValueError for a negative or non-finite multiplier or a pair of zeros,
+    which leave phi no term or a wrong one."""
+    if not (0.0 <= lambda1 < math.inf and 0.0 <= lambda2 < math.inf) or lambda1 == lambda2 == 0.0:
+        raise ValueError(
+            f"multipliers must be finite, nonnegative and not both zero, got ({lambda1!r}, {lambda2!r})"
+        )
     return [(math.log(lam), e - 1.0) for lam, e in ((lambda1, params.p), (lambda2, params.q)) if lam > 0.0]
 
 
@@ -231,14 +239,12 @@ def find_T(lambda1: float, lambda2: float, params: ProblemParams) -> float:
     """Unique positive root of l1 T^(p-1) + l2 T^(q-1) = 1.
 
     The left side is strictly increasing from 0 to infinity, so a root
-    always exists for nonnegative multipliers that are not both zero.
-    T is the log-space Newton inversion of phi at c = 1
-    (:func:`_log_phi_inverse`), on plain floats.  Raises
-    :class:`SolverError` when T lies outside the float range or the
+    always exists for finite nonnegative multipliers that are not both zero;
+    others are :func:`_log_terms`' ValueError.  T is the log-space Newton
+    inversion of phi at c = 1 (:func:`_log_phi_inverse`), on plain floats.
+    Raises :class:`SolverError` when T lies outside the float range or the
     inversion fails.
     """
-    if lambda1 < 0 or lambda2 < 0 or (lambda1 == 0 and lambda2 == 0):
-        raise ValueError("multipliers must be nonnegative and not both zero")
     log_T = _log_phi_inverse(0.0, _log_terms(lambda1, lambda2, params))
     T = math.exp(log_T) if log_T < _LOG_FLOAT_MAX else math.inf
     if not 0.0 < T < math.inf:
@@ -271,8 +277,15 @@ def u_eval(t, m: Multipliers, params: ProblemParams):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
+def moment(m: Multipliers, params: ProblemParams, which: str | tuple[str, ...]):
     """e * int_0^T t^(e-1) u(t) dt for e = p ("P") or q ("Q").
+
+    One side gives a float.  A sequence of sides, as ("P", "Q"), gives a
+    tuple with one value per side, in order, from one checked pass: log phi
+    is formed once per rule and shared by the sides' rows, each of which
+    runs the one-side integrand's operations, so every value keeps its bits.
+    The rows are checked in order, so a failing P raises as "moment P".  An
+    unknown side raises ValueError before any quadrature.
 
     Evaluated in log t: the integrand is
     4 pi e exp((e-1) log t - c log phi) max(1 - phi^c, 0), one exp of a
@@ -283,26 +296,28 @@ def moment(m: Multipliers, params: ProblemParams, which: str) -> float:
     absorbed by the geometric panel grading.  A one-term phi = l t^k has
     the closed form 4 pi alpha T^e/(e - alpha), alpha = c k; inf if e <= alpha.
     """
-    if which not in ("P", "Q"):
-        raise ValueError(f'which must be "P" or "Q", got {which!r}')
-    e = params.p if which == "P" else params.q
+    sides = (which,) if isinstance(which, str) else tuple(which)
+    if not sides or not all(side in ("P", "Q") for side in sides):
+        raise ValueError(f'which must be "P", "Q" or a sequence of them, got {which!r}')
+    exps = [params.p if side == "P" else params.q for side in sides]
     c = 1.0 / (2.0 * params.beta + 1.0)
     terms = _log_terms(m.lambda1, m.lambda2, params)
     if len(terms) == 1:
         alpha = c * terms[0][1]
-        if not e > alpha:
-            return math.inf
         with np.errstate(over="ignore"):  # T^e past the float range is inf
-            return float(FOUR_PI * alpha / (e - alpha) * np.float64(m.T) ** e)
+            values = tuple(float(FOUR_PI * alpha / (e - alpha) * np.float64(m.T) ** e) if e > alpha
+                           else math.inf for e in exps)
+    else:
+        def f(log_t):
+            c_log_phi = c * _log_phi(log_t, terms)
+            gap = np.maximum(-np.expm1(c_log_phi), 0.0)
+            return [FOUR_PI * e * np.exp((e - 1.0) * log_t - c_log_phi) * gap for e in exps]
 
-    def f(log_t):
-        c_log_phi = c * _log_phi(log_t, terms)
-        return FOUR_PI * e * np.exp((e - 1.0) * log_t - c_log_phi) * np.maximum(-np.expm1(c_log_phi), 0.0)
-
-    # An overflowing exp makes the sum infinite, which the quadrature check
-    # turns into a QuadratureError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _checked_log_integral(f, m.T, f"moment {which}")
+        # An overflowing exp makes the sum infinite, which the quadrature check
+        # turns into a QuadratureError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _checked_log_integral(f, m.T, tuple(f"moment {side}" for side in sides))
+    return values[0] if isinstance(which, str) else values
 
 
 def bound_integral(m: Multipliers, params: ProblemParams) -> float:
@@ -318,10 +333,10 @@ def bound_integral(m: Multipliers, params: ProblemParams) -> float:
     gamma = 2.0 * params.beta / (2.0 * params.beta + 1.0)
     terms = _log_terms(m.lambda1, m.lambda2, params)
     return _checked_log_integral(
-        lambda log_t: np.maximum(-np.expm1(gamma * _log_phi(log_t, terms)), 0.0),
+        lambda log_t: [np.maximum(-np.expm1(gamma * _log_phi(log_t, terms)), 0.0)],
         m.T,
-        "bound integral",
-    )
+        ("bound integral",),
+    )[0]
 
 
 _NEWTON_MAX = 50
@@ -471,7 +486,9 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
         gamma T [a (p-1)/p (1 + p m_p/4 pi) + (1 - a) (q-1)/q (1 + q m_q/4 pi)],
 
     where log(q m_q) = q (log R + log(p m_p)/p).  :func:`bound_integral` is
-    its independent quadrature.
+    its independent quadrature.  The residuals come from one checked pass
+    that gives both moments, one log phi per rule (:func:`moment` with
+    ("P", "Q")).
     """
     work, swapped = canonical_order(params)
     p, q = work.p, work.q
@@ -497,8 +514,9 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
         iterations, bisections, z,
     )
     # The quadrature-checked moments (16 against 8 nodes) certify the result.
-    res_p = abs(moment(m, work, "P") - work.A**p) / work.A**p
-    res_q = abs(moment(m, work, "Q") - work.B**q) / work.B**q
+    mom_p, mom_q = moment(m, work, ("P", "Q"))
+    res_p = abs(mom_p - work.A**p) / work.A**p
+    res_q = abs(mom_q - work.B**q) / work.B**q
     if not max(res_p, res_q) <= _RESIDUAL_GATE:
         raise SolverError(
             f"moment residuals {res_p:.3e}, {res_q:.3e} exceed {_RESIDUAL_GATE:g} "

@@ -167,11 +167,11 @@ def weight_norms(w: ExtremalWeight) -> tuple[float, float]:
     """(p-norm, q-norm) of the weight under the hyperbolic measure.
 
     By the layer-cake formula ||F||_e^e = e int_0^T t^(e-1) u(t) dt, the
-    solver's checked :func:`~wavelock.solver.moment`, in closed form for a
-    single-regime weight; a norm that diverges is inf.
+    solver's checked :func:`~wavelock.solver.moment`, both from one pass,
+    in closed form for a single-regime weight; a norm that diverges is inf.
     """
-    return tuple(solver.moment(w.mults, w.params, which) ** (1.0 / e)
-                 for which, e in (("P", w.params.p), ("Q", w.params.q)))
+    mom_p, mom_q = solver.moment(w.mults, w.params, ("P", "Q"))
+    return mom_p ** (1.0 / w.params.p), mom_q ** (1.0 / w.params.q)
 
 
 def radial_operator_norm(w: ExtremalWeight) -> float:

@@ -12,6 +12,7 @@ from conftest import (
     band_dual_params,
     near_threshold_dual_params,
     random_dual_params,
+    random_single_params,
     tiny_budget_dual_params,
     wide_dual_params,
 )
@@ -66,6 +67,23 @@ class TestFindT:
         for lam1, lam2 in ((0.0, 0.0), (-1.0, 1.0), (1.0, -1.0)):
             with pytest.raises(ValueError, match="nonnegative and not both zero"):
                 wl.find_T(lam1, lam2, params_ref())
+
+
+class TestDegenerateMultipliers:
+    # A negative or non-finite multiplier, or two zeros, leave phi no term or
+    # a wrong one: every public evaluation of phi raises ValueError.
+    @pytest.mark.parametrize("lambdas", [(0.0, 0.0), (-1.0, 0.5), (0.5, -1.0), (math.nan, 0.5),
+                                         (0.5, math.inf)],
+                             ids=["zeros", "negative l1", "negative l2", "nan", "inf"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda m: wl.moment(m, params_ref(), "P"),
+        lambda m: wl.bound_integral(m, params_ref()),
+        lambda m: wl.u_eval(0.5, m, params_ref()),
+        lambda m: wl.psi_inverse(0.5, m, params_ref()),
+    ], ids=["moment", "bound_integral", "u_eval", "psi_inverse"])
+    def test_is_a_value_error(self, evaluate, lambdas):
+        with pytest.raises(ValueError, match="finite, nonnegative and not both zero"):
+            evaluate(wl.Multipliers(*lambdas, 1.0))
 
 
 class TestUEval:
@@ -132,6 +150,29 @@ class TestMoment:
         with pytest.raises(ValueError, match="which"):
             wl.moment(wl.multipliers(1.0, 0.0, params_ref()), params_ref(), "R")
 
+    @pytest.mark.parametrize("which", ["PQ", (), ("P", "R"), ("R", "Q"), ("Q", "P", "x")])
+    def test_unknown_side_in_a_pair_raises_before_any_quadrature(self, monkeypatch, which):
+        def forbidden(*args):
+            raise AssertionError("moment ran a quadrature")
+
+        monkeypatch.setattr(solver, "_checked_log_integral", forbidden)
+        with pytest.raises(ValueError, match="which"):
+            wl.moment(wl.multipliers(0.4, 53.8, params_ref()), params_ref(), which)
+
+    def test_pair_of_closed_forms_is_each_side(self):
+        # One-term phi: the pair form gives each side's closed form, an
+        # infinite cross moment included (q <= alpha = (p - 1)/(2 beta + 1)).
+        rng = np.random.default_rng(5)
+        cases = [(params, wl.compute_bound(params).multipliers())
+                 for params, _ in (random_single_params(rng) for _ in range(40))]
+        diverging = wl.ProblemParams(0.2, 6.0, 1.3, 1.0, 1.0)
+        cases.append((diverging, wl.multipliers(1.0, 0.0, diverging)))
+        for params, m in cases:
+            pair = wl.moment(m, params, ("P", "Q"))
+            assert pair == (wl.moment(m, params, "P"), wl.moment(m, params, "Q")), params
+        p_moment, q_moment = wl.moment(cases[-1][1], diverging, ("P", "Q"))
+        assert math.isfinite(p_moment) and q_moment == math.inf
+
     def test_monotone_in_multiplier(self):
         params = params_ref()
         vals = [
@@ -173,37 +214,43 @@ class TestMoment:
 
     def test_one_evaluation_gives_both_rules(self, monkeypatch):
         # The checked integral evaluates its integrand once, on the 16- and
-        # 8-node log nodes side by side, and splits the two sums from it.
+        # 8-node log nodes side by side, and splits each row's two sums from
+        # it: one side alone, or both sides from the same evaluation.
         params = params_ref()
         m = wl.solve_multipliers(params)
         real_integral, real_checked = solver._checked_log_integral, core._checked
         seen, sums = [], []
 
-        def spy(f, upper, what):
+        def spy(f, upper, whats):
             calls = []
 
             def counted(log_t):
                 calls.append(log_t.size)
                 return f(log_t)
 
-            seen.append((f, upper, calls))
-            return real_integral(counted, upper, what)
+            seen.append((f, upper, whats, calls))
+            return real_integral(counted, upper, whats)
 
         def checked(value, coarse, what):
-            sums.append((value, coarse))
+            sums.append((what, value, coarse))
             return real_checked(value, coarse, what)
 
         monkeypatch.setattr(solver, "_checked_log_integral", spy)
         monkeypatch.setattr(core, "_checked", checked)
-        for which in ("P", "Q"):
+        for which in ("P", "Q", ("P", "Q")):
             wl.moment(m, params, which)
-        assert len(seen) == len(sums) == 2
-        for (f, upper, calls), pair in zip(seen, sums):
+        assert [whats for _, _, whats, _ in seen] == [("moment P",), ("moment Q",), ("moment P", "moment Q")]
+        assert [what for what, _, _ in sums] == ["moment P", "moment Q", "moment P", "moment Q"]
+        rows = iter(sums)
+        for f, upper, whats, calls in seen:
             assert calls == [core._graded_log_nodes(core._PANELS, 16, 8).size]
-            for nodes, value in zip((16, 8), pair):
-                _, w = core._graded_rule(core._PANELS, nodes)
-                alone = upper * float(w @ f(math.log(upper) + core._graded_log_nodes(core._PANELS, nodes)))
-                assert abs(value - alone) <= 1e-15 * abs(alone)
+            alone = {nodes: f(math.log(upper) + core._graded_log_nodes(core._PANELS, nodes)) for nodes in (16, 8)}
+            for k in range(len(whats)):
+                _, *pair = next(rows)
+                for nodes, value in zip((16, 8), pair):
+                    _, w = core._graded_rule(core._PANELS, nodes)
+                    integral = upper * float(w @ alone[nodes][k])
+                    assert abs(value - integral) <= 1e-15 * abs(integral)
 
 
 class TestSolveMultipliers:
@@ -319,6 +366,13 @@ class TestBoundIntegral:
             check = wl.bound_integral(report.multipliers(), params)
             assert abs(report.bound - check) <= 1e-13 * check, params
 
+    def test_moment_pair_is_each_side(self, solved):
+        # One checked pass for both sides gives each side's value bit for bit.
+        for params, report in solved[:40]:
+            m = report.multipliers()
+            pair = wl.moment(m, params, ("P", "Q"))
+            assert pair == (wl.moment(m, params, "P"), wl.moment(m, params, "Q")), params
+
     def test_weight_integrals_meet_the_budgets_and_the_bound(self, solved):
         # The solved weight's norms are the checked moments and its operator
         # norm the bound integral: on every solved draw they evaluate, hit the
@@ -353,9 +407,9 @@ class TestComputeBound:
         real = solver._checked_log_integral
         seen = []
 
-        def counting(f, upper, what):
-            seen.append(what)
-            return real(f, upper, what)
+        def counting(f, upper, whats):
+            seen.append(whats)
+            return real(f, upper, whats)
 
         def forbidden(*args):
             raise AssertionError("compute_bound ran bound_integral")
@@ -365,7 +419,26 @@ class TestComputeBound:
         for params in (params_ref(), params_ref().swapped()):
             seen.clear()
             report = wl.compute_bound(params)
-            assert report.regime == "Dual" and seen == ["moment P", "moment Q"]
+            # One checked pass gives both moments.
+            assert report.regime == "Dual" and seen == [("moment P", "moment Q")]
+
+    def test_dual_bound_calls_moment_once(self, monkeypatch):
+        # The certificate is one call of the module's moment with both sides,
+        # the name the benchmark's tracer hooks; a single regime calls none.
+        real = solver.moment
+        calls = []
+
+        def counting(m, params, which):
+            calls.append(which)
+            return real(m, params, which)
+
+        monkeypatch.setattr(solver, "moment", counting)
+        for params, expected in ((params_ref(), [("P", "Q")]), (params_ref().swapped(), [("P", "Q")]),
+                                 (wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0), []),
+                                 (wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.1), [])):
+            calls.clear()
+            wl.compute_bound(params)
+            assert calls == expected, params
 
     def test_monotone_in_budgets(self):
         bounds = [
@@ -590,8 +663,9 @@ class TestNewtonDual:
 
     def test_certificate_failure_is_a_solver_error(self, monkeypatch):
         def off_budget(m, params, which):
-            budget = params.A**params.p if which == "P" else params.B**params.q
-            return budget * (1.0 + 1e-6)
+            assert which == ("P", "Q")
+            return tuple((params.A**params.p if side == "P" else params.B**params.q) * (1.0 + 1e-6)
+                         for side in which)
 
         monkeypatch.setattr(solver, "moment", off_budget)
         with pytest.raises(wl.SolverError, match="moment residuals"):

@@ -270,6 +270,26 @@ class TestWeightNorms:
         assert qn == pytest.approx(consts.r2, rel=1e-8)
 
 
+    def test_one_moment_pass_gives_each_norm(self, dual_weight, monkeypatch):
+        # Both norms come from one moment call with both sides, bit for bit
+        # the norms of the two one-side moments.
+        single_p = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 1.0)
+        single_q = wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.1)
+        weights = [dual_weight] + [wl.weight_from_report(params, wl.compute_bound(params))
+                                   for params in (single_p, single_q)]
+        expected = [tuple(wl.moment(w.mults, w.params, which) ** (1.0 / e)
+                          for which, e in (("P", w.params.p), ("Q", w.params.q))) for w in weights]
+        real = wl.solver.moment
+        calls = []
+
+        def counting(m, params, which):
+            calls.append(which)
+            return real(m, params, which)
+
+        monkeypatch.setattr(wl.solver, "moment", counting)
+        assert [wl.weight_norms(w) for w in weights] == expected
+        assert calls == [("P", "Q")] * 3
+
     def test_single_weights_match_the_closed_form(self):
         # A single weight's own norm is its budget and its other norm the
         # closed form (4 pi alpha/(e - alpha))^(1/e) lam of the cross moment;
