@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 # bound and scan need only these; verify and profile import their layers
-# when they run.
-from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _write_csv
+# when they run.  numpy comes through core's handle, which imports it at its
+# first use: a dual bound and scan use it, a single-regime bound, --help and
+# a parameter error never do.
+from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _is_float, _write_csv, np
 from .solver import SolverError, compute_bound
 
 EXIT_OK = 0
@@ -50,11 +51,12 @@ def _fmt_json(value) -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer and floating scalars with these two.
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         # JSON has no inf or nan: an unavailable value (no certificate) is null.
-        return f"{float(value):.17g}" if np.isfinite(value) else "null"
+        return f"{float(value):.17g}" if math.isfinite(value) else "null"
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -77,7 +79,7 @@ def _print_text(data: dict) -> None:
     for key, value in data.items():
         if key == "schema":
             continue
-        if isinstance(value, (float, np.floating)):
+        if _is_float(value):
             print(f"{key} = {float(value):.9g}")
         elif value is None:
             print(f"{key} = null")

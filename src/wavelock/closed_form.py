@@ -12,9 +12,9 @@ distribution function of any vectorised radial profile.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     FOUR_PI,
@@ -22,6 +22,7 @@ from .core import (
     ProblemParams,
     RegimeError,
     classify_regime,
+    np,
 )
 
 _SIDES = ("P", "Q")
@@ -76,11 +77,12 @@ def single_bound(
     return SingleConstraintResult(bound=bound, lam=lam)
 
 
-# The search's top: the largest s whose disc measure 4 pi s is finite.
-_S_TOP = np.finfo(float).max / FOUR_PI
-_TOP_BITS = _S_TOP.view(np.int64)
+# The search's top: the largest s whose disc measure 4 pi s is finite, and its
+# bit pattern as an int64.
+_S_TOP = sys.float_info.max / FOUR_PI
+_TOP_BITS = struct.unpack("<q", struct.pack("<d", _S_TOP))[0]
 _U_TOP = math.log1p(_S_TOP)
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 def _crossing(profile, t, at_zero, at_top):

@@ -5,15 +5,41 @@ every CSV the package exports or prints.
 Apart from that writer, everything here is a pure function of its inputs;
 all values are plain floats, frozen dataclasses or read-only arrays and
 safe to share between threads.
+
+``np`` is the package's one numpy handle for the modules every command
+loads (core, closed_form, solver and cli), so that a command that forms no
+array, a single-regime ``bound`` among them, never imports numpy.  It is a
+module object of its own whose module ``__getattr__`` (PEP 562) runs, at
+the first attribute read, ``import numpy`` and copies numpy's names into
+the handle; later reads are plain module attribute lookups, as fast as
+numpy's own.  A first use from several threads at once is safe: the import
+system's module lock makes every thread wait until numpy is fully imported,
+and a thread that reads the handle while another copies into it finds
+either the name or, through the same import, numpy's own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
+import types
 from dataclasses import dataclass
 
-import numpy as np
+
+def _load_numpy(name: str):
+    """The module ``__getattr__`` of :data:`np`: import numpy and copy its
+    names into the handle (module docstring), in one update that keeps this
+    ``__getattr__`` in place of numpy's own."""
+    import numpy
+
+    np.__dict__.update({**vars(numpy), "__getattr__": _load_numpy})
+    return getattr(numpy, name)
+
+
+np = types.ModuleType(f"{__name__}.np", "numpy, imported on the first attribute read.")
+np.__getattr__ = _load_numpy
 
 FOUR_PI = 4.0 * math.pi
 
@@ -21,7 +47,7 @@ FOUR_PI = 4.0 * math.pi
 BOUNDARY_RTOL = 1e-12
 
 # Logs of the largest double and of the smallest positive one.
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(math.ulp(0.0))
 
 
@@ -282,17 +308,23 @@ def _checked(value: float, coarse: float, what: str) -> float:
     return value
 
 
+def _is_float(value) -> bool:
+    """Whether value is a float, numpy's floating scalars included: a real
+    number that is not an integer, asked of :mod:`numbers`, with which numpy
+    registers its scalars, so that numpy is not imported for it."""
+    return isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral)
+
+
 def _write_csv(out, header, rows) -> None:
     """Write a header row and then one line per row to the text stream out as
-    CSV with "\\n" line ends: None is an empty cell, a float repr(float(v)),
-    anything else str(v)."""
+    CSV with "\\n" line ends: None is an empty cell, a float (:func:`_is_float`)
+    repr(float(v)), anything else str(v)."""
     import csv  # only the exporters and the csv outputs write it
 
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(
-        ["" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-         for v in row]
+        ["" if v is None else repr(float(v)) if _is_float(v) else str(v) for v in row]
         for row in rows
     )
 

@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import closed_form
 
 from .core import (
@@ -56,6 +54,7 @@ from .core import (
     canonical_order,
     classify_regime,
     derive_constants,
+    np,
 )
 
 
@@ -76,7 +75,8 @@ class Multipliers:
 
 
 class _Ops(NamedTuple):
-    """The elementwise operations of the inversion, for one kind of operand."""
+    """The elementwise operations of the inversion on plain floats; on arrays
+    they are numpy's own, under the same names."""
 
     exp: Callable
     log1p: Callable
@@ -86,7 +86,7 @@ class _Ops(NamedTuple):
 
 
 _FLOAT_OPS = _Ops(math.exp, math.log1p, max, min, bool)
-_ARRAY_OPS = _Ops(np.exp, np.log1p, np.maximum, np.minimum, np.all)
+_ARRAY_OPS = np  # numpy has the same five names
 _INVERT_MAX = 100
 # Steps after which an element also stops where its step lowers x by at most
 # one ulp: where log phi is flat to its rounding over many ulps of x, Newton

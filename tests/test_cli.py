@@ -31,6 +31,12 @@ VERIFY_KEYS = [
 ]
 
 
+# The reference dual instance and two single-regime ones, as CLI flags.
+REF_FLAGS = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.4"]
+SINGLE_P_FLAGS = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "1"]
+SINGLE_Q_FLAGS = ["--beta", "0.5", "--p", "2", "--q", "4", "--A", "1", "--B", "0.1"]
+
+
 def _cell(value) -> str:
     """A float cell of the CSV outputs: the shortest repr of the double."""
     return repr(float(value))
@@ -47,6 +53,40 @@ def test_fmt_json_rejects_what_it_cannot_serialize():
     for value in (object(), {"a": {1, 2}}, [b"bytes"]):
         with pytest.raises(TypeError, match="cannot serialize"):
             cli._fmt_json(value)
+
+
+# One value of each kind a record can hold, numpy scalars among them, and how
+# each output writes it: a JSON value, a text line, a CSV cell.
+SCALARS = {
+    "i64": np.int64(-7), "f32": np.float32(0.1), "f64": np.float64(1 / 3), "inf": math.inf,
+    "f32_inf": np.float32("inf"), "nan": np.float64("nan"), "yes": True, "no": False,
+    "int": 12345678901, "float": 0.1, "none": None,
+}
+SCALARS_JSON = (
+    '{"i64": -7, "f32": 0.10000000149011612, "f64": 0.33333333333333331, "inf": null, '
+    '"f32_inf": null, "nan": null, "yes": true, "no": false, "int": 12345678901, '
+    '"float": 0.10000000000000001, "none": null}'
+)
+SCALARS_TEXT = (
+    "i64 = -7\nf32 = 0.100000001\nf64 = 0.333333333\ninf = inf\nf32_inf = inf\nnan = nan\n"
+    "yes = True\nno = False\nint = 12345678901\nfloat = 0.1\nnone = null\n"
+)
+SCALARS_CSV = (
+    "i64,f32,f64,inf,f32_inf,nan,yes,no,int,float,none\n"
+    "-7,0.10000000149011612,0.3333333333333333,inf,inf,nan,True,False,12345678901,0.1,\n"
+)
+
+
+def test_every_output_writes_numpy_scalars_as_python_ones(capsys):
+    # The writers tell ints from floats through `numbers`, not numpy: a numpy
+    # integer is an integer, any numpy floating scalar a float, and a bool or
+    # a large Python int is never formatted as a float.
+    assert cli._fmt_json(SCALARS) == SCALARS_JSON
+    cli._print_text({"schema": cli.SCHEMA, **SCALARS})
+    assert capsys.readouterr().out == SCALARS_TEXT
+    out = io.StringIO()
+    wl.core._write_csv(out, SCALARS, [SCALARS.values()])
+    assert out.getvalue() == SCALARS_CSV
 
 
 class TestBoundCommand:
@@ -1015,6 +1055,82 @@ class TestEntryPoint:
         proc = self._fresh_interpreter(code)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[0])["regime"] == "Dual"
+
+    # A single-regime bound, --help and a parameter error form no array, so
+    # they never import numpy; core's handle imports it at the first array.
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            *(pytest.param(["bound", *flags, "--format", fmt], 0, id=f"{regime}-{fmt}")
+              for regime, flags in (("SingleP", SINGLE_P_FLAGS), ("SingleQ", SINGLE_Q_FLAGS))
+              for fmt in ("json", "csv", "text")),
+            pytest.param(["--help"], 0, id="help"),
+            pytest.param(["bound", "--beta", "0.5", "--p", "2", "--q", "2", "--A", "1", "--B", "1"], 2,
+                         id="p-equals-q"),
+        ],
+    )
+    def test_single_regime_commands_never_import_numpy(self, argv, code):
+        proc = self._fresh_interpreter(
+            "import sys, wavelock.cli\n"
+            "try:\n"
+            f"    code = wavelock.cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "sys.exit(code)\n"
+        )
+        assert proc.returncode == code, proc.stderr
+
+    def test_dual_bound_loads_numpy(self):
+        proc = self._fresh_interpreter(
+            "import sys, wavelock.cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"assert wavelock.cli.main(['bound', *{REF_FLAGS!r}]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_single_regime_records_do_not_depend_on_numpy_being_loaded(self):
+        # wall_time_s is pinned to 0 by a constant clock, so the records of
+        # the two interpreters can be compared byte for byte.
+        runs = "".join(
+            f"wavelock.cli.main(['bound', *{flags!r}, '--format', {fmt!r}])\n"
+            for flags in (SINGLE_P_FLAGS, SINGLE_Q_FLAGS) for fmt in ("json", "csv", "text")
+        )
+        body = "import time, wavelock.cli\ntime.perf_counter = lambda: 0.0\n" + runs
+        without, with_numpy = (self._fresh_interpreter(head + body) for head in ("", "import numpy\n"))
+        assert without.returncode == with_numpy.returncode == 0, without.stderr + with_numpy.stderr
+        assert without.stdout == with_numpy.stdout
+        assert without.stdout.count('"wall_time_s": 0}') == 2
+        assert without.stdout.count("regime = SingleP") == without.stdout.count("regime = SingleQ") == 1
+
+    @pytest.mark.parametrize("spacing", [0.0, 0.01], ids=["together", "10ms-apart"])
+    def test_first_dual_bounds_from_eight_threads_at_once(self, spacing, ref_report):
+        # Eight threads meet at a barrier and then make the process's first
+        # dual bound, so they read core's numpy handle while numpy loads:
+        # together, or 10 ms apart, which spreads their first reads over the
+        # import (tens of milliseconds), a partly initialised numpy included.
+        proc = self._fresh_interpreter(
+            "import sys, threading, time\n"
+            "from wavelock import ProblemParams, compute_bound\n"
+            "assert 'numpy' not in sys.modules\n"
+            "barrier, out = threading.Barrier(8), [None] * 8\n"
+            "def run(i):\n"
+            "    barrier.wait()\n"
+            f"    time.sleep({spacing!r} * i)\n"
+            "    try:\n"
+            "        out[i] = repr(compute_bound(ProblemParams(0.5, 2.0, 4.0, 1.0, 0.4)).bound)\n"
+            "    except Exception as exc:\n"
+            "        out[i] = f'{type(exc).__name__}: {exc}'\n"
+            "threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join()\n"
+            "print('\\n'.join(out))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr(ref_report.bound)] * 8
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,13 +2,15 @@
 
 import ast
 import importlib
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import wavelock as wl
-from wavelock import cli, core, oracle
+from wavelock import cli, closed_form, core, oracle, solver
 
 # Every name `wavelock` exports, with the submodule that defines it.
 EXPORTS = {
@@ -135,6 +137,64 @@ def test_src_modules_read_every_name_they_import():
                     unread.append(f"{path.stem}.{name}")
     assert unread == []
     assert exempt == {"verifier.eval_weight", "weight.derive_constants", "weight.single_bound"}
+
+
+# The modules every command loads: numpy reaches them only through core's handle.
+COMMAND_MODULES = ("core", "closed_form", "solver", "cli")
+
+
+def _run_at_import(tree: ast.Module):
+    """Every node of a module that runs when it is imported: all but the
+    bodies of its functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_command_modules_reach_numpy_only_through_the_handle(module):
+    tree = ast.parse((ROOT / "src" / "wavelock" / f"{module}.py").read_text())
+    imports, binds = [], []
+    for node in _run_at_import(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            imports += [n for n in names if n.split(".")[0] == "numpy"]
+            binds += [node for a in node.names if (a.asname or a.name) == "np"]
+        elif isinstance(node, ast.Assign):
+            binds += [node for t in node.targets if isinstance(t, ast.Name) and t.id == "np"]
+    assert imports == [], f"{module} imports numpy when it loads"
+    # core binds the handle once; the others take it from core by its name.
+    (bind,) = binds
+    if module == "core":
+        assert isinstance(bind, ast.Assign) and ast.unparse(bind.value).startswith("types.ModuleType(")
+    else:
+        assert isinstance(bind, ast.ImportFrom) and (bind.level, bind.module) == (1, "core")
+        assert [a.asname for a in bind.names if a.name == "np"] == [None]
+    assert importlib.import_module(f"wavelock.{module}").np is core.np
+
+
+def test_numpy_handle_reads_numpys_names():
+    assert type(core.np) is type(np) and core.np is not np
+    assert core.np.__getattr__ is core._load_numpy
+    for name in ("exp", "log1p", "maximum", "minimum", "all", "ndarray", "errstate", "polynomial"):
+        assert getattr(core.np, name) is getattr(np, name), name
+    assert solver._ARRAY_OPS is core.np
+    with pytest.raises(AttributeError, match="no_such_name"):
+        core.np.no_such_name
+
+
+def test_plain_float_constants_are_numpys():
+    # The constants the command modules form at import are plain Python
+    # values, equal bit for bit to numpy's.
+    assert core._LOG_FLOAT_MAX == math.log(np.finfo(float).max)
+    assert closed_form._S_TOP == np.finfo(float).max / core.FOUR_PI
+    assert closed_form._TOP_BITS == np.float64(closed_form._S_TOP).view(np.int64)
+    assert closed_form._EPS == np.finfo(float).eps
+    assert type(closed_form._S_TOP) is type(closed_form._EPS) is float
+    assert type(closed_form._TOP_BITS) is int
 
 
 def test_readme_states_the_schema():
