@@ -10,8 +10,11 @@ larger single-constraint support endpoint, from ``derive_constants``.
 
 The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
-and bounds every feasible objective from above; each evaluation is one
-pass over the nodes against rows and prices formed once per problem.
+and bounds every feasible objective from above.  Each evaluation is a
+value pass over the nodes against rows and prices formed once per problem,
+which is all a line-search trial needs; the gradient, Hessian and maximiser
+are a second pass, from the arrays the first one kept, formed only at the
+points a descent keeps.
 Damped Newton in log mu minimises it over the quadrant mu >= 0, with an
 active set of the multipliers held at the boundary (Bertsekas 1982), and
 each maximiser s(mu) it reaches meets both budgets to within the descent's
@@ -151,30 +154,27 @@ def _dual_terms(prob: DiscreteProblem) -> tuple:
     return rows, prices, prob.dt, np.array([prob.budget_p, prob.budget_q]), beta
 
 
-def _dual(
-    mu, rows: np.ndarray, prices: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Lagrangian dual D(mu), its gradient and Hessian, and the maximiser s(mu).
+def _dual_value(mu, prices: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float) -> tuple:
+    """The value pass: D(mu), and the arrays rho, r, x and x - 1 that ``_dual``
+    forms its derivatives from.
 
-    ``rows`` stacks the constraint rows a, b and ``prices`` is rows/(dt G'(0)),
-    both from ``_dual_terms``.  D(mu) = sum_i dt_i [G(s_i) - c_i s_i]
-    + mu . caps with c_i = (mu1 a_i + mu2 b_i)/dt_i, where s_i maximises
-    G(s) - c_i s over s >= 0.  With r_i = min(mu . prices_i, 1) =
-    min(c_i/G'(0), 1) and x_i = r_i^(-1/(2 beta+1)) that maximiser is
-    s_i = 4pi (x_i - 1), exactly 0 where r_i = 1, and the bracket collapses to
-    1 - r_i x_i - 2 beta r_i (x_i - 1), which stays finite as r_i -> 0 and is
-    exactly 0 at r_i = 1.  So every pass runs over all nodes, and only the
-    Hessian masks out r_i = 1.  The gradient caps - rows s is one
-    matrix-vector product and the Hessian one product with the 2 x n rows.
-    Requires mu != 0.  Where mu . prices underflows to 0, every value is nan.
+    ``prices`` is rows/(dt G'(0)), from ``_dual_terms``.  D(mu) = sum_i dt_i
+    [G(s_i) - c_i s_i] + mu . caps with c_i = (mu1 a_i + mu2 b_i)/dt_i, where
+    s_i maximises G(s) - c_i s over s >= 0.  With rho_i = mu . prices_i =
+    c_i/G'(0), r_i = min(rho_i, 1) and x_i = r_i^(-1/(2 beta+1)) that
+    maximiser is s_i = 4pi (x_i - 1), exactly 0 where r_i = 1, and the bracket
+    collapses to 1 - r_i x_i - 2 beta r_i (x_i - 1), which stays finite as
+    r_i -> 0 and is exactly 0 at r_i = 1.  So the pass runs over all nodes.
+    Requires mu != 0.  Where mu . prices underflows to 0, D and every array
+    are nan.
     """
     rho = np.dot(mu, prices)  # c/G'(0)
     if not rho[0] > 0.0:  # the prices e t^(e-1)/G'(0) rise with t: node 0 underflows first
-        return math.nan, caps * math.nan, np.full((2, 2), math.nan), rho * math.nan
+        rho *= math.nan
+        return math.nan, rho, rho, rho, rho
     r = np.minimum(rho, 1.0)
     x = r ** (-1.0 / (2.0 * beta + 1.0))
     x_1 = x - 1.0
-    s = FOUR_PI * x_1
     bracket = r * x  # 1 - r x - 2 beta r (x - 1), in place and in that order
     np.subtract(1.0, bracket, out=bracket)
     paid = (2.0 * beta) * r
@@ -182,6 +182,23 @@ def _dual(
     bracket -= paid
     value = float(dt @ bracket)
     value += float(mu[0] * caps[0] + mu[1] * caps[1])
+    return value, rho, r, x, x_1
+
+
+def _dual(
+    mu, rows: np.ndarray, prices: np.ndarray, dt: np.ndarray, caps: np.ndarray, beta: float, kept=None
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Lagrangian dual D(mu), its gradient and Hessian, and the maximiser s(mu).
+
+    ``rows`` stacks the constraint rows a, b and ``prices`` is rows/(dt G'(0)),
+    both from ``_dual_terms``.  ``kept`` is the value pass at mu
+    (``_dual_value``); where it is not given, the value pass runs here.  The
+    derivative pass forms s = 4pi (x - 1), the gradient caps - rows s in one
+    matrix-vector product and the Hessian in one product with the 2 x n rows,
+    masking out the nodes where r = 1.  Every value is nan where D is.
+    """
+    value, rho, r, x, x_1 = _dual_value(mu, prices, dt, caps, beta) if kept is None else kept
+    s = FOUR_PI * x_1
     grad = caps - rows @ s
     k = (FOUR_PI / (2.0 * beta + 1.0)) * x
     k[r == 1.0] = 0.0
@@ -220,7 +237,7 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple, certified):
+def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: tuple, certified):
     """Damped Newton descent of the convex dual over the quadrant mu >= 0.
 
     Every step is Newton's step in eta = log mu (``_log_newton``) on Python
@@ -243,9 +260,12 @@ def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple, ce
     predicted decrease is below the rounding of D, the descent ends where
     ``certified(point)`` holds, and otherwise takes a full step while the
     relative moment residual of the free multipliers keeps falling.
-    Returns the final multipliers, the dual there (value, gradient,
-    Hessian, maximiser) and the steps taken.  ``point`` is the dual at
-    ``mu``, the seed's, evaluated already to order the descents.
+    A trial is priced by D alone: ``dual(mu)`` is the value pass
+    (``_dual_value``), and ``derive(mu, trial)`` forms the gradient, Hessian
+    and maximiser from it (``_dual``) only at the point a step keeps, and at
+    the trial whose residual the rounding branch reads.  Returns the final
+    multipliers, the dual there (value, gradient, Hessian, maximiser) and
+    the steps taken.  ``point`` is the dual at ``mu``, the seed's.
     """
     (c1, c2), frozen1, frozen2 = caps.tolist(), False, False
 
@@ -272,7 +292,7 @@ def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple, ce
             if certified(point):
                 return mu, point, step
             trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
-            trial = dual(trial_mu)
+            trial = derive(trial_mu, dual(trial_mu))
             if not residual(trial[1]) < residual(grad):
                 return mu, point, step
         else:
@@ -294,6 +314,7 @@ def _descend(mu: tuple, dual, caps: np.ndarray, max_steps: int, point: tuple, ce
                 if not ahead[0] < trial[0]:
                     break
                 trial_mu, trial = ahead_mu, ahead
+            trial = derive(trial_mu, trial)
         mu, point = trial_mu, trial
         collapse = _COLLAPSE * (mu[0] * c1 + mu[1] * c2)
         frozen1 = frozen1 or 0.0 < mu[0] * c1 <= collapse
@@ -319,29 +340,45 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
     evaluations of D, the two seeds and line-search and expansion trials
-    included.  The rows, their prices and the budgets are formed once
-    (``_dual_terms``), which raises OracleError where a row underflows to 0;
-    so does a solve whose best objective is nan (every descent) or 0.0.
+    included.  Each of those is a value pass (``_dual_value``); only a seed
+    a descent starts from, a point a step keeps and a trial whose residual
+    is read get the derivative pass (``_dual``) as well, and
+    diagnostics["derivative_evaluations"] counts these.  A point's scaled
+    maximiser and objective are formed once, whether the gap test or the
+    answer reads them first.  The rows, their prices and the budgets are
+    formed once (``_dual_terms``), which raises OracleError where a row
+    underflows to 0; so does a solve whose best objective is nan (every
+    descent) or 0.0.
     diagnostics["descents"] lists each descent in run order as (seed,
     Newton steps).  One DEBUG record on the ``wavelock.oracle`` logger gives
-    the descents, the dual evaluations, the gap checks and the relative gap.
+    the descents, the dual evaluations, those with derivatives, the gap
+    checks and the relative gap.
     """
     terms = _dual_terms(prob)
     rows, prices, dt, caps, beta = terms
-    evaluations = gap_checks = 0
+    evaluations = derivatives = gap_checks = 0
+    last = None, None  # the point scaled last, and its scaled maximiser and objective
 
     def dual(m):
         nonlocal evaluations
         evaluations += 1
-        return _dual(m, *terms)
+        return _dual_value(m, prices, dt, caps, beta)
+
+    def derive(m, kept):
+        nonlocal derivatives
+        derivatives += 1
+        return _dual(m, *terms, kept)
 
     def scaled(point):
         """The maximiser s(mu) at a point of the dual, divided by its budget
-        load where that exceeds 1, and its objective."""
-        s = point[3]
-        load = float(np.max(rows @ s / caps))
-        z = s / load if load > 1.0 else s
-        return z, float(g_eval(z, beta) @ dt)
+        load where that exceeds 1, and its objective; formed once per point."""
+        nonlocal last
+        if last[0] is not point:
+            s = point[3]
+            load = float(np.max(rows @ s / caps))
+            z = s / load if load > 1.0 else s
+            last = point, (z, float(g_eval(z, beta) @ dt))
+        return last[1]
 
     def certified(point):
         nonlocal gap_checks
@@ -353,7 +390,8 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     starts = [dual(seed) for seed in seeds]
     descents, obj = [], -np.inf
     for i in sorted((0, 1), key=lambda i: starts[i][0]):  # stable: (1, 0) first on a tie
-        mu, point, steps = _descend(seeds[i], dual, caps, max_iter, starts[i], certified)
+        start = derive(seeds[i], starts[i])
+        mu, point, steps = _descend(seeds[i], dual, derive, caps, max_iter, start, certified)
         descents.append((seeds[i], steps))
         if len(descents) == 1 or point[0] < dual_value:
             mu_dual, dual_value = mu, point[0]
@@ -377,9 +415,9 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     excess = np.maximum(used - caps, 0.0)
     gap = (dual_value - obj) / max(obj, 1e-300)
     _log.debug(
-        "discrete dual solve: descents (seed, Newton steps) %s, %d dual evaluations, %d gap checks, "
-        "relative gap %.3e",
-        descents, evaluations, gap_checks, gap,
+        "discrete dual solve: descents (seed, Newton steps) %s, %d dual evaluations, %d of them with "
+        "derivatives, %d gap checks, relative gap %.3e",
+        descents, evaluations, derivatives, gap_checks, gap,
     )
     if gap + float(np.dot(mu_dual, excess)) / max(obj, 1e-300) < -1e-12:
         raise OracleError(f"weak duality violated: relative gap {gap:.3e}")
@@ -392,6 +430,7 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         "dual_value": dual_value,
         "dual_multipliers": mu_dual,
         "dual_evaluations": evaluations,
+        "derivative_evaluations": derivatives,
         "gap_checks": gap_checks,
         "descents": descents,
     }

@@ -6,9 +6,10 @@ draw goes through ``run_oracle`` on two grids: the one ``verify`` builds,
 ending at 2 T with T the support endpoint of ``report.multipliers()`` in
 every regime, and the oracle's own seed grid (``t_max=None``).  ``tally``
 counts certified draws, draws whose v is nonincreasing, dual evaluations,
-Newton steps and gap checks; an ``OracleError`` counts as not certified.
-``verify_tally`` runs ``run_verification`` on every solved draw and names
-each failure: its failed checks, or the ``OracleError`` and its cause.
+those that formed derivatives, Newton steps and gap checks; an
+``OracleError`` counts as not certified.  ``verify_tally`` runs
+``run_verification`` on every solved draw and names each failure: its
+failed checks, or the ``OracleError`` and its cause.
 
     PYTHONPATH=src python tests/oracle_sweep.py
 
@@ -45,13 +46,15 @@ GRIDS = ("2T", "seed")
 @dataclass
 class Tally:
     """One sampler on one grid: solved draws, certified solves, solves whose
-    v is nonincreasing, and the dual evaluations, Newton steps and gap
-    checks summed over the solves that return."""
+    v is nonincreasing, and the dual evaluations, those of them that formed
+    derivatives, Newton steps and gap checks summed over the solves that
+    return."""
 
     solved: int = 0
     certified: int = 0
     monotone: int = 0
     evaluations: int = 0
+    derivatives: int = 0
     steps: int = 0
     gap_checks: int = 0
 
@@ -100,6 +103,7 @@ def tally(sampler: str, grid: str, count: int | None = None) -> Tally:
             out.certified += sol.converged
             out.monotone += bool(np.all(np.diff(sol.v) <= 0.0))
             out.evaluations += sol.diagnostics["dual_evaluations"]
+            out.derivatives += sol.diagnostics["derivative_evaluations"]
             out.steps += sol.iterations
             out.gap_checks += sol.diagnostics["gap_checks"]
     return out
@@ -122,12 +126,12 @@ def verify_tally(sampler: str) -> VerifyTally:
 
 def main() -> None:
     print(f"{'sampler':<16}{'grid':<6}{'solved':>8}{'certified':>11}{'monotone':>10}{'evaluations':>13}"
-          f"{'steps':>8}{'gap_checks':>12}")
+          f"{'derivatives':>13}{'steps':>8}{'gap_checks':>12}")
     for sampler in SAMPLERS:
         for grid in GRIDS:
             t = tally(sampler, grid)
             print(f"{sampler:<16}{grid:<6}{t.solved:>8}{t.certified:>11}{t.monotone:>10}{t.evaluations:>13}"
-                  f"{t.steps:>8}{t.gap_checks:>12}")
+                  f"{t.derivatives:>13}{t.steps:>8}{t.gap_checks:>12}")
     print(f"\n{'sampler':<16}{'solved':>8}{'verified':>10}  failures")
     for sampler in SAMPLERS:
         t = verify_tally(sampler)

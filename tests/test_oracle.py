@@ -51,6 +51,25 @@ def descent_starts(monkeypatch) -> list:
     return starts
 
 
+def solve_eagerly(prob: DiscreteProblem):
+    """``solve_discrete`` with the derivatives formed at every evaluation of D,
+    as one fused pass would, and each point a descent keeps given those
+    formed at its own multipliers."""
+    rows = oracle._dual_terms(prob)[0]
+    value_pass, derivative_pass = oracle._dual_value, oracle._dual
+    formed = {}
+
+    def value_and_derivatives(mu, *terms):
+        kept = value_pass(mu, *terms)
+        formed[tuple(mu)] = derivative_pass(mu, rows, *terms, kept)
+        return kept
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_dual_value", value_and_derivatives)
+        patch.setattr(oracle, "_dual", lambda mu, *args: formed[tuple(mu)])
+        return solve_discrete(prob)
+
+
 def criterion_5_instances():
     rng = np.random.default_rng(5)
     ref = wl.ProblemParams(beta=0.5, p=2.0, q=4.0, A=1.0, B=0.4)
@@ -186,10 +205,14 @@ class TestSolveDiscrete:
 
         def dual(mu):
             seen.append(tuple(mu))
-            return _dual(mu, *terms)
+            return oracle._dual_value(mu, *terms[1:])
+
+        def derive(mu, kept):
+            return _dual(mu, *terms, kept)
 
         seed = (1.0, 0.0)
-        mu, point, _ = oracle._descend(seed, dual, terms[3], 100, dual(seed), lambda point: False)
+        start = derive(seed, dual(seed))
+        mu, point, _ = oracle._descend(seed, dual, derive, terms[3], 100, start, lambda point: False)
         assert min(mu1 for mu1, _ in seen) >= 1e-3
         opened = next(k for k, (_, mu2) in enumerate(seen) if mu2 > 0.0)
         assert seen[opened - 1] == (pytest.approx(0.0814, rel=0.05), 0.0)  # near the face optimum
@@ -200,15 +223,20 @@ class TestSolveDiscrete:
         # At mu = (1, 0) with D = 1, gradient (1, 0) and Hessian I, Newton's
         # step is d = (-0.5, 0); a dual whose every trial reads 2.0 never meets
         # the Armijo line, so the descent gives up after the last halving, at
-        # its start.
+        # its start.  No trial is kept, so none gets its derivatives.
         trials = []
 
         def dual(mu):
             trials.append(mu)
-            return 2.0, np.array([1.0, 0.0]), np.eye(2), np.zeros(1)
+            return 2.0, np.ones(1), np.ones(1), np.ones(1), np.zeros(1)
+
+        def derive(mu, kept):
+            raise AssertionError(f"derivatives formed at the rejected trial {mu}")
 
         start = (1.0, np.array([1.0, 0.0]), np.eye(2), np.zeros(1))
-        mu, point, steps = oracle._descend((1.0, 0.0), dual, np.array([1.0, 1.0]), 100, start, lambda point: False)
+        mu, point, steps = oracle._descend(
+            (1.0, 0.0), dual, derive, np.array([1.0, 1.0]), 100, start, lambda point: False
+        )
         assert mu == (1.0, 0.0) and point is start and steps == 0
         assert len(trials) == oracle._HALVINGS == 60
         assert trials[0] == (pytest.approx(np.exp(-0.5), rel=1e-15), 0.0)
@@ -295,7 +323,7 @@ class TestCertificate:
         assert priced_out_nodes > 0
 
     def test_counts_every_dual_evaluation(self, ref_params, ref_report, monkeypatch):
-        counts = {"_dual": 0, "_descend": 0}
+        counts = {"_dual_value": 0, "_dual": 0, "_descend": 0}
         for name in counts:
             def counted(*args, _name=name, _f=getattr(oracle, name)):
                 counts[_name] += 1
@@ -305,10 +333,41 @@ class TestCertificate:
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
         evaluations = sol.diagnostics["dual_evaluations"]
-        assert evaluations == counts["_dual"]
+        assert evaluations == counts["_dual_value"]
+        assert sol.diagnostics["derivative_evaluations"] == counts["_dual"]
         # one evaluation at each seed and at least one per Newton step
         assert evaluations >= sol.iterations + 2
         assert counts["_descend"] == 1  # from the (0, 1) seed only
+
+    def test_derivatives_only_where_a_descent_keeps_the_point(self, ref_params, ref_report):
+        # On the reference, 10 of the 16 evaluations form derivatives: the
+        # (0, 1) seed the descent starts from and the point each step keeps;
+        # the (1, 0) seed and the rejected trials are priced by D alone.
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        sol = solve_discrete(prob)
+        derivatives = sol.diagnostics["derivative_evaluations"]
+        assert sol.iterations + len(sol.diagnostics["descents"]) <= derivatives <= 10
+        assert derivatives < sol.diagnostics["dual_evaluations"]
+
+    def test_derivatives_at_kept_points_keep_every_bit(self, ref_params, ref_report):
+        # The reference and the first 20 draws of each TestSweep sampler on
+        # the 2T grid, solved as they are and with the derivatives formed at
+        # every evaluation of D, each kept point taking those formed at its
+        # own multipliers (``solve_eagerly``).
+        problems = [DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)]
+        for sampler in ("random", "near-threshold", "single", "wide", "band"):
+            problems += [
+                DiscreteProblem.log_spaced(params, t_max=2.0 * T)
+                for _, params, T in oracle_sweep.solved_draws(sampler, 20)
+            ]
+        for prob in problems:
+            lazy, eager = solve_discrete(prob), solve_eagerly(prob)
+            assert np.array_equal(lazy.v, eager.v), prob.params
+            assert lazy.objective == eager.objective, prob.params
+            assert (lazy.residual_p, lazy.residual_q) == (eager.residual_p, eager.residual_q), prob.params
+            for key in ("dual_multipliers", "descents", "dual_evaluations", "gap_checks"):
+                assert lazy.diagnostics[key] == eager.diagnostics[key], (key, prob.params)
+            assert lazy.diagnostics["derivative_evaluations"] >= lazy.iterations, prob.params
 
     def test_first_joint_descent_closing_the_gap_ends_the_solve(
         self, ref_params, ref_report, monkeypatch
