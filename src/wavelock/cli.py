@@ -16,8 +16,8 @@ from dataclasses import asdict, fields
 
 # bound and scan need only these; verify and profile import their layers
 # when they run.  numpy comes through core's handle, which imports it at its
-# first use: a dual bound and scan use it, a single-regime bound, --help and
-# a parameter error never do.
+# first use: a dual bound and a ratio scan use it, a single-regime bound,
+# --help and a parameter error never do.
 from .core import OracleError, ParameterError, ProblemParams, QuadratureError, _is_float, _write_csv, np
 from .solver import SolverError, compute_bound
 
@@ -149,8 +149,9 @@ _SCAN_COLUMNS = ("ratio", "q", "regime", "bound", "lambda1", "lambda2", "r1", "r
 
 
 def _scan_row(beta, p, q, A, B) -> dict:
-    """One scan line: the instance's report record, or only its error."""
-    row = {"ratio": float(B / A), "q": float(q), "error": ""}
+    """One scan line: the instance's report record, or only its error.  The
+    ratio B/A is an empty cell where A = 0 leaves it undefined."""
+    row = {"ratio": B / A if A != 0.0 else None, "q": q, "error": ""}
     try:
         row.update(_report_dict(compute_bound(ProblemParams(beta=beta, p=p, q=q, A=A, B=B))))
     except (ParameterError, SolverError, QuadratureError) as exc:
@@ -159,12 +160,15 @@ def _scan_row(beta, p, q, A, B) -> dict:
 
 
 def cmd_scan(args) -> int:
+    """Check every scan flag, as a ParameterError, then print one row per instance."""
     if (args.ratio_min is None) != (args.ratio_max is None):
         raise ParameterError("--ratio-min and --ratio-max must be given together")
-    if args.ratio_min is None and not args.q_sweep:
-        raise ParameterError("scan needs either a ratio range or --q-sweep")
+    if (args.ratio_min is None) == (args.q_sweep is None):
+        raise ParameterError("scan needs either a ratio range or --q-sweep, not both")
 
     if args.ratio_min is not None:
+        if args.q is None:
+            raise ParameterError("ratio sweeps need --q")
         if not 1 <= args.steps <= _MAX_ARRAY:
             raise ParameterError(f"--steps must be between 1 and {_MAX_ARRAY}, got {args.steps}")
         # A non-finite end makes the difference non-finite too.
@@ -173,9 +177,12 @@ def cmd_scan(args) -> int:
                 f"--ratio-min and --ratio-max must be finite, with a finite difference; "
                 f"got {args.ratio_min!r} and {args.ratio_max!r}"
             )
-        ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps)
+        # Python floats: A * r past the float range is inf, with no warning.
+        ratios = np.linspace(args.ratio_min, args.ratio_max, args.steps).tolist()
         rows = [_scan_row(args.beta, args.p, args.q, args.A, args.A * r) for r in ratios]
     else:
+        if args.B is None:
+            raise ParameterError("q sweeps need --B")
         try:
             qs = [float(v) for v in args.q_sweep.split(",")]
         except ValueError as exc:
@@ -241,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "scan":
-        if args.ratio_min is not None and args.q is None:
-            parser.error("ratio sweeps need --q")
-        if args.q_sweep is not None and args.B is None:
-            parser.error("q sweeps need --B")
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -6,9 +6,9 @@ Apart from that writer, everything here is a pure function of its inputs;
 all values are plain floats, frozen dataclasses or read-only arrays and
 safe to share between threads.
 
-``np`` is the package's one numpy handle for the modules every command
-loads (core, closed_form, solver and cli), so that a command that forms no
-array, a single-regime ``bound`` among them, never imports numpy.  It is a
+``np`` is the package's one numpy handle: every other module takes numpy
+from it, and none imports numpy when it loads, so that a command that forms
+no array, a single-regime ``bound`` among them, never imports numpy.  It is a
 module object of its own whose module ``__getattr__`` (PEP 562) runs, at
 the first attribute read, ``import numpy`` and copies numpy's names into
 the handle; later reads are plain module attribute lookups, as fast as

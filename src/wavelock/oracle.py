@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import FOUR_PI, OracleError, ProblemParams, derive_constants, g_eval
+from .core import FOUR_PI, OracleError, ProblemParams, derive_constants, g_eval, np
 
 
 _T_MIN_FACTOR = 1e-6  # the grid's first node, relative to t_max
@@ -46,7 +45,7 @@ _HALVINGS = 60  # backtracking halvings before a dual descent gives up
 _MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
 _EXPAND = 0.9  # a first trial that shrinks a multiplier by e^0.9 or more doubles t
 _COLLAPSE = 1e-30  # share of mu . caps below which a multiplier is frozen
-_ROUNDOFF = 64.0 * np.finfo(float).eps  # rounding of D relative to its terms
+_ROUNDOFF = 64.0 * sys.float_info.epsilon  # rounding of D relative to its terms
 
 _log = logging.getLogger(__name__)
 

@@ -37,7 +37,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import closed_form
 
@@ -74,19 +74,6 @@ class Multipliers:
     T: float
 
 
-class _Ops(NamedTuple):
-    """The elementwise operations of the inversion on plain floats; on arrays
-    they are numpy's own, under the same names."""
-
-    exp: Callable
-    log1p: Callable
-    maximum: Callable
-    minimum: Callable
-    all: Callable
-
-
-_FLOAT_OPS = _Ops(math.exp, math.log1p, max, min, bool)
-_ARRAY_OPS = np  # numpy has the same five names
 _INVERT_MAX = 100
 # Steps after which an element also stops where its step lowers x by at most
 # one ulp: where log phi is flat to its rounding over many ulps of x, Newton
@@ -94,14 +81,24 @@ _INVERT_MAX = 100
 _ULP_STOP_AFTER = 20
 
 
-def _log_sum_exp(a1, a2, ops: _Ops = _ARRAY_OPS):
-    """log(e^a1 + e^a2) as max(a1, a2) + log1p(exp(-|a1 - a2|)).
+def _log_sum_exp(a1, a2):
+    """log(e^a1 + e^a2) as max(a1, a2) + log1p(exp(-|a1 - a2|)), on arrays.
 
     The formula of np.logaddexp, built from ufuncs that numpy vectorises
     (it runs np.logaddexp itself as a scalar loop).  Nothing in it
-    overflows.  Plain floats go through ``_FLOAT_OPS``.
+    overflows.  The float loop of :func:`_log_phi_inverse` and
+    :func:`_log_shares` write the same formula on ``math``.
     """
-    return ops.maximum(a1, a2) + ops.log1p(ops.exp(-abs(a1 - a2)))
+    return np.maximum(a1, a2) + np.log1p(np.exp(-abs(a1 - a2)))
+
+
+def _log_shares(z: float) -> tuple[float, float]:
+    """log a and log(1 - a) for the crossover share a = 1/(1 + e^-z), as
+    -softplus(-z) and -softplus(z) by :func:`_log_sum_exp`'s formula with 0 on
+    plain floats: no exp of z, so nothing overflows.  The two softplus terms
+    share log1p(exp(-|z|))."""
+    tail = math.log1p(math.exp(-abs(z)))
+    return -(max(0.0, -z) + tail), -(max(0.0, z) + tail)
 
 
 def _log_terms(lambda1: float, lambda2: float, params: ProblemParams) -> list[tuple[float, float]]:
@@ -136,8 +133,8 @@ def _log_phi_inverse(log_c, terms):
     stops at the first step that no longer lowers x, the rounding floor, and
     after _ULP_STOP_AFTER steps also at the first that lowers it by at most
     one ulp, where g is flat to its rounding over many ulps.  Either stop
-    keeps the x before the step, at or above the root.  A
-    float ``log_c`` runs on plain floats.  An array runs elementwise
+    keeps the x before the step, at or above the root.  A float ``log_c``
+    runs on ``math``, ``min`` and ``max``.  An array runs elementwise
     (:func:`_invert_array`): each element stops at its own first such step.
     math's and numpy's exp and log1p may differ in the last bit, so a float
     and the same value in an array may stop a few ulps of t apart: at most
@@ -147,20 +144,20 @@ def _log_phi_inverse(log_c, terms):
     """
     if len(terms) == 1:
         return (log_c - terms[0][0]) / terms[0][1]
-    ops = _FLOAT_OPS if isinstance(log_c, float) else _ARRAY_OPS
+    floats = isinstance(log_c, float)
     (l1, k1), (l2, k2) = ordered = sorted(terms, key=lambda term: term[1])
-    x = ops.minimum((log_c - l1) / k1, (log_c - l2) / k2)
-    if not ops.all(abs(x) < math.inf):
+    x = (min if floats else np.minimum)((log_c - l1) / k1, (log_c - l2) / k2)
+    if not (abs(x) < math.inf if floats else np.all(abs(x) < math.inf)):
         raise SolverError(f"non-finite start inverting phi with log terms {terms!r} at log c = {log_c!r}")
-    if ops is _ARRAY_OPS:
+    if not floats:
         return _invert_array(x, log_c, ordered)
     for step in range(_INVERT_MAX):
-        a2 = l2 + k2 * x  # the log of the second term
-        log_phi = _log_sum_exp(l1 + k1 * x, a2, ops)
-        nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * ops.exp(a2 - log_phi))
+        a1, a2 = l1 + k1 * x, l2 + k2 * x  # the logs of the two terms
+        log_phi = max(a1, a2) + math.log1p(math.exp(-abs(a1 - a2)))
+        nxt = x - (log_phi - log_c) / (k1 + (k2 - k1) * math.exp(a2 - log_phi))
         if nxt >= (x if step < _ULP_STOP_AFTER else math.nextafter(x, -math.inf)):
             return x
-        x = ops.minimum(x, nxt)
+        x = min(x, nxt)
     raise SolverError(f"inverting phi did not converge in {_INVERT_MAX} Newton steps for log terms {terms!r}")
 
 
@@ -374,9 +371,7 @@ def _unit_pass(params: ProblemParams) -> Callable[[float], tuple[float, float, f
         log_gap = np.log(-np.expm1(lift))  # log(1 - x^(q-p))
 
     def unit(z: float) -> tuple[float, float, float]:
-        # log a and log(1 - a) as -softplus(-z) and -softplus(z): no exp of z.
-        log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
-        log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
+        log_a, log_b = _log_shares(z)
         # A non-finite value is the Newton loop's SolverError, not a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             # log phi - log x^(p-1), built on the larger share: exact once one term counts.
@@ -499,8 +494,7 @@ def _solve(params: ProblemParams, consts: DerivedConstants) -> tuple[Multipliers
         _unit_pass(work), math.log(work.ratio), window, q - p
     )
     log_T = math.log(work.A) - log_pm / p
-    log_a = -_log_sum_exp(0.0, -z, _FLOAT_OPS)
-    log_b = -_log_sum_exp(0.0, z, _FLOAT_OPS)
+    log_a, log_b = _log_shares(z)
     log_lam = (log_a + (1.0 - p) * log_T, log_b + (1.0 - q) * log_T)
     if not all(_LOG_FLOAT_MIN <= v < _LOG_FLOAT_MAX for v in log_lam):
         raise SolverError(

@@ -38,9 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import FOUR_PI, OracleError, ProblemParams, _gauss_panels
+from .core import FOUR_PI, OracleError, ProblemParams, _gauss_panels, np
 from .oracle import run_oracle
 from .solver import compute_bound, u_eval
 from .weight import (

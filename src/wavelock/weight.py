@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import solver
-from .core import ProblemParams, _write_columns
+from .core import ProblemParams, _write_columns, np
 from .core import derive_constants  # noqa: F401  (perfbench's tracer hooks weight.derive_constants)
 from .closed_form import distribution_of_profile
 from .closed_form import single_bound  # noqa: F401  (perfbench's tracer hooks weight.single_bound)
@@ -59,7 +58,7 @@ class HalfPlanePoint:
         return complex(self.x, self.y)
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 def radial_s(z, z0) -> float | np.ndarray:

@@ -690,15 +690,38 @@ class TestScanCommand:
         [
             (["--ratio-min", "0.3", "--ratio-max", "0.5"], "ratio sweeps need --q"),
             (["--q-sweep", "4,8"], "q sweeps need --B"),
+            (["--q", "4", "--B", "0.4", "--ratio-min", "0.2", "--ratio-max", "0.8", "--steps", "2",
+              "--q-sweep", "3,5"], "scan needs either a ratio range or --q-sweep, not both"),
+            (["--B", "0.4", "--q-sweep="], "--q-sweep expects comma-separated numbers"),
         ],
-        ids=["ratio-without-q", "q-sweep-without-B"],
+        ids=["ratio-without-q", "q-sweep-without-B", "both-sweeps", "empty-q-sweep"],
     )
     def test_sweep_without_its_flag_exit_2(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["scan", "--beta", "0.5", "--p", "2", "--A", "1", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert message in captured.err and captured.out == ""
+        # A missing flag and a malformed sweep are both cmd_scan's ParameterError.
+        code, out, err = run_cli(["scan", "--beta", "0.5", "--p", "2", "--A", "1", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parameter error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv, ratios",
+        [
+            (["--A", "0", "--B", "0.4", "--q-sweep", "4"], [""]),
+            (["--q", "4", "--A", "0", "--ratio-min", "0.2", "--ratio-max", "0.8", "--steps", "2"], ["", ""]),
+            (["--q", "4", "--A", "inf", "--ratio-min", "0.2", "--ratio-max", "0.8", "--steps", "2"],
+             ["nan", "nan"]),
+            (["--q", "4", "--A", "1e308", "--ratio-min", "0.2", "--ratio-max", "1e10", "--steps", "2"],
+             ["0.2", "inf"]),
+        ],
+        ids=["zero-A-q-sweep", "zero-A-ratios", "infinite-A-ratios", "overflowing-B"],
+    )
+    def test_invalid_budget_rows_report_their_error(self, argv, ratios):
+        # The arithmetic of the sweep itself never raises or warns: each row
+        # carries the instance's ParameterError, and an undefined B/A is empty.
+        code, out, err = _run_quiet(["scan", "--beta", "0.5", "--p", "2", *argv], _warnings_are_errors)
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["ratio"] for r in rows] == ratios
+        assert all(r["error"].startswith("ParameterError: A") and r["regime"] == "" for r in rows)
 
     @pytest.mark.parametrize(
         "bounds",
@@ -958,6 +981,18 @@ class TestErrorContract:
         code, _, err = _run_quiet(argv, _warnings_are_errors)
         assert code in (0, 2, 3, 4), (argv, err)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.sampled_from(_EXTREMES)] * 5))
+    def test_scan_is_a_result_or_a_typed_error(self, values):
+        # Both sweep forms over the drawn instance: a ratio range that crosses
+        # 1 with the drawn q, and a q sweep of the drawn q with the drawn B.
+        beta, p, q, A, B = map(repr, values)
+        head = ["scan", "--beta", beta, "--p", p, "--A", A]
+        for argv in ([*head, "--q", q, "--ratio-min", "0.2", "--ratio-max", "5", "--steps", "3"],
+                     [*head, "--B", B, "--q-sweep", q]):
+            code, _, err = _run_quiet(argv, _warnings_are_errors)
+            assert code in (0, 2), (argv, err)
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -1080,6 +1115,27 @@ class TestEntryPoint:
             "sys.exit(code)\n"
         )
         assert proc.returncode == code, proc.stderr
+
+    # verify and profile load their layers before they check their flags, and
+    # those layers too reach numpy only through core's handle.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", *REF_FLAGS, "--oracle-points", "50"],
+            ["verify", "--beta", "0.5", "--p", "2", "--q", "2", "--A", "1", "--B", "1"],
+            ["profile", "--beta", "0.5", "--p", "2", "--q", "2", "--A", "1", "--B", "1", "--out", os.devnull],
+            ["scan", "--beta", "0.5", "--p", "2", "--A", "1", "--q-sweep", "4"],
+        ],
+        ids=["verify-grid", "verify-p-equals-q", "profile-p-equals-q", "scan-without-B"],
+    )
+    def test_parameter_errors_never_import_numpy(self, argv):
+        proc = self._fresh_interpreter(
+            "import sys, wavelock.cli\n"
+            f"code = wavelock.cli.main({argv!r})\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "sys.exit(code)\n"
+        )
+        assert proc.returncode == 2, proc.stderr
 
     def test_dual_bound_loads_numpy(self):
         proc = self._fresh_interpreter(

@@ -5,12 +5,13 @@ import importlib
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import wavelock as wl
-from wavelock import cli, closed_form, core, oracle, solver
+from wavelock import cli, closed_form, core, oracle, weight
 
 # Every name `wavelock` exports, with the submodule that defines it.
 EXPORTS = {
@@ -139,8 +140,8 @@ def test_src_modules_read_every_name_they_import():
     assert exempt == {"verifier.eval_weight", "weight.derive_constants", "weight.single_bound"}
 
 
-# The modules every command loads: numpy reaches them only through core's handle.
-COMMAND_MODULES = ("core", "closed_form", "solver", "cli")
+# Every wavelock module but __init__: numpy reaches them only through core's handle.
+SRC_MODULES = sorted(path.stem for path in (ROOT / "src" / "wavelock").glob("*.py") if path.stem != "__init__")
 
 
 def _run_at_import(tree: ast.Module):
@@ -154,7 +155,7 @@ def _run_at_import(tree: ast.Module):
             stack.extend(ast.iter_child_nodes(node))
 
 
-@pytest.mark.parametrize("module", COMMAND_MODULES)
+@pytest.mark.parametrize("module", SRC_MODULES)
 def test_command_modules_reach_numpy_only_through_the_handle(module):
     tree = ast.parse((ROOT / "src" / "wavelock" / f"{module}.py").read_text())
     imports, binds = [], []
@@ -181,7 +182,6 @@ def test_numpy_handle_reads_numpys_names():
     assert core.np.__getattr__ is core._load_numpy
     for name in ("exp", "log1p", "maximum", "minimum", "all", "ndarray", "errstate", "polynomial"):
         assert getattr(core.np, name) is getattr(np, name), name
-    assert solver._ARRAY_OPS is core.np
     with pytest.raises(AttributeError, match="no_such_name"):
         core.np.no_such_name
 
@@ -195,6 +195,28 @@ def test_plain_float_constants_are_numpys():
     assert closed_form._EPS == np.finfo(float).eps
     assert type(closed_form._S_TOP) is type(closed_form._EPS) is float
     assert type(closed_form._TOP_BITS) is int
+
+
+def test_import_time_constants_of_the_later_layers_are_numpys():
+    # weight and oracle take theirs from sys.float_info, with numpy's bits.
+    assert weight._TINY == np.finfo(float).tiny and type(weight._TINY) is float
+    assert oracle._ROUNDOFF == 64.0 * np.finfo(float).eps and type(oracle._ROUNDOFF) is float
+
+
+def test_test_extra_lists_every_module_the_tests_skip_without():
+    # A module a test passes to importorskip must come with '.[test]', or a
+    # fresh install skips that test silently; the standard library needs no entry.
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[A-Za-z0-9._-]+", req).group().lower() for req in extra}
+    skipped = set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "importorskip" and isinstance(node.args[0], ast.Constant)):
+                skipped.add(node.args[0].value.split(".")[0])
+    assert {"mpmath", "tomllib"} <= skipped
+    assert skipped - set(sys.stdlib_module_names) <= listed, sorted(skipped - listed)
 
 
 def test_readme_states_the_schema():

@@ -1,5 +1,6 @@
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -574,6 +575,18 @@ class TestNewtonDual:
         got, want = np.log1p(np.exp(v)), solver._log_sum_exp(v, 0.0)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_log_shares_are_the_log_sum_exp_with_0(self):
+        # log a and log(1 - a) must be -logsumexp(0, -z) and -logsumexp(0, z)
+        # by the kernel's formula on math, bit for bit, signed zeros included.
+        def neg_lse0(a):
+            return -(max(0.0, a) + math.log1p(math.exp(-abs(0.0 - a))))
+
+        edges = [0.0, 5e-324, 1e-300, 1.0, 36.0, 709.0, 745.0, 1e308]
+        grid = np.geomspace(5e-324, 1e308, 4001).tolist()
+        for z in [sign * v for v in edges + grid for sign in (1.0, -1.0)]:
+            got, want = solver._log_shares(z), (neg_lse0(-z), neg_lse0(z))
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *want), z
+
     def test_zero_moment_is_a_solver_error(self, monkeypatch):
         # A zero moment has no log; the pass returns no value Newton can use.
         x, w = solver._graded_rule(solver._PANELS, 16)
@@ -782,7 +795,9 @@ class TestLogInversion:
             iterates.append(min(*args))
             return iterates[-1]
 
-        monkeypatch.setattr(solver, "_FLOAT_OPS", solver._FLOAT_OPS._replace(minimum=recording_min))
+        # The float loop takes each iterate with the builtin min; a module
+        # global of that name shadows it.
+        monkeypatch.setattr(solver, "min", recording_min, raising=False)
         rng = np.random.default_rng(23)
         cases = [(wl.ProblemParams(*exponents, 1.0, 1.0), l1, l2) for exponents, l1, l2, _ in GOLDEN_T]
         for _ in range(40):
