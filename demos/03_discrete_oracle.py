@@ -3,8 +3,8 @@
 The discrete oracle maximizes the same objective over profiles sampled on
 a log grid, subject to the two discretized moment constraints.  It
 minimises the explicit Lagrangian dual of the discrete problem by Newton
-steps in log mu from constant seeds, one descent over the quadrant
-mu >= 0 per seed, and certifies the feasible point it reads off to a
+steps in log mu from one seed per budget at the grid's own scale, one
+descent over the quadrant mu >= 0 per seed, and certifies the feasible point it reads off to a
 relative duality gap of 1e-6.  It shares no machinery with the analytic
 solution, so agreement is meaningful evidence.  Monotonicity is not a
 constraint of the discrete problem, and needs no check: the oracle's point

@@ -49,9 +49,11 @@ def _fmt_json(value) -> str:
     """Minimal JSON emitter with fixed significant digits for floats."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    # numpy registers its integer and floating scalars with `numbers`, but
+    # not its bool, which can only exist once numpy has been imported.
+    numpy = sys.modules.get("numpy")
+    if isinstance(value, bool) or numpy is not None and isinstance(value, numpy.bool_):
         return "true" if value else "false"
-    # numpy registers its integer and floating scalars with these two.
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):

@@ -3,10 +3,12 @@
 Maximizes sum_i G(v_i) dt_i over v >= 0 subject to the two discrete
 moment constraints p sum t^(p-1) v dt <= A^p and q sum t^(q-1) v dt <= B^q
 through the grid's own Lagrangian dual.  The machinery is deliberately
-disjoint from the analytic solver: no multiplier equations, no closed
-forms of the continuum problem, and constant seeds; the grid ends at the
-caller's t_max, or else (:meth:`DiscreteProblem.log_spaced`) at twice the
-larger single-constraint support endpoint, from ``derive_constants``.
+disjoint from the analytic solver: no multiplier equations and no closed
+forms of the continuum problem.  The grid ends at the caller's t_max, or
+else (:meth:`DiscreteProblem.log_spaced`) at twice the larger
+single-constraint support endpoint T_e, from ``derive_constants``; each
+face's seed puts that face's maximiser's end at t_max/2, or at its own T_e,
+so the seeds scale with the problem (t = tau s) and need no other input.
 
 The Lagrangian separates over the nodes and G - c s has a closed-form
 maximiser, so the dual function D(mu) is explicit, convex, two-dimensional
@@ -16,7 +18,8 @@ which is all a line-search trial needs; the gradient, Hessian and maximiser
 are a second pass, from the arrays the first one kept, formed only at the
 points a descent keeps.
 Damped Newton in log mu minimises it over the quadrant mu >= 0, with an
-active set of the multipliers held at the boundary (Bertsekas 1982), and
+active set of the multipliers held at the boundary and a trial on the face
+that Newton's step in mu itself projects to (Bertsekas 1982), and
 each maximiser s(mu) it reaches meets both budgets to within the descent's
 residual.  Dividing s by its budget load, when that exceeds 1, makes it
 feasible; since G is concave with G(0) = 0, G(s/L) >= G(s)/L, so this
@@ -46,19 +49,23 @@ _MAX_LOG_STEP = 40.0  # no trial step moves a multiplier by more than e^40
 _EXPAND = 0.9  # a first trial that shrinks a multiplier by e^0.9 or more doubles t
 _COLLAPSE = 1e-30  # share of mu . caps below which a multiplier is frozen
 _ROUNDOFF = 64.0 * sys.float_info.epsilon  # rounding of D relative to its terms
+_OPEN = 0.1  # a zero multiplier opens at a velocity of at least this share of its face seed
+_FACE_EXCESS = 1e-4  # a face trial is kept where it overspends the zeroed budget by at most this share
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """A log-spaced grid, its quadrature weights and the two budgets."""
+    """A log-spaced grid, its quadrature weights, the two budgets and where
+    each face's maximiser should end, which places the oracle's seeds."""
 
     params: ProblemParams
     t: np.ndarray
     dt: np.ndarray
     budget_p: float
     budget_q: float
+    ends: tuple[float, float] | None = None  # where each face's maximiser should end; None: t_max/2
 
     def __post_init__(self):
         if self.t.size < 100:
@@ -78,8 +85,9 @@ class DiscreteProblem:
         """Build a geometric grid on (0, t_max].
 
         Without an explicit t_max the single-constraint support endpoints
-        seed it (doubled); callers who know the analytic endpoint should
-        pass 2x that value.  The grid starts at t_min = 1e-6 t_max.  The
+        T_p and T_q seed it (doubled), and are the grid's ``ends``; callers
+        who know the analytic endpoint should pass 2x that value, and each
+        face then ends at t_max/2.  The grid starts at t_min = 1e-6 t_max.  The
         mass omitted below t_min is bounded by t_min for the objective
         (G < 1) and by the vanishing integrands t^(e-1) u for the
         constraints, both negligible.  Raises OracleError where that seed or
@@ -95,7 +103,9 @@ class DiscreteProblem:
                     "a single-constraint support endpoint (4 pi sigma)^(-1/e) exceeds the float "
                     f"range (sigma_p = {c.sigma_p!r}, sigma_q = {c.sigma_q!r})"
                 ) from exc
-            t_max = 2.0 * max(T_p, T_q)
+            t_max, ends = 2.0 * max(T_p, T_q), (T_p, T_q)
+        else:
+            ends = None
         if not t_max < math.inf:
             raise OracleError(f"the grid's end t_max = {t_max!r} is out of the float range")
         t = np.geomspace(_T_MIN_FACTOR * t_max, t_max, n)
@@ -110,6 +120,7 @@ class DiscreteProblem:
             dt=dt,
             budget_p=params.A**params.p,
             budget_q=params.B**params.q,
+            ends=ends,
         )
 
     def moment_vectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +219,25 @@ def _dual(
     return value, grad, hess, s
 
 
+def _face_seeds(prob: DiscreteProblem, prices: np.ndarray) -> tuple:
+    """One seed per face at the grid's own scale, (1/prices[0, j], 0) and
+    (0, 1/prices[1, j]), with j the first node at or past that face's end
+    (``prob.ends``, or t_max/2): rho = 1 there, so the face's maximiser ends
+    at that node.  A seed that is not a positive float (a price that
+    underflows, overflows or is nan), or that prices the first node to 0
+    (rho there is about (t_0/t_j)^(e-1), which underflows at e of about 58
+    or more), is 1, in the units of the budgets."""
+    t = prob.t
+    ends = prob.ends if prob.ends is not None else (0.5 * t[-1],) * 2
+    j = np.minimum(np.searchsorted(t, ends), t.size - 1)
+    inverse = [1.0 / price if price > 0.0 else math.inf for price in prices[(0, 1), j].tolist()]
+    m1, m2 = (
+        m if 0.0 < m < math.inf and m * first > 0.0 else 1.0
+        for m, first in zip(inverse, prices[:, 0].tolist())
+    )
+    return (m1, 0.0), (0.0, m2)
+
+
 def _advance(m: float, d: float, t: float) -> float:
     """A multiplier a step t along d: m exp(t d/m) when m > 0, max(t d, 0) when m = 0.
 
@@ -236,7 +266,49 @@ def _log_newton(m1, m2, g1, g2, h11, h12, h22):
     return s1 * (k12 * e2 - k22 * e1) / det, s2 * (k12 * e1 - k11 * e2) / det
 
 
-def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: tuple, certified):
+def _projected_newton(m1, m2, g1, g2, h11, h12, h22):
+    """Newton's step in mu itself, projected onto the quadrant.
+
+    Where it would shrink a positive multiplier by e^0.9 or more, that
+    multiplier is set to 0 and the other takes Newton's step on that face
+    instead.  Returns None where H is not positive definite, where the
+    point is mu itself, or where both multipliers would be 0.
+    """
+    det = h11 * h22 - h12 * h12
+    if not (h11 > 0.0 and det > 0.0):
+        return None
+    n1 = m1 + (h12 * g2 - h22 * g1) / det
+    n2 = m2 + (h12 * g1 - h11 * g2) / det
+    shrink = math.exp(-_EXPAND)
+    if 0.0 < m1 and n1 <= shrink * m1:
+        n1, n2 = 0.0, m2 - (g2 - h12 * m1) / h22
+    elif 0.0 < m2 and n2 <= shrink * m2:
+        n1, n2 = m1 - (g1 - h12 * m2) / h11, 0.0
+    point = max(n1, 0.0), max(n2, 0.0)
+    return None if point == (0.0, 0.0) or point == (m1, m2) else point
+
+
+def _face_trial(projected, mu: tuple, dual, derive, bound: float, caps: tuple):
+    """The point ``_projected_newton`` puts on a face, with the dual there,
+    where it zeroes a positive multiplier, D there is below ``bound`` and
+    that multiplier's budget holds there to within 1e-4 of its cap; else None.
+
+    A face point far over the zeroed budget lies next to an optimum whose
+    multiplier is positive but tiny (1e-35 on some wide draws), where D is
+    flat to rounding and the descent could not reopen it.
+    """
+    zeroed = [e for e in (0, 1) if projected is not None and projected[e] == 0.0 < mu[e]]
+    if not zeroed:
+        return None
+    point = dual(projected)
+    if not point[0] < bound:
+        return None
+    point = derive(projected, point)
+    e = zeroed[0]
+    return (projected, point) if point[1][e] >= -_FACE_EXCESS * caps[e] else None
+
+
+def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: tuple, certified, opening):
     """Damped Newton descent of the convex dual over the quadrant mu >= 0.
 
     Every step is Newton's step in eta = log mu (``_log_newton``) on Python
@@ -253,18 +325,30 @@ def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: t
     down to a floor on the step: far from the optimum the quadratic model
     of D overshoots by many orders of magnitude, and the capped first trial
     can already be below 1e-12; a trial where D is not finite ends the
-    descent.  Where the first trial passes and shrinks a positive
-    multiplier by e^0.9 or more, near the model's limit of one e-fold per
-    step, t doubles up to the cap while D keeps falling.  Once the
-    predicted decrease is below the rounding of D, the descent ends where
-    ``certified(point)`` holds, and otherwise takes a full step while the
-    relative moment residual of the free multipliers keeps falling.
+    descent.  A zero multiplier that opens does so at a velocity of at
+    least its share of ``opening`` (0.1 of its face seed): Newton's own
+    opening reads the curvature of the deep nodes, which falls by orders of
+    magnitude as the multiplier grows (3e-10 against an optimum of 0.016 on
+    the reference).  Where that trial fails, Newton's own step follows.
+    Where the first trial passes and shrinks a positive multiplier by e^0.9
+    or more, near the model's limit of one e-fold per step, t doubles up to
+    the cap while D keeps falling.  A log step never reaches 0, so where Newton's step in mu
+    itself would take a multiplier that far, the point it projects to on
+    that face (``_projected_newton``) is tried too, and kept where D is
+    lower there and that multiplier's budget holds to within 1e-4 of its
+    cap (``_face_trial``).  Once the predicted decrease is below the
+    rounding of D, the descent ends where ``certified(point)`` holds, and
+    otherwise takes a full step while the relative moment residual of the
+    free multipliers keeps falling, or else the projected step in mu, which
+    does not overshoot where a log step grows a multiplier by orders of
+    magnitude.
     A trial is priced by D alone: ``dual(mu)`` is the value pass
     (``_dual_value``), and ``derive(mu, trial)`` forms the gradient, Hessian
-    and maximiser from it (``_dual``) only at the point a step keeps, and at
-    the trial whose residual the rounding branch reads.  Returns the final
-    multipliers, the dual there (value, gradient, Hessian, maximiser) and
-    the steps taken.  ``point`` is the dual at ``mu``, the seed's.
+    and maximiser from it (``_dual``) only at the point a step keeps, at a
+    face trial whose D is lower, and at the trials whose residual the
+    rounding branch reads.  Returns the final multipliers, the dual there
+    (value, gradient, Hessian, maximiser) and the steps taken.  ``point`` is
+    the dual at ``mu``, the seed's.
     """
     (c1, c2), frozen1, frozen2 = caps.tolist(), False, False
 
@@ -282,18 +366,26 @@ def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: t
         direction = _log_newton(m1, m2, g1, g2, h11, h12, h22)
         if direction is None:
             return mu, point, step
-        d1, d2 = direction
+        d1, d2 = newton = direction
+        d1 = max(d1, opening[0]) if f1 and m1 == 0.0 else d1
+        d2 = max(d2, opening[1]) if f2 and m2 == 0.0 else d2
         moving = [(m, d) for m, d in ((m1, d1), (m2, d2)) if m > 0.0 and d != 0.0]
         cap = min((_MAX_LOG_STEP * m / abs(d) for m, d in moving), default=math.inf)
         t = min(1.0, cap)
         slope = g1 * d1 + g2 * d2
+        projected = _projected_newton(m1, m2, g1, g2, h11, h12, h22)
         if -slope <= _ROUNDOFF * (abs(value) + m1 * c1 + m2 * c2):
             if certified(point):
                 return mu, point, step
             trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
             trial = derive(trial_mu, dual(trial_mu))
             if not residual(trial[1]) < residual(grad):
-                return mu, point, step
+                if projected is None:
+                    return mu, point, step
+                trial_mu = projected
+                trial = derive(trial_mu, dual(trial_mu))
+                if not residual(trial[1]) < residual(grad):
+                    return mu, point, step
         else:
             for halving in range(_HALVINGS):
                 trial_mu = (_advance(m1, d1, t), _advance(m2, d2, t))
@@ -302,7 +394,10 @@ def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: t
                     return mu, point, step
                 if trial[0] <= value + _ARMIJO * t * slope:
                     break
-                t *= 0.5
+                if (d1, d2) == newton:
+                    t *= 0.5
+                else:  # the opening's trial fails: Newton's own step from here
+                    (d1, d2), slope = newton, g1 * newton[0] + g2 * newton[1]
             else:
                 return mu, point, step
             expand = halving == 0 and any(t * d <= -_EXPAND * m for m, d in moving)
@@ -313,7 +408,8 @@ def _descend(mu: tuple, dual, derive, caps: np.ndarray, max_steps: int, point: t
                 if not ahead[0] < trial[0]:
                     break
                 trial_mu, trial = ahead_mu, ahead
-            trial = derive(trial_mu, trial)
+            face = _face_trial(projected, mu, dual, derive, trial[0], (c1, c2))
+            trial_mu, trial = face if face is not None else (trial_mu, derive(trial_mu, trial))
         mu, point = trial_mu, trial
         collapse = _COLLAPSE * (mu[0] * c1 + mu[1] * c2)
         frozen1 = frozen1 or 0.0 < mu[0] * c1 <= collapse
@@ -325,9 +421,12 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     """Maximise the discrete problem through its explicit dual, certified by the gap.
 
     D(mu) is minimised by one descent over the quadrant (``_descend``) from
-    each constant seed, (1, 0) and (0, 1), the seed with the lower D first
-    ((1, 0) on a tie); the other runs only where the lowest D and the best
-    objective are not yet within rounding (64 eps relative) of each other.
+    each face seed (``_face_seeds``: rho = 1 where that face's maximiser
+    should end, at ``prob.ends`` or t_max/2), the seed with the lower D
+    first (the p face on a tie); the other runs only where the lowest D and
+    the best objective are not yet within rounding (64 eps relative) of
+    each other.  A seed whose D is not finite, as where a row's prices are
+    nan, is not descended.
     The same test ends a descent early: once its predicted decrease is below
     the rounding of D, it stops at the first point whose own D and scaled
     objective pass it; diagnostics["gap_checks"] counts these tests.
@@ -338,10 +437,11 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     near zero.  ``converged`` means certified: (D - obj)/obj <= 1e-6.
     ``max_iter`` caps the Newton steps of each descent; ``iterations`` counts
     the steps of all of them, and diagnostics["dual_evaluations"] the
-    evaluations of D, the two seeds and line-search and expansion trials
-    included.  Each of those is a value pass (``_dual_value``); only a seed
-    a descent starts from, a point a step keeps and a trial whose residual
-    is read get the derivative pass (``_dual``) as well, and
+    evaluations of D, the two seeds and line-search, expansion and face
+    trials included.  Each of those is a value pass (``_dual_value``); only a
+    seed a descent starts from, a point a step keeps, a face trial whose D
+    is lower and a trial whose residual is read get the derivative pass
+    (``_dual``) as well, and
     diagnostics["derivative_evaluations"] counts these.  A point's scaled
     maximiser and objective are formed once, whether the gap test or the
     answer reads them first.  The rows, their prices and the budgets are
@@ -349,12 +449,14 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
     underflows to 0; so does a solve whose best objective is nan (every
     descent) or 0.0.
     diagnostics["descents"] lists each descent in run order as (seed,
-    Newton steps).  One DEBUG record on the ``wavelock.oracle`` logger gives
-    the descents, the dual evaluations, those with derivatives, the gap
-    checks and the relative gap.
+    Newton steps), the seed a pair of Python floats.  One DEBUG record on
+    the ``wavelock.oracle`` logger gives the descents, the dual evaluations,
+    those with derivatives, the gap checks and the relative gap.
     """
     terms = _dual_terms(prob)
     rows, prices, dt, caps, beta = terms
+    seeds = _face_seeds(prob, prices)
+    opening = (_OPEN * seeds[0][0], _OPEN * seeds[1][1])
     evaluations = derivatives = gap_checks = 0
     last = None, None  # the point scaled last, and its scaled maximiser and objective
 
@@ -385,14 +487,14 @@ def solve_discrete(prob: DiscreteProblem, max_iter: int = 100) -> DiscreteSoluti
         obj_z = scaled(point)[1]
         return point[0] - obj_z <= _ROUNDOFF * obj_z
 
-    seeds = ((1.0, 0.0), (0.0, 1.0))
     starts = [dual(seed) for seed in seeds]
-    descents, obj = [], -np.inf
-    for i in sorted((0, 1), key=lambda i: starts[i][0]):  # stable: (1, 0) first on a tie
+    descents, obj, dual_value = [], -np.inf, math.inf
+    finite = [i for i in (0, 1) if math.isfinite(starts[i][0])]  # a descent never keeps such a point
+    for i in sorted(finite, key=lambda i: starts[i][0]):  # stable: the p face first on a tie
         start = derive(seeds[i], starts[i])
-        mu, point, steps = _descend(seeds[i], dual, derive, caps, max_iter, start, certified)
+        mu, point, steps = _descend(seeds[i], dual, derive, caps, max_iter, start, certified, opening)
         descents.append((seeds[i], steps))
-        if len(descents) == 1 or point[0] < dual_value:
+        if point[0] < dual_value:
             mu_dual, dual_value = mu, point[0]
         z, obj_z = scaled(point)
         if obj_z > obj:

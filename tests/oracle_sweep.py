@@ -7,7 +7,9 @@ ending at 2 T with T the support endpoint of ``report.multipliers()`` in
 every regime, and the oracle's own seed grid (``t_max=None``).  ``tally``
 counts certified draws, draws whose v is nonincreasing, dual evaluations,
 those that formed derivatives, Newton steps and gap checks; an
-``OracleError`` counts as not certified.  ``verify_tally`` runs
+``OracleError`` counts as not certified.  It also keeps the largest
+evaluation count of a single draw and that draw's index, so that a descent
+stalled at its step cap shows beside the totals.  ``verify_tally`` runs
 ``run_verification`` on every solved draw and names each failure: its
 failed checks, or the ``OracleError`` and its cause.
 
@@ -48,7 +50,7 @@ class Tally:
     """One sampler on one grid: solved draws, certified solves, solves whose
     v is nonincreasing, and the dual evaluations, those of them that formed
     derivatives, Newton steps and gap checks summed over the solves that
-    return."""
+    return; and the most evaluations one solve took, with its draw index."""
 
     solved: int = 0
     certified: int = 0
@@ -57,6 +59,8 @@ class Tally:
     derivatives: int = 0
     steps: int = 0
     gap_checks: int = 0
+    most: int = 0
+    most_draw: int | None = None
 
 
 @dataclass
@@ -96,13 +100,16 @@ def solve(params: wl.ProblemParams, T: float, grid: str):
 
 def tally(sampler: str, grid: str, count: int | None = None) -> Tally:
     out = Tally()
-    for _, params, T in solved_draws(sampler, count):
+    for i, params, T in solved_draws(sampler, count):
         out.solved += 1
         sol = solve(params, T, grid)
         if sol is not None:
+            evaluations = sol.diagnostics["dual_evaluations"]
             out.certified += sol.converged
             out.monotone += bool(np.all(np.diff(sol.v) <= 0.0))
-            out.evaluations += sol.diagnostics["dual_evaluations"]
+            out.evaluations += evaluations
+            if evaluations > out.most:
+                out.most, out.most_draw = evaluations, i
             out.derivatives += sol.diagnostics["derivative_evaluations"]
             out.steps += sol.iterations
             out.gap_checks += sol.diagnostics["gap_checks"]
@@ -126,12 +133,12 @@ def verify_tally(sampler: str) -> VerifyTally:
 
 def main() -> None:
     print(f"{'sampler':<16}{'grid':<6}{'solved':>8}{'certified':>11}{'monotone':>10}{'evaluations':>13}"
-          f"{'derivatives':>13}{'steps':>8}{'gap_checks':>12}")
+          f"{'derivatives':>13}{'steps':>8}{'gap_checks':>12}{'most (draw)':>14}")
     for sampler in SAMPLERS:
         for grid in GRIDS:
             t = tally(sampler, grid)
             print(f"{sampler:<16}{grid:<6}{t.solved:>8}{t.certified:>11}{t.monotone:>10}{t.evaluations:>13}"
-                  f"{t.derivatives:>13}{t.steps:>8}{t.gap_checks:>12}")
+                  f"{t.derivatives:>13}{t.steps:>8}{t.gap_checks:>12}{f'{t.most} ({t.most_draw})':>14}")
     print(f"\n{'sampler':<16}{'solved':>8}{'verified':>10}  failures")
     for sampler in SAMPLERS:
         t = verify_tally(sampler)

@@ -60,27 +60,28 @@ def test_fmt_json_rejects_what_it_cannot_serialize():
 SCALARS = {
     "i64": np.int64(-7), "f32": np.float32(0.1), "f64": np.float64(1 / 3), "inf": math.inf,
     "f32_inf": np.float32("inf"), "nan": np.float64("nan"), "yes": True, "no": False,
-    "int": 12345678901, "float": 0.1, "none": None,
+    "int": 12345678901, "float": 0.1, "none": None, "np_yes": np.True_, "np_no": np.False_,
 }
 SCALARS_JSON = (
     '{"i64": -7, "f32": 0.10000000149011612, "f64": 0.33333333333333331, "inf": null, '
     '"f32_inf": null, "nan": null, "yes": true, "no": false, "int": 12345678901, '
-    '"float": 0.10000000000000001, "none": null}'
+    '"float": 0.10000000000000001, "none": null, "np_yes": true, "np_no": false}'
 )
 SCALARS_TEXT = (
     "i64 = -7\nf32 = 0.100000001\nf64 = 0.333333333\ninf = inf\nf32_inf = inf\nnan = nan\n"
     "yes = True\nno = False\nint = 12345678901\nfloat = 0.1\nnone = null\n"
+    "np_yes = True\nnp_no = False\n"
 )
 SCALARS_CSV = (
-    "i64,f32,f64,inf,f32_inf,nan,yes,no,int,float,none\n"
-    "-7,0.10000000149011612,0.3333333333333333,inf,inf,nan,True,False,12345678901,0.1,\n"
+    "i64,f32,f64,inf,f32_inf,nan,yes,no,int,float,none,np_yes,np_no\n"
+    "-7,0.10000000149011612,0.3333333333333333,inf,inf,nan,True,False,12345678901,0.1,,True,False\n"
 )
 
 
 def test_every_output_writes_numpy_scalars_as_python_ones(capsys):
     # The writers tell ints from floats through `numbers`, not numpy: a numpy
-    # integer is an integer, any numpy floating scalar a float, and a bool or
-    # a large Python int is never formatted as a float.
+    # integer is an integer, any numpy floating scalar a float, and a bool,
+    # numpy's among them, or a large Python int is never formatted as a float.
     assert cli._fmt_json(SCALARS) == SCALARS_JSON
     cli._print_text({"schema": cli.SCHEMA, **SCALARS})
     assert capsys.readouterr().out == SCALARS_TEXT
@@ -909,9 +910,9 @@ class TestExtremeValues:
             # but verify's 2 T grid can; there the prices overflow and every
             # descent ends at v = 0.
             (["--beta", "1e300", "--p", "50", "--q", "1.0000000000000002", "--A", "0.5", "--B", "1e300"],
-             "the best objective is 0.0 (v = 0) against a dual value of 9.676e+05"),
+             "the best objective is 0.0 (v = 0) against a dual value of 4.819e+05"),
             (["--beta", "1e-300", "--p", "2", "--q", "1.0000000000000002", "--A", "2", "--B", "1e300"],
-             "the best objective is 0.0 (v = 0) against a dual value of 7.661e-174"),
+             "the best objective is 0.0 (v = 0) against a dual value of 8.190e-18"),
         ],
         ids=["nan-objective", "bound-underflows", "support-endpoint-overflows", "grid-end-overflows"],
     )

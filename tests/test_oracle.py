@@ -39,6 +39,17 @@ def near_threshold_params(rng: np.random.Generator) -> wl.ProblemParams:
             return wl.ProblemParams(beta, p, q, 1.0, c.r2 * (1.0 - delta))
 
 
+def face_seeds(prob: DiscreteProblem) -> tuple:
+    """The seeds (m1, 0) and (0, m2) the oracle starts from on ``prob``."""
+    return oracle._face_seeds(prob, oracle._dual_terms(prob)[1])
+
+
+def constant_seeds(monkeypatch) -> None:
+    """Patch ``oracle._face_seeds`` to the constant seeds (1, 0) and (0, 1),
+    from which the descents reach points that the face seeds skip."""
+    monkeypatch.setattr(oracle, "_face_seeds", lambda prob, prices: ((1.0, 0.0), (0.0, 1.0)))
+
+
 def descent_starts(monkeypatch) -> list:
     """Patch ``oracle._descend`` to record the multipliers each descent starts from."""
     starts, real_descend = [], oracle._descend
@@ -196,7 +207,7 @@ class TestSolveDiscrete:
         # e^40 cap, mu1 = 4.2e-18, and 20 evaluations climbed back to the face
         # optimum mu1 = 0.0814; Newton's step in log mu comes within 5 % of
         # it instead, and mu2 opens from there.  The reference's solve does
-        # not descend from this seed (its (0, 1) seed has the lower D), so the
+        # not start from this seed (it starts from the q face's), so the
         # descent is driven from the seed directly, with a gap test that never
         # passes; it ends at the solve's multipliers.
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
@@ -211,9 +222,13 @@ class TestSolveDiscrete:
             return _dual(mu, *terms, kept)
 
         seed = (1.0, 0.0)
+        (m1, _), (_, m2) = oracle._face_seeds(prob, terms[1])
+        opening = (oracle._OPEN * m1, oracle._OPEN * m2)
         start = derive(seed, dual(seed))
-        mu, point, _ = oracle._descend(seed, dual, derive, terms[3], 100, start, lambda point: False)
-        assert min(mu1 for mu1, _ in seen) >= 1e-3
+        mu, point, _ = oracle._descend(seed, dual, derive, terms[3], 100, start, lambda point: False, opening)
+        # The one trial on the face mu1 = 0 is ``_projected_newton``'s, and D rejects it.
+        assert [mu2 for mu1, mu2 in seen if mu1 == 0.0] == [pytest.approx(1.291, rel=1e-3)]
+        assert min(mu1 for mu1, _ in seen if mu1 > 0.0) >= 1e-3
         opened = next(k for k, (_, mu2) in enumerate(seen) if mu2 > 0.0)
         assert seen[opened - 1] == (pytest.approx(0.0814, rel=0.05), 0.0)  # near the face optimum
         assert mu == pytest.approx((0.016013035445537664, 1.0703723298649788), rel=1e-12)
@@ -235,7 +250,7 @@ class TestSolveDiscrete:
 
         start = (1.0, np.array([1.0, 0.0]), np.eye(2), np.zeros(1))
         mu, point, steps = oracle._descend(
-            (1.0, 0.0), dual, derive, np.array([1.0, 1.0]), 100, start, lambda point: False
+            (1.0, 0.0), dual, derive, np.array([1.0, 1.0]), 100, start, lambda point: False, (0.1, 0.1)
         )
         assert mu == (1.0, 0.0) and point is start and steps == 0
         assert len(trials) == oracle._HALVINGS == 60
@@ -337,16 +352,16 @@ class TestCertificate:
         assert sol.diagnostics["derivative_evaluations"] == counts["_dual"]
         # one evaluation at each seed and at least one per Newton step
         assert evaluations >= sol.iterations + 2
-        assert counts["_descend"] == 1  # from the (0, 1) seed only
+        assert counts["_descend"] == 1  # from the q face's seed only
 
     def test_derivatives_only_where_a_descent_keeps_the_point(self, ref_params, ref_report):
-        # On the reference, 10 of the 16 evaluations form derivatives: the
-        # (0, 1) seed the descent starts from and the point each step keeps;
-        # the (1, 0) seed and the rejected trials are priced by D alone.
+        # On the reference, 7 of the 8 evaluations form derivatives: the q
+        # face's seed the descent starts from and the point each step keeps;
+        # the p face's seed is priced by D alone.
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
         derivatives = sol.diagnostics["derivative_evaluations"]
-        assert sol.iterations + len(sol.diagnostics["descents"]) <= derivatives <= 10
+        assert sol.iterations + len(sol.diagnostics["descents"]) <= derivatives <= 7
         assert derivatives < sol.diagnostics["dual_evaluations"]
 
     def test_derivatives_at_kept_points_keep_every_bit(self, ref_params, ref_report):
@@ -372,15 +387,15 @@ class TestCertificate:
     def test_first_joint_descent_closing_the_gap_ends_the_solve(
         self, ref_params, ref_report, monkeypatch
     ):
-        # D is lower at the seed (0, 1) than at (1, 0), so that seed is
-        # descended first; its descent over the quadrant brings the lowest D
-        # within rounding of the best scaled objective, and the (1, 0) seed is
-        # never descended.  The values are those of the solve that still ran
-        # all four face and joint descents.
+        # D is lower at the q face's seed than at the p face's, so that seed
+        # is descended first; its descent over the quadrant brings the lowest
+        # D within rounding of the best scaled objective, and the p face's
+        # seed is never descended.  The values are those of the solve that
+        # still ran all four face and joint descents.
         starts = descent_starts(monkeypatch)
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
-        assert starts == [(0.0, 1.0)]
+        assert starts == [face_seeds(prob)[1]]
         assert sol.converged
         assert sol.objective == pytest.approx(0.14163124245023956, rel=1e-14)
         assert sol.diagnostics["dual_value"] == pytest.approx(0.14163124245023953, rel=1e-14)
@@ -389,28 +404,44 @@ class TestCertificate:
         )
 
     def test_reference_certifies_within_24_evaluations(self, ref_params, ref_report):
-        # 16: one descent over the quadrant from the (0, 1) seed, which ends
-        # at the second of its gap checks; 18 where it runs on until the
-        # moment residual stops falling.
+        # 8: one descent over the quadrant from the q face's seed, which opens
+        # mu1 at a share of its face seed and ends at the second of its gap
+        # checks; 16 from the constant seed (0, 1), whose descent opened mu1
+        # by Newton's own 3e-10.
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
         assert sol.converged
-        assert sol.diagnostics["dual_evaluations"] <= 16
+        assert sol.diagnostics["dual_evaluations"] <= 8
         assert sol.diagnostics["gap_checks"] == 2
+
+    def test_zero_optimum_multiplier_is_reached(self):
+        # near_threshold_dual_params(default_rng(17)), draw 85: the q budget
+        # is slack by 1.9e-6 at the optimum, so mu2* = 0.  A log step only
+        # shrinks mu2 geometrically (56 evaluations from the constant seeds);
+        # the p face's seed lies next to mu1*, and no kept point opens mu2.
+        params = wl.ProblemParams(
+            1.219672534306254, 1.4762565451737524, 4.023581113987381, 1.0, 0.6854145343704671
+        )
+        _, sol = run_oracle(params, t_max=2.0 * wl.compute_bound(params).T)
+        assert sol.converged
+        assert sol.diagnostics["dual_evaluations"] <= 8
+        assert sol.diagnostics["dual_multipliers"][1] == 0.0
+        assert -1e-5 < sol.residual_q < 0.0 == sol.residual_p
 
     def test_descents_are_listed_in_run_order(self, ref_params, ref_report, monkeypatch):
         starts = descent_starts(monkeypatch)
         prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
         sol = solve_discrete(prob)
         descents = sol.diagnostics["descents"]
-        assert [seed for seed, _ in descents] == starts == [(0.0, 1.0)]
+        assert [seed for seed, _ in descents] == starts == [face_seeds(prob)[1]]
+        assert all(type(m) is float for seed, _ in descents for m in seed)
         assert sum(steps for _, steps in descents) == sol.iterations
 
     @pytest.mark.parametrize(
         "params, face",
         [
-            (wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2), (0.0, 1.0)),
-            (wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0), (1.0, 0.0)),
+            (wl.ProblemParams(0.5, 2.0, 4.0, 1.0, 0.2), 1),
+            (wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0), 0),
         ],
         ids=["SingleQ", "SingleP"],
     )
@@ -419,35 +450,45 @@ class TestCertificate:
         # has the lower D at its seed, and its minimiser meets the other
         # budget and closes the gap.
         starts = descent_starts(monkeypatch)
-        _, sol = run_oracle(params)
-        assert starts == [face]
+        prob, sol = run_oracle(params)
+        assert starts == [face_seeds(prob)[face]]
         assert len(sol.diagnostics["descents"]) == 1
         assert sol.converged
         assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
     @pytest.mark.parametrize(
-        "params, descents",
+        "params, grid, faces",
         [
-            # near_threshold_dual_params(default_rng(17)), draw 56
+            # near_threshold_dual_params(default_rng(17)), draw 56, on the 2T grid
             (wl.ProblemParams(
                 0.9894191058196213, 4.2773682362730305, 1.9092448367423884, 1.0, 3.134805853194568
-            ), [(1.0, 0.0)]),
-            # wide_dual_params(default_rng(7)), draw 19
+            ), "2T", [0]),
+            # wide_dual_params(default_rng(7)), draw 45, on the seed grid
+            (wl.ProblemParams(
+                1.0749591214770366, 15.994693644525059, 4.887328617550141, 1.0, 2.587433593062129
+            ), "seed", [0, 1]),
+            # wide_dual_params(default_rng(7)), draw 19, on the 2T grid
             (wl.ProblemParams(
                 2.7014306697989405, 41.536341515862254, 7.848202577129077, 1.0, 1.3089493348991776
-            ), [(1.0, 0.0), (0.0, 1.0)]),
+            ), "2T", [0, 1]),
         ],
-        ids=["near-threshold", "wide"],
+        ids=["near-threshold", "wide-seed-grid", "wide"],
     )
     def test_second_joint_descent_runs_where_the_first_leaves_a_gap(
-        self, params, descents, monkeypatch
+        self, params, grid, faces, monkeypatch
     ):
-        # The near-threshold draw certifies in the descent from (1, 0).  On
-        # the wide draw that descent opens mu2 to 1.2e-182, where its share of
-        # mu . caps has collapsed and it is frozen, and ends at a relative gap
-        # of 7.3e-2; the descent from (0, 1) closes it.
+        # The near-threshold draw certifies in the descent from the p face's
+        # seed.  On both wide draws that descent opens mu2 by Newton's own
+        # step once the tenth of its face seed fails, to 5.6e-60 and
+        # 6.8e-185, where its share of mu . caps has collapsed and it is
+        # frozen; it ends at relative gaps of 5.9e-2 and 7.5e-2, and the
+        # descent from the q face's seed closes them.  No near-threshold draw
+        # of rng 17 or 33 runs a second descent since the seeds sit at the
+        # grid's scale.
         starts = descent_starts(monkeypatch)
-        _, sol = run_oracle(params, t_max=2.0 * wl.compute_bound(params).T)
+        t_max = 2.0 * wl.compute_bound(params).T if grid == "2T" else None
+        prob, sol = run_oracle(params, t_max=t_max)
+        descents = [face_seeds(prob)[face] for face in faces]
         assert starts == descents
         assert [seed for seed, _ in sol.diagnostics["descents"]] == descents
         assert sol.converged
@@ -484,9 +525,11 @@ class TestCertificate:
         mu1, mu2 = sol.diagnostics["dual_multipliers"]
         assert mu1 > 0.0 and mu2 >= 0.0
 
-    def test_wide_domain_hessian_stays_finite(self):
-        # At p = 45.8 the (1, 0) descent reaches mu = (2.06e-9, 0), where
-        # den underflows and x/den overflowed to a non-finite Hessian.
+    def test_wide_domain_hessian_stays_finite(self, monkeypatch):
+        # At p = 45.8 the descent from the constant seed (1, 0) reaches
+        # mu = (2.06e-9, 0), where den underflows and x/den overflowed to a
+        # non-finite Hessian.  The face seed (0.015, 0) does not go there.
+        constant_seeds(monkeypatch)
         params = wl.ProblemParams(
             2.635744914613019, 45.83933653795897, 7.297075876708458, 1.0, 1.2954860504595624
         )
@@ -498,26 +541,32 @@ class TestCertificate:
         assert max(sol.residual_p, sol.residual_q) <= 1e-9
 
     def test_descent_stops_at_an_underflowing_price(self):
-        # The (0, 1) face descent chases mu2 -> 0 here (B^q ~ 2.6e37), until
-        # mu . prices underflows to 0 at deep nodes and D is nan; that descent
-        # took 4 666 of 4 689 dual evaluations.  It now ends at the first such
-        # trial, with the same answer; and since the (1, 0) seed has the lower
-        # D and its descent certifies, that descent no longer runs (37
-        # evaluations while it did).  The descent from (1, 0) shrinks mu1 by
-        # e^0.9 or more per step and doubles t along it: 24 evaluations, 32
-        # where t never doubles.
+        # From the constant seeds, the (0, 1) face descent chased mu2 -> 0
+        # here (B^q ~ 2.6e37), until mu . prices underflows to 0 at deep
+        # nodes and D is nan; that descent took 4 666 of 4 689 dual
+        # evaluations.  It ends at the first such trial, with the same
+        # answer, and once the (1, 0) seed had the lower D it no longer ran;
+        # the descent from (1, 0) took 24 evaluations.  Now the q face's own
+        # seed would price node 0 to 0, where D is nan, so it is 1 instead,
+        # and the p face's seed has the lower D and certifies in 5.  The
+        # mirrored instance (p and q, A and B swapped) has the same optimum;
+        # there it is the p face's seed that is 1, and that a descent from a
+        # nan D, kept first by the stable sort, would have left uncertified.
         params = wl.ProblemParams(
             0.06807039803611685, 21.923613374766816, 61.243458071553654,
             2.6354074314180034, 4.083572726376347,
         )
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always", RuntimeWarning)
-            _, sol = run_oracle(params)
-        assert sol.converged
-        assert sol.diagnostics["dual_evaluations"] <= 24
-        assert sol.objective == pytest.approx(1.5562883842545392, rel=1e-14)
-        messages = [str(w.message) for w in seen]
-        assert not [m for m in messages if "divide by zero" in m or "invalid value" in m], messages
+        mirrored = wl.ProblemParams(params.beta, params.q, params.p, params.B, params.A)
+        for instance in (params, mirrored):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always", RuntimeWarning)
+                _, sol = run_oracle(instance)
+            assert sol.converged
+            assert len(sol.diagnostics["descents"]) == 1
+            assert sol.diagnostics["dual_evaluations"] <= 24
+            assert sol.objective == pytest.approx(1.5562883842545392, rel=1e-14)
+            messages = [str(w.message) for w in seen]
+            assert not [m for m in messages if "divide by zero" in m or "invalid value" in m], messages
 
     def test_collapsed_multiplier_is_frozen_not_zeroed(self):
         # wide_dual_params(default_rng(55)), draw 398.  Set to 0 instead of
@@ -596,9 +645,23 @@ class TestCertificate:
             assert sol.diagnostics["duality_gap"] <= 1e-6, params
             assert max(sol.residual_p, sol.residual_q) <= 1e-9, params
 
-    def test_seed_that_prices_out_every_node_certifies(self):
-        # SingleP far above r2: at the seed mu = (1, 0) every node's price
-        # a_i/dt_i exceeds G'(0), so s(mu) = 0 and D is linear there.
+    def test_seed_with_a_nan_dual_is_not_descended(self, ref_params, ref_report, monkeypatch):
+        # mu1 = 5e-324 prices node 0 to 0, so D is nan at the p face's seed.
+        # The stable sort keeps a nan key first; a descent from it would end
+        # at once and leave the solve with a nan dual value, uncertified.
+        prob = DiscreteProblem.log_spaced(ref_params, t_max=2 * ref_report.T, n=2000)
+        q_face = face_seeds(prob)[1]
+        monkeypatch.setattr(oracle, "_face_seeds", lambda prob, prices: ((5e-324, 0.0), q_face))
+        sol = solve_discrete(prob)
+        assert sol.converged
+        assert [seed for seed, _ in sol.diagnostics["descents"]] == [q_face]
+        assert np.isfinite(sol.diagnostics["dual_value"])
+
+    def test_seed_that_prices_out_every_node_certifies(self, monkeypatch):
+        # SingleP far above r2: at the constant seed mu = (1, 0) every node's
+        # price a_i/dt_i exceeds G'(0), so s(mu) = 0 and D is linear there.
+        # A face seed never prices out every node (rho = 1 at its end node).
+        constant_seeds(monkeypatch)
         params = wl.ProblemParams(0.2, 1.3, 6.0, 1.0, 10.0)
         prob, sol = run_oracle(params)
         a, _ = prob.moment_vectors()
@@ -664,7 +727,7 @@ class TestLogging:
         assert records[0].name == "wavelock.oracle"
         assert records[0].levelno == logging.DEBUG
         message = records[0].getMessage()
-        assert f"descents (seed, Newton steps) [((0.0, 1.0), {sol.iterations})]," in message
+        assert f"descents (seed, Newton steps) [({face_seeds(prob)[1]}, {sol.iterations})]," in message
         assert f"{sol.diagnostics['dual_evaluations']} dual evaluations" in message
         assert "relative gap" in message
 
@@ -737,3 +800,25 @@ class TestInvariants:
         gap = abs(report.bound - sol.objective) / report.bound
         assert gap <= 0.01
 
+
+    @pytest.mark.parametrize("tau", [2.0**-20, 2.0**20], ids=["tau=2^-20", "tau=2^20"])
+    def test_covariant_under_the_scale_identity(self, ref_params, tau):
+        # With t = tau s, the problem at (A, B) on a grid ending at t_max is
+        # tau times the problem at (A/tau, B/tau) on the grid ending at
+        # t_max/tau (ROADMAP item 8).  Seeds at the grid's own scale follow
+        # it, so the solve takes the same path: the same evaluations, and
+        # tau times the objective agrees with the unscaled one to rounding.
+        rng = np.random.default_rng(8)
+        instances = (
+            [ref_params]
+            + [random_dual_params(rng) for _ in range(6)]
+            + [random_single_params(rng)[0] for _ in range(4)]
+        )
+        for params in instances:
+            t_max = 2.0 * wl.compute_bound(params).multipliers().T
+            scaled = wl.ProblemParams(params.beta, params.p, params.q, params.A / tau, params.B / tau)
+            _, sol = run_oracle(params, t_max=t_max)
+            _, sol_s = run_oracle(scaled, t_max=t_max / tau)
+            assert sol_s.diagnostics["dual_evaluations"] == sol.diagnostics["dual_evaluations"], params
+            eps = np.finfo(float).eps
+            assert abs(tau * sol_s.objective - sol.objective) <= 4 * eps * sol.objective, params
